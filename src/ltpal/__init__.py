@@ -89,7 +89,6 @@ from .transition import (
     TransitionSystem,
     build_ts,
     enumerate_total_paths,
-    path_suffix,
     total_path_count,
 )
 
@@ -109,8 +108,8 @@ __all__ = [
     "expand_groups", "future", "globally", "ingest", "lift", "load_candidates",
     "load_frames", "load_rules", "load_scores", "load_ts",
     "most_probable_path", "overlap_score", "p_implies", "p_or", "pal_sat",
-    "parse_formula", "parse_pal_formula", "parse_template", "path_suffix",
-    "pretty", "project_stream", "quantify_paths", "release", "rule_closure",
+    "parse_formula", "parse_pal_formula", "parse_template", "pretty",
+    "project_stream", "quantify_paths", "release", "rule_closure",
     "save_ts", "score_edges", "substitute", "t_and", "t_implies", "t_not",
     "t_or", "tems", "top", "total_path_count", "weak_until",
 ]

@@ -2,7 +2,7 @@
 
 A template's slots are filled with the queried atoms, each wrapped in an
 epistemic modality, and the resulting formula is quantified over every total
-execution path:
+execution path.  Every verdict is one cell of a 2x2 table, run by `verdict`:
 
 * verified (group):   D_A around each slot, all paths must satisfy;
 * possible (group):   "group cannot rule out", some path must satisfy;
@@ -12,7 +12,8 @@ execution path:
 The missing-information variants ask whether announcing one of the supplied
 candidate formulas would repair a query that currently fails: the base check
 must fail in the required way, and the announcement-wrapped template must
-then pass with the required quantifier.
+then pass with the required quantifier.  The `check_*` functions name the
+cells of the table.
 
 Path enumeration is capped; hitting the cap without a decision yields an
 explicit undecided report rather than a silently truncated answer.
@@ -21,6 +22,7 @@ explicit undecided report rather than a silently truncated answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import EvaluationError
@@ -138,94 +140,122 @@ def _require_agents(ts: TransitionSystem, agents: Iterable[str]) -> None:
             raise EvaluationError(f"unknown agent {agent!r}")
 
 
+_MODES = {
+    ("group", False): "verified_group",
+    ("group", True): "possible_group",
+    ("agent", False): "robust_agent",
+    ("agent", True): "possible_agent",
+}
+
+
+def verdict(
+    ts: TransitionSystem,
+    template: Template,
+    atoms,
+    *,
+    group=None,
+    agent: str | None = None,
+    possible: bool = False,
+    candidates: Sequence[PalFormula] | None = None,
+    path_cap: int | None = None,
+    paths: Iterable[ExecPath] | None = None,
+    skip_dummies: bool = False,
+) -> VerdictReport:
+    """Run one reliability verdict for a group (D) or a single agent (K).
+
+    Each slot of `template` is wrapped in the modality, or in its
+    "cannot rule out" dual when `possible`; the result must then hold on all
+    paths, or with `possible` on some path.  With `candidates` the verdict
+    is a missing-information check: the base query must fail, and the
+    report lists the candidates whose announcement, wrapped around each
+    slot, makes the query pass with the same quantifier.
+    """
+    if (group is None) == (agent is None):
+        raise ValueError("exactly one of group or agent must be given")
+    if candidates is not None:
+        candidates = list(candidates)
+        if not candidates:
+            raise ValueError("missing-information checks need a non-empty candidate list")
+        for pos, candidate in enumerate(candidates, 1):
+            if not isinstance(candidate, PalFormula):
+                raise ValueError(f"candidate {pos} is not a PAL formula: {candidate!r}")
+    if group is not None:
+        group = tuple(group)
+        if not group:
+            raise EvaluationError("group must contain at least one agent")
+        _require_agents(ts, group)
+        modality = partial(Dist, frozenset(group))
+    else:
+        _require_agents(ts, [agent])
+        modality = partial(Knows, agent)
+    wrap = (lambda a: PNot(modality(PNot(a)))) if possible else modality
+    args = _normalize_args(atoms)
+
+    restricted = paths is not None
+    if restricted and candidates is not None:
+        paths = list(paths)  # walked once per candidate
+    report = partial(VerdictReport, group=group, agent=agent, restricted=restricted)
+
+    def run(slots):
+        return quantify_paths(
+            ts,
+            substitute(template, slots),
+            universal=not possible,
+            path_cap=path_cap,
+            paths=paths,
+            skip_dummies=skip_dummies,
+        )
+
+    result, path, checked, capped = run([wrap(a) for a in args])
+    if candidates is None:
+        mode = _MODES["group" if group is not None else "agent", possible]
+        return report(mode=mode, result=result, path=path, paths_checked=checked, capped=capped)
+
+    # Candidates are tried only while the base query fails: a passing base
+    # (no counterexample for verified, a witness for possible) leaves
+    # nothing to repair and yields False.
+    qualifying = []
+    hit_cap = capped
+    if not (capped or result):
+        for candidate in candidates:
+            result, _, sub_checked, capped = run([Announce(candidate, wrap(a)) for a in args])
+            checked += sub_checked
+            hit_cap = hit_cap or capped
+            if result:
+                qualifying.append(candidate)
+    return report(
+        mode="missing_possible" if possible else "missing_verified",
+        result=None if hit_cap else bool(qualifying),
+        path=None,
+        paths_checked=checked,
+        capped=hit_cap,
+        qualifying=tuple(qualifying),
+    )
+
+
 def check_verified_group(ts, template: Template, atoms, group, **kwargs) -> VerdictReport:
     """All paths must satisfy the template with D_group around each slot."""
-    group = tuple(group)
-    if not group:
-        raise EvaluationError("group must contain at least one agent")
-    _require_agents(ts, group)
-    members = frozenset(group)
-    args = [Dist(members, a) for a in _normalize_args(atoms)]
-    wrapped = substitute(template, args)
-    result, path, checked, capped = quantify_paths(ts, wrapped, universal=True, **kwargs)
-    return VerdictReport(
-        mode="verified_group",
-        result=result,
-        path=path,
-        paths_checked=checked,
-        capped=capped,
-        group=group,
-        restricted=kwargs.get("paths") is not None,
-    )
+    return verdict(ts, template, atoms, group=group, **kwargs)
 
 
 def check_possible_group(ts, template: Template, atoms, group, **kwargs) -> VerdictReport:
     """Some path must satisfy the template with "group cannot rule out" slots."""
-    group = tuple(group)
-    if not group:
-        raise EvaluationError("group must contain at least one agent")
-    _require_agents(ts, group)
-    members = frozenset(group)
-    args = [PNot(Dist(members, PNot(a))) for a in _normalize_args(atoms)]
-    wrapped = substitute(template, args)
-    result, path, checked, capped = quantify_paths(ts, wrapped, universal=False, **kwargs)
-    return VerdictReport(
-        mode="possible_group",
-        result=result,
-        path=path,
-        paths_checked=checked,
-        capped=capped,
-        group=group,
-        restricted=kwargs.get("paths") is not None,
-    )
+    return verdict(ts, template, atoms, group=group, possible=True, **kwargs)
 
 
 def check_robust_agent(ts, template: Template, atoms, agent: str, **kwargs) -> VerdictReport:
     """All paths must satisfy the template with K_agent around each slot."""
-    _require_agents(ts, [agent])
-    args = [Knows(agent, a) for a in _normalize_args(atoms)]
-    wrapped = substitute(template, args)
-    result, path, checked, capped = quantify_paths(ts, wrapped, universal=True, **kwargs)
-    return VerdictReport(
-        mode="robust_agent",
-        result=result,
-        path=path,
-        paths_checked=checked,
-        capped=capped,
-        agent=agent,
-        restricted=kwargs.get("paths") is not None,
-    )
+    return verdict(ts, template, atoms, agent=agent, **kwargs)
 
 
 def check_possible_agent(ts, template: Template, atoms, agent: str, **kwargs) -> VerdictReport:
     """Some path must satisfy the template with "agent cannot rule out" slots."""
-    _require_agents(ts, [agent])
-    args = [PNot(Knows(agent, PNot(a))) for a in _normalize_args(atoms)]
-    wrapped = substitute(template, args)
-    result, path, checked, capped = quantify_paths(ts, wrapped, universal=False, **kwargs)
-    return VerdictReport(
-        mode="possible_agent",
-        result=result,
-        path=path,
-        paths_checked=checked,
-        capped=capped,
-        agent=agent,
-        restricted=kwargs.get("paths") is not None,
-    )
+    return verdict(ts, template, atoms, agent=agent, possible=True, **kwargs)
 
 
 def check_missing_info(
-    ts,
-    template: Template,
-    atoms,
-    candidates: Sequence[PalFormula],
-    *,
-    group=None,
-    agent: str | None = None,
-    kind: str = "verified",
-    path_cap: int | None = None,
-    paths: Iterable[ExecPath] | None = None,
-    skip_dummies: bool = False,
+    ts, template: Template, atoms, candidates: Sequence[PalFormula], *,
+    kind: str = "verified", **kwargs,
 ) -> VerdictReport:
     """Which candidate announcements would repair the failing query?
 
@@ -234,93 +264,10 @@ def check_missing_info(
     announcement-wrapped template hold on every path.  For kind="possible"
     the base check (cannot-rule-out wrapped, existential) must fail on all
     paths, and a qualifying announcement must recover some satisfying path.
+    Pass exactly one of `group` or `agent`.
     """
-    if (group is None) == (agent is None):
-        raise ValueError("exactly one of group or agent must be given")
     if kind not in ("verified", "possible"):
         raise ValueError(f"kind must be 'verified' or 'possible', got {kind!r}")
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("missing-information checks need a non-empty candidate list")
-    for pos, candidate in enumerate(candidates, 1):
-        if not isinstance(candidate, PalFormula):
-            raise ValueError(f"candidate {pos} is not a PAL formula: {candidate!r}")
-
-    if group is not None:
-        group = tuple(group)
-        if not group:
-            raise EvaluationError("group must contain at least one agent")
-        _require_agents(ts, group)
-        members = frozenset(group)
-        wrap = lambda a: Dist(members, a)
-    else:
-        _require_agents(ts, [agent])
-        wrap = lambda a: Knows(agent, a)
-    if kind == "possible":
-        plain_wrap = wrap
-        wrap = lambda a: PNot(plain_wrap(PNot(a)))
-
-    args = _normalize_args(atoms)
-    universal = kind == "verified"
-    mode = f"missing_{kind}"
-    restricted = paths is not None
-    path_list = list(paths) if restricted else None
-
-    def run(formula, want_universal):
-        source = list(path_list) if path_list is not None else None
-        return quantify_paths(
-            ts,
-            formula,
-            universal=want_universal,
-            path_cap=path_cap,
-            paths=source,
-            skip_dummies=skip_dummies,
-        )
-
-    base = substitute(template, [wrap(a) for a in args])
-    base_result, _, base_checked, base_capped = run(base, universal)
-    checked = base_checked
-    if base_capped:
-        return VerdictReport(
-            mode=mode, result=None, path=None, paths_checked=checked,
-            capped=True, group=group, agent=agent, restricted=restricted,
-        )
-    # The base query must currently fail: no counterexample-free universal
-    # run (verified) respectively no witness at all (possible).
-    if base_result:
-        return VerdictReport(
-            mode=mode, result=False, path=None, paths_checked=checked,
-            capped=False, group=group, agent=agent, restricted=restricted,
-        )
-
-    qualifying = []
-    hit_cap = False
-    for candidate in candidates:
-        wrapped = substitute(
-            template, [Announce(candidate, wrap(a)) for a in args]
-        )
-        result, _, sub_checked, capped = run(wrapped, universal)
-        checked += sub_checked
-        if capped:
-            hit_cap = True
-            continue
-        if result:
-            qualifying.append(candidate)
-
-    if hit_cap:
-        return VerdictReport(
-            mode=mode, result=None, path=None, paths_checked=checked,
-            capped=True, group=group, agent=agent,
-            qualifying=tuple(qualifying), restricted=restricted,
-        )
-    return VerdictReport(
-        mode=mode,
-        result=bool(qualifying),
-        path=None,
-        paths_checked=checked,
-        capped=False,
-        group=group,
-        agent=agent,
-        qualifying=tuple(qualifying),
-        restricted=restricted,
+    return verdict(
+        ts, template, atoms, possible=kind == "possible", candidates=candidates, **kwargs
     )

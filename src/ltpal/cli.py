@@ -15,15 +15,7 @@ import shlex
 import sys
 from itertools import islice
 
-from .classify import (
-    DEFAULT_PATH_CAP,
-    check_missing_info,
-    check_possible_agent,
-    check_possible_group,
-    check_robust_agent,
-    check_verified_group,
-    quantify_paths,
-)
+from .classify import DEFAULT_PATH_CAP, quantify_paths, verdict
 from .errors import ConfigurationError, EvaluationError, IngestionError, ParseError
 from .formulas import Template, expand_groups
 from .mppe import ExternalScorer, most_probable_path, project_stream, score_edges
@@ -104,13 +96,12 @@ def _expand_group_arg(value: str, groups: dict) -> tuple:
     return tuple(dict.fromkeys(members))
 
 
-def _mppe_table(ts, embedded, scores_path, *, note_fallback: bool):
+def _mppe_table(ts, embedded, scores_path):
     if scores_path is not None:
         return load_scores(scores_path, ts)
     if embedded is not None:
         return embedded
-    if note_fallback:
-        _note("no edge scores supplied; using the built-in overlap scorer")
+    _note("no edge scores supplied; using the built-in overlap scorer")
     return score_edges(ts)
 
 
@@ -165,7 +156,7 @@ def _cmd_check(args) -> int:
         return EXIT_TRUE if value else EXIT_FALSE
 
     if args.mppe_only:
-        table = _mppe_table(ts, embedded, args.scores, note_fallback=True)
+        table = _mppe_table(ts, embedded, args.scores)
         scored = most_probable_path(ts, table)
         path = scored.path
         value = tems(ts, path.suffix(1) if args.skip_dummies else path, formula)
@@ -195,6 +186,17 @@ def _cmd_check(args) -> int:
     return EXIT_TRUE if result else EXIT_FALSE
 
 
+# CLI mode -> (the option naming who is asked, possible, missing-information).
+_CLASSIFY_MODES = {
+    "verified": ("group", False, False),
+    "possible": ("group", True, False),
+    "robust": ("agent", False, False),
+    "possible-agent": ("agent", True, False),
+    "missing-verified": (None, False, True),
+    "missing-possible": (None, True, True),
+}
+
+
 def _cmd_classify(args) -> int:
     ts, embedded = load_ts(args.ts)
     groups = ts.groups
@@ -204,45 +206,30 @@ def _cmd_classify(args) -> int:
         expand_groups(parse_pal_formula(text), groups)
         for text in _split_atoms(args.atoms)
     ]
-    missing_mode = args.mode in ("missing-verified", "missing-possible")
+    who, possible, missing = _CLASSIFY_MODES[args.mode]
     if args.scores is not None and not args.mppe_only:
         raise ConfigurationError("--scores is only used together with --mppe-only")
-    if args.candidates is not None and not missing_mode:
+    if args.candidates is not None and not missing:
         raise ConfigurationError("--candidates is only used by the missing-* modes")
+    if missing and args.candidates is None:
+        raise ConfigurationError(f"mode {args.mode!r} needs --candidates")
 
     group = _expand_group_arg(args.group, groups) if args.group is not None else None
-    agent = args.agent
-    if args.mode in ("verified", "possible") and group is None:
-        raise ConfigurationError(f"mode {args.mode!r} needs --group")
-    if args.mode in ("robust", "possible-agent") and agent is None:
-        raise ConfigurationError(f"mode {args.mode!r} needs --agent")
-
-    kwargs = {
-        "path_cap": _resolve_cap(args.cap),
-        "skip_dummies": args.skip_dummies,
-    }
+    if who is not None and getattr(args, who) is None:
+        raise ConfigurationError(f"mode {args.mode!r} needs --{who}")
+    path_cap = _resolve_cap(args.cap)
+    paths = None
     if args.mppe_only:
-        table = _mppe_table(ts, embedded, args.scores, note_fallback=True)
-        kwargs["paths"] = [most_probable_path(ts, table).path]
-
-    if missing_mode:
-        if args.candidates is None:
-            raise ConfigurationError(f"mode {args.mode!r} needs --candidates")
+        paths = [most_probable_path(ts, _mppe_table(ts, embedded, args.scores)).path]
+    candidates = None
+    if missing:
         candidates = [expand_groups(c, groups) for c in load_candidates(args.candidates)]
-        kind = "verified" if args.mode == "missing-verified" else "possible"
-        report = check_missing_info(
-            ts, template, atoms, candidates,
-            group=group, agent=agent, kind=kind, **kwargs,
-        )
-    elif args.mode == "verified":
-        report = check_verified_group(ts, template, atoms, group, **kwargs)
-    elif args.mode == "possible":
-        report = check_possible_group(ts, template, atoms, group, **kwargs)
-    elif args.mode == "robust":
-        report = check_robust_agent(ts, template, atoms, agent, **kwargs)
-    else:
-        report = check_possible_agent(ts, template, atoms, agent, **kwargs)
 
+    report = verdict(
+        ts, template, atoms, group=group, agent=args.agent, possible=possible,
+        candidates=candidates, path_cap=path_cap, paths=paths,
+        skip_dummies=args.skip_dummies,
+    )
     _emit(report.to_json_dict())
     if report.result is None:
         return EXIT_UNDECIDED
@@ -251,18 +238,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_mppe(args) -> int:
     ts, embedded = load_ts(args.ts)
-    if args.scores is not None:
-        table = load_scores(args.scores, ts)
-    elif args.scorer_cmd is not None:
+    if args.scorer_cmd is not None:
         with ExternalScorer(shlex.split(args.scorer_cmd)) as scorer:
             table = score_edges(ts, scorer)
     elif args.scorer is not None:
         table = score_edges(ts)
-    elif embedded is not None:
-        table = embedded
     else:
-        _note("no edge scores supplied; using the built-in overlap scorer")
-        table = score_edges(ts)
+        table = _mppe_table(ts, embedded, args.scores)
     scored = most_probable_path(ts, table)
     corrected = [
         {
@@ -359,11 +341,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IngestionError, EvaluationError, ConfigurationError, ParseError) as exc:
+    except (IngestionError, EvaluationError, ConfigurationError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: input is nested too deeply to evaluate", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -27,18 +27,20 @@ class TransitionSystem:
         layers = tuple(layers)
         if len(layers) < 3:
             raise IngestionError("a transition system needs at least one real layer between the endpoints")
-        roster = layers[0].agents
-        for index, layer in enumerate(layers):
-            if layer.agents != roster:
-                raise IngestionError(
-                    f"agent roster mismatch: layer {index} has {list(layer.agents)}, expected {list(roster)}"
-                )
         for index in (0, len(layers) - 1):
             endpoint = layers[index]
             if len(endpoint.worlds) != 1 or endpoint.worlds[0].atoms:
                 raise IngestionError(
                     f"endpoint layer {index} must hold exactly one world with no atoms"
                 )
+        roster = layers[0].agents
+        for index, layer in enumerate(layers):
+            if layer.agents != roster:
+                raise IngestionError(
+                    f"agent roster mismatch: layer {index} has {list(layer.agents)}, expected {list(roster)}"
+                )
+            if layer.is_empty:
+                raise IngestionError(f"layer {index} has no worlds")
 
         layer_of: dict[str, int] = {}
         for index, layer in enumerate(layers):
@@ -171,10 +173,6 @@ class ExecPath:
         return ExecPath(self.ts, self.worlds[k:])
 
 
-def path_suffix(path: ExecPath, k: int) -> ExecPath:
-    return path.suffix(k)
-
-
 def build_ts(frames: Iterable[PALModel], *, groups=None) -> TransitionSystem:
     """Assemble the layered system for a frame sequence.
 
@@ -185,14 +183,6 @@ def build_ts(frames: Iterable[PALModel], *, groups=None) -> TransitionSystem:
     frames = list(frames)
     if not frames:
         raise IngestionError("cannot build a transition system from zero frames")
-    roster = frames[0].agents
-    for index, frame in enumerate(frames):
-        if frame.agents != roster:
-            raise IngestionError(
-                f"agent roster mismatch: frame {index} has {list(frame.agents)}, expected {list(roster)}"
-            )
-        if frame.is_empty:
-            raise IngestionError(f"frame {index} has no worlds")
 
     first_id = "w00"
     last_id = f"w{len(frames) + 1}0"
@@ -204,6 +194,7 @@ def build_ts(frames: Iterable[PALModel], *, groups=None) -> TransitionSystem:
             for index, frame in enumerate(frames, start=1)
         ]
 
+    roster = frames[0].agents
     start = PALModel((World(first_id),), roster)
     end = PALModel((World(last_id),), roster)
     return TransitionSystem([start, *frames, end], groups=groups)

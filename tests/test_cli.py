@@ -1,13 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from ltpal.cli import main
+from ltpal.cli import _build_parser, main
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 @pytest.fixture(scope="module")
@@ -324,3 +328,54 @@ def test_mppe_with_external_scorer(ts_file, capsys):
     # lexicographically least path wins with a single scored hop.
     assert payload["path"] == ["w00", "w10", "w20", "w30"]
     assert payload["score"] == pytest.approx(0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--formula", "!" * 3000 + "v1:Cat"],
+    ["check", "--formula", "X " * 1500 + "v1:Cat"],
+    ["classify", "--mode", "verified", "--group", "both", "--atoms", "v1:Cat",
+     "--template", "!" * 3000 + "?1"],
+], ids=["check-not", "check-next", "classify-not"])
+def test_deep_formulas_are_usage_errors(ts_file, capsys, argv):
+    # Exit 1 would read as "false"; an input too deep to evaluate is an error.
+    code, payload, err = _run(capsys, [argv[0], "--ts", ts_file, *argv[1:]])
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def _readme_sh_block(marker: str) -> list:
+    """Lines of the first ```sh block after `marker` in the README."""
+    text = (ROOT / "README.md").read_text()
+    after = text.split(marker, 1)[1]
+    return after.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_readme_describes_the_shipped_cli(tmp_path, capsys, monkeypatch):
+    subparsers = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    command = None
+    for line in _readme_sh_block("## Command line"):
+        if line.startswith("ltpal "):
+            command = line.split()[1]
+        for option in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line):
+            assert option in subparsers[command]._option_string_actions, (command, option)
+
+    monkeypatch.chdir(ROOT)
+    ts_path = str(tmp_path / "ts.json")
+    results = [
+        _run(capsys, [ts_path if w == "/tmp/ts.json" else w for w in shlex.split(line)[1:]])
+        for line in _readme_sh_block("Worked example")
+        if line.startswith("ltpal ")
+    ]
+    (build_code, build, _), (check_code, check, _), (mppe_code, mppe, _) = results
+    assert build_code == 0
+    assert build["total_paths"] == 6
+    assert check_code == 1
+    assert check["witness"] == ["w00", "w10", "w21", "w30"]
+    assert mppe_code == 0
+    assert mppe["path"] == ["w00", "w10", "w20", "w30"]
+    assert mppe["score"] == pytest.approx(0.032, abs=1e-9)

@@ -12,7 +12,6 @@ from ltpal.transition import (
     TransitionSystem,
     build_ts,
     enumerate_total_paths,
-    path_suffix,
     total_path_count,
 )
 
@@ -82,6 +81,9 @@ def test_build_rejects_degenerate_input():
     mismatched = [_frame(["u0"], agents=("a",)), _frame(["u1"], agents=("b",))]
     with pytest.raises(IngestionError, match="roster"):
         build_ts(mismatched)
+    start, end = _frame(["s"]), _frame(["e"])
+    with pytest.raises(IngestionError, match="no worlds"):
+        TransitionSystem([start, PALModel([], ["a", "b"]), end])
 
 
 def test_collision_with_dummy_prefixes_all_real_ids():
@@ -143,7 +145,7 @@ def test_path_suffix_and_empty_path():
     assert not path.suffix(1).is_total
     empty = path.suffix(4)
     assert empty.is_empty and len(empty) == 0
-    assert path_suffix(path, 2).worlds == ("w20", "w30")
+    assert path.suffix(2).worlds == ("w20", "w30")
     with pytest.raises(ValueError):
         path.suffix(5)
     with pytest.raises(ValueError):
