@@ -15,8 +15,13 @@ must fail in the required way, and the announcement-wrapped template must
 then pass with the required quantifier.  The `check_*` functions name the
 cells of the table.
 
-Path enumeration is capped; hitting the cap without a decision yields an
-explicit undecided report rather than a silently truncated answer.
+Quantification does not enumerate paths: `temporal.decide` finds the
+enumeration-least deciding path over the whole layered system at once.  The
+cap keeps its meaning as a cap on enumeration: `paths_checked` is the
+deciding path's rank in enumeration order plus one, or the total path count
+when no path decides, and when that exceeds the cap the report is undecided
+(`result` None, `capped` True, `paths_checked` equal to the cap) rather
+than a silently truncated answer.
 """
 
 from __future__ import annotations
@@ -40,8 +45,14 @@ from .formulas import (
 )
 from .model import Atom
 from .syntax import pretty
-from .temporal import tems
-from .transition import ExecPath, TransitionSystem, enumerate_total_paths
+from .temporal import decide, tems
+from .transition import (  # noqa: F401  (enumerate_total_paths kept importable for tools that wrap it)
+    ExecPath,
+    TransitionSystem,
+    enumerate_total_paths,
+    path_rank,
+    total_path_count,
+)
 
 DEFAULT_PATH_CAP = 1_000_000
 
@@ -95,29 +106,39 @@ def quantify_paths(
 ):
     """Evaluate `formula` over paths until decided, exhausted or capped.
 
-    Returns (result, decisive_path, paths_checked, capped).  Paths come from
-    the lexicographic total-path enumeration unless `paths` is supplied, so
-    the decisive path is always the enumeration-least one.  With
-    `skip_dummies` each path is evaluated from its second world, but the
-    reported path is the original.
+    Returns (result, decisive_path, paths_checked, capped).  The decisive
+    path is the first failing one (universal) or the first satisfying one
+    (existential) in the lexicographic total-path enumeration, or in
+    `paths` when that is supplied; `paths_checked` counts the paths up to
+    and including it, or all of them.  Hitting the cap first gives
+    (None, None, cap, True).  With `skip_dummies` each path is evaluated
+    from its second world, but the reported path is the original.
     """
     cap = DEFAULT_PATH_CAP if path_cap is None else int(path_cap)
     if cap < 1:
         raise ValueError("path cap must be at least 1")
-    source = enumerate_total_paths(ts) if paths is None else iter(paths)
-    checked = 0
-    for path in source:
-        if checked >= cap:
-            return None, None, checked, True
-        checked += 1
-        value = tems(ts, path.suffix(1) if skip_dummies else path, formula)
-        if universal and not value:
-            return False, path, checked, False
-        if not universal and value:
-            return True, path, checked, False
-    if universal:
-        return True, None, checked, False
-    return False, None, checked, False
+    if paths is not None:
+        checked = 0
+        for path in paths:
+            if checked >= cap:
+                return None, None, checked, True
+            checked += 1
+            if tems(ts, path.suffix(1) if skip_dummies else path, formula) != universal:
+                return not universal, path, checked, False
+        return universal, None, checked, False
+
+    start = 1 if skip_dummies else 0
+    columns = [(layer, [w.id for w in layer.worlds]) for layer in ts.layers[start:]]
+    picks = decide(columns, formula, not universal)
+    if picks is None:
+        checked, path = total_path_count(ts), None
+    else:
+        picks = [0] * start + picks
+        checked = path_rank(ts, picks) + 1
+        path = ts.path(layer.worlds[pos].id for layer, pos in zip(ts.layers, picks))
+    if checked > cap:
+        return None, None, cap, True
+    return (universal if path is None else not universal), path, checked, False
 
 
 def _normalize_args(atoms) -> list:

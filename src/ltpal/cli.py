@@ -2,8 +2,9 @@
 
 Subcommands: build, paths, check, classify, mppe.  Results go to stdout as
 one JSON object; notes and errors go to stderr.  Exit codes: 0 for true or
-plain success, 1 for a false verdict, 2 for usage, input or parse errors,
-3 for undecided (path cap reached before a decision).
+plain success, 1 for a false verdict, 2 for usage, input or parse errors
+and for internal errors (one `error: internal error: ...` line, no
+traceback), 3 for undecided (path cap reached before a decision).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .serialize import (
 )
 from .syntax import parse_formula, parse_pal_formula, parse_template, pretty
 from .temporal import tems
-from .transition import build_ts, enumerate_total_paths, total_path_count
+from .transition import build_ts, enumerate_total_paths, path_at, total_path_count
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -139,7 +140,7 @@ def _cmd_check(args) -> int:
         raise ConfigurationError("--scores is only used together with --mppe-only")
 
     if args.path_index is not None:
-        path = next(islice(enumerate_total_paths(ts), args.path_index, None), None)
+        path = path_at(ts, args.path_index)
         if path is None:
             raise ConfigurationError(
                 f"--path-index {args.path_index} is out of range "
@@ -346,6 +347,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RecursionError:
         print("error: input is nested too deeply to evaluate", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # a bug, not a verdict: never exit 0 or 1 for it
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

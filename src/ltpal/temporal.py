@@ -1,57 +1,158 @@
-"""Finite-path satisfaction for the temporal layer.
+"""Finite-trace satisfaction for the temporal layer.
 
-A formula is evaluated against an execution path.  PAL leaves are checked at
-the path's first world, inside that world's own layer model.  Next moves one
-world forward; Until scans forward for a position where its right operand
-holds while the left operand holds strictly before it.
+A formula is evaluated against a sequence of positions.  PAL leaves are
+checked at the world chosen for a position, inside that world's own layer
+model.  Next moves one position forward; Until holds where its right
+operand holds, or where its left operand holds and the Until itself holds
+one position later.
 
-The empty path satisfies nothing, including negations: emptiness is checked
-before any connective is examined.  Results are memoised per call, keyed by
-(position, subformula identity).
+The empty path satisfies nothing, including negations: the truth vector one
+position past the end is all false, whatever the connective.
+
+`decide` quantifies over every path through a sequence of columns (the
+layers of a system, or the single worlds of one path) at once:
+
+* each PAL leaf is labelled once per column, with `pal.extensions`;
+* a backward pass over the columns collects the distinct truth vectors of
+  the temporal closure that some suffix can produce, keeping only the bits
+  the previous position reads (Next operands and Until nodes);
+* the enumeration-least deciding path is then rebuilt front to back, taking
+  at each column the first world from which the required vectors stay
+  reachable.
+
+The cost grows with the number of columns times the distinct vectors per
+column, not with the number of paths.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import EvaluationError
 from .formulas import Formula, Next, Pal, TAnd, TNot, Until, lift
-from .pal import pal_sat
+from .pal import extensions, pal_sat  # noqa: F401  (pal_sat kept importable for tools that wrap it)
 from .transition import ExecPath, TransitionSystem
+
+_NOT, _AND, _NEXT, _UNTIL = range(4)
 
 
 def tems(ts: TransitionSystem, path: ExecPath, formula: Formula) -> bool:
     """Does `formula` hold on `path` (evaluated from its first world)?"""
-    root = lift(formula)
-    worlds = path.worlds
-    end = len(worlds)
+    columns = [(ts.model_of(w), (w,)) for w in path.worlds]
+    return decide(columns, formula, True) is not None
+
+
+def decide(columns: Sequence, formula: Formula, want: bool) -> list | None:
+    """The enumeration-least path on which `formula` evaluates to `want`.
+
+    `columns` is a sequence of (model, world ids) pairs; a path picks one
+    world from each, and paths are ordered lexicographically by the
+    position of each pick, the first column most significant.  Returns the
+    picked positions, or None when no path gives `want`.
+    """
+    if not columns:
+        return None if want else []
+    root = lift(formula)  # held so that closure ids stay valid
+    leaves, ops = _closure(root)
+    top = len(leaves) + len(ops) - 1
+    carried = 0  # the bits a position passes to the one before it
+    for i, kind, a, _ in ops:
+        if kind == _NEXT:
+            carried |= 1 << a
+        elif kind == _UNTIL:
+            carried |= 1 << i
+
+    masks = [dict.fromkeys(world_ids, 0) for _, world_ids in columns]
+    models = [model for model, _ in columns]
+    for bit, leaf in leaves:
+        for column, holds in zip(masks, extensions(leaf, models)):
+            for w in holds.intersection(column):
+                column[w] |= bit
+    masks = [list(column.values()) for column in masks]
+
     memo: dict = {}
 
-    def ev(pos: int, f) -> bool:
-        if pos >= end:
-            return False
-        key = (pos, id(f))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, Pal):
-            model = ts.model_of(worlds[pos])
-            value = pal_sat(model, worlds[pos], f.formula)
-        elif isinstance(f, TNot):
-            value = not ev(pos, f.operand)
-        elif isinstance(f, TAnd):
-            value = ev(pos, f.left) and ev(pos, f.right)
-        elif isinstance(f, Next):
-            value = ev(pos + 1, f.operand)
-        elif isinstance(f, Until):
-            value = False
-            for m in range(pos, end):
-                if ev(m, f.right):
-                    value = True
-                    break
-                if not ev(m, f.left):
-                    break
-        else:
-            raise EvaluationError(f"not a temporal formula: {f!r}")
-        memo[key] = value
-        return value
+    def step(mask: int, succ: int) -> int:
+        """Truth vector at a world with leaf bits `mask`, before `succ`."""
+        key = (mask, succ)
+        bits = memo.get(key)
+        if bits is None:
+            bits = mask
+            for i, kind, a, b in ops:
+                if kind == _NOT:
+                    on = not bits >> a & 1
+                elif kind == _AND:
+                    on = bits >> a & bits >> b & 1
+                elif kind == _NEXT:
+                    on = succ >> a & 1
+                else:
+                    on = bits >> b & 1 or bits >> a & succ >> i & 1
+                if on:
+                    bits |= 1 << i
+            memo[key] = bits
+        return bits
 
-    return ev(0, root)
+    # reachable[k]: the carried bits of every suffix starting at column k.
+    reachable = [None] * len(columns) + [{0}]
+    for k in range(len(columns) - 1, 0, -1):
+        reachable[k] = {
+            step(mask, succ) & carried for mask in set(masks[k]) for succ in reachable[k + 1]
+        }
+
+    picks = []
+    accept = lambda bits: (bits >> top & 1) == want
+    for k, column in enumerate(masks):
+        for pos, mask in enumerate(column):
+            targets = {succ for succ in reachable[k + 1] if accept(step(mask, succ))}
+            if targets:
+                picks.append(pos)
+                accept = lambda bits, targets=targets: bits & carried in targets
+                break
+        else:
+            return None
+    return picks
+
+
+def _closure(root) -> tuple:
+    """Index the distinct subformulas of `root` in post-order, without
+    recursion; a node's index is its bit in a truth vector.
+
+    Returns (leaves, ops): `leaves` pairs each PAL leaf's bit mask with its
+    PAL formula, `ops` lists (index, kind, a, b) for every other node,
+    operands before the nodes that read them; the root has the highest
+    index.  Nodes are keyed by identity while `root` keeps them alive.
+    """
+    index: dict = {}  # id(node) -> bit
+    leaves: list = []
+    ops: list = []
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in index:
+            stack.pop()
+            continue
+        children = _operands(node)
+        pending = [c for c in children if id(c) not in index]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        i = index[id(node)] = len(index)
+        if children:
+            ops.append((i, _KINDS[type(node)], index[id(children[0])], index[id(children[-1])]))
+        else:
+            leaves.append((1 << i, node.formula))
+    return leaves, ops
+
+
+_KINDS = {TNot: _NOT, TAnd: _AND, Next: _NEXT, Until: _UNTIL}
+
+
+def _operands(f) -> tuple:
+    if isinstance(f, Pal):
+        return ()
+    if isinstance(f, (TNot, Next)):
+        return (f.operand,)
+    if isinstance(f, (TAnd, Until)):
+        return (f.left, f.right)
+    raise EvaluationError(f"not a temporal formula: {f!r}")

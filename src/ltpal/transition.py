@@ -212,3 +212,25 @@ def enumerate_total_paths(ts: TransitionSystem) -> Iterator[ExecPath]:
     per_layer = [[w.id for w in layer.worlds] for layer in ts.layers]
     for combo in itertools.product(*per_layer):
         yield ExecPath(ts, combo)
+
+
+def path_rank(ts: TransitionSystem, picks) -> int:
+    """Index in `enumerate_total_paths` order of the total path that takes
+    world `picks[k]` (a position) of layer k: a mixed-radix number with one
+    digit per layer, the first layer most significant."""
+    rank = 0
+    for layer, pos in zip(ts.layers, picks):
+        rank = rank * len(layer.worlds) + pos
+    return rank
+
+
+def path_at(ts: TransitionSystem, index: int) -> ExecPath | None:
+    """The total path at `index` in `enumerate_total_paths` order, or None
+    when `index` is out of range; the inverse of `path_rank`."""
+    if not 0 <= index < total_path_count(ts):
+        return None
+    ids = []
+    for layer in reversed(ts.layers):
+        index, pos = divmod(index, len(layer.worlds))
+        ids.append(layer.worlds[pos].id)
+    return ExecPath(ts, ids[::-1])

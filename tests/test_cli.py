@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ltpal import cli
 from ltpal.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +122,50 @@ def test_check_single_path(ts_file, capsys):
     ])
     assert code == 2
     assert "out of range" in err
+
+
+def test_check_path_index_decodes_large_indices(tmp_path, capsys):
+    # 20 frames of 3 worlds: 3**20 paths, far too many to walk to index K.
+    doc = {
+        "agents": ["a"],
+        "frames": [
+            {"worlds": [{"id": f"f{i}x{j}", "atoms": [["v", "Cat"]] if j else []}
+                        for j in range(3)]}
+            for i in range(1, 21)
+        ],
+    }
+    frames = tmp_path / "frames.json"
+    frames.write_text(json.dumps(doc))
+    ts = str(tmp_path / "ts.json")
+    assert main(["build", "--frames", str(frames), "--output", ts]) == 0
+    capsys.readouterr()
+    index = 3**19 + 12_345_678  # above 10**7
+    digits = [index // 3**(19 - i) % 3 for i in range(20)]  # most significant first
+    expected = ["w00", *(f"f{i}x{d}" for i, d in enumerate(digits, 1)), "w210"]
+    code, payload, _ = _run(capsys, [
+        "check", "--ts", ts, "--formula", "X G (v:Cat | !X true)", "--path-index", str(index),
+    ])
+    assert payload["path"] == expected
+    assert code == (0 if all(digits) else 1)
+    for bad in (3**20, -1):
+        code, payload, err = _run(capsys, [
+            "check", "--ts", ts, "--formula", "true", "--path-index", str(bad),
+        ])
+        assert code == 2
+        assert payload is None
+        assert err == (f"error: --path-index {bad} is out of range "
+                       f"(the system has {3**20} total paths)\n")
+
+
+def test_unexpected_errors_exit_2_without_traceback(ts_file, capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_check", broken)
+    code, payload, err = _run(capsys, ["check", "--ts", ts_file, "--formula", "true"])
+    assert code == 2
+    assert payload is None
+    assert err == "error: internal error: KeyError: 'lost'\n"
 
 
 def test_check_group_alias_expansion(ts_file, capsys):
@@ -379,3 +424,12 @@ def test_readme_describes_the_shipped_cli(tmp_path, capsys, monkeypatch):
     assert mppe_code == 0
     assert mppe["path"] == ["w00", "w10", "w20", "w30"]
     assert mppe["score"] == pytest.approx(0.032, abs=1e-9)
+
+
+def test_readme_python_quick_start_runs(monkeypatch, capsys):
+    text = (ROOT / "README.md").read_text()
+    code = text.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "('w00', 'w10', 'w20', 'w30')" in out

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltpal.errors import EpistemicScopeError, ParseError
 from ltpal.formulas import (
@@ -23,7 +25,9 @@ from ltpal.formulas import (
     p_implies,
     p_or,
     release,
+    t_and,
     t_implies,
+    t_not,
     t_or,
     top,
     weak_until,
@@ -217,3 +221,41 @@ def test_parse_pal_formula_roundtrip():
     for _ in range(200):
         formula = random_pal_formula(rng, ["i", "j"])
         assert parse_pal_formula(pretty(formula)) == formula
+
+
+_AGENTS = st.sampled_from(["i", "j", "k"])
+_PAL = st.recursive(
+    st.sampled_from([A, B, C, top(), bottom()]),
+    lambda sub: st.one_of(
+        st.builds(PNot, sub),
+        st.builds(PAnd, sub, sub),
+        st.builds(p_or, sub, sub),
+        st.builds(p_implies, sub, sub),
+        st.builds(Knows, _AGENTS, sub),
+        st.builds(Dist, st.frozensets(_AGENTS, min_size=1), sub),
+        st.builds(Announce, sub, sub),
+    ),
+    max_leaves=6,
+)
+_TEMPORAL = st.recursive(
+    _PAL.map(lift),
+    lambda sub: st.one_of(
+        st.builds(t_not, sub),
+        st.builds(t_and, sub, sub),
+        st.builds(t_or, sub, sub),
+        st.builds(t_implies, sub, sub),
+        st.builds(Next, sub),
+        st.builds(Until, sub, sub),
+        st.builds(future, sub),
+        st.builds(globally, sub),
+        st.builds(release, sub, sub),
+        st.builds(weak_until, sub, sub),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_TEMPORAL)
+def test_parse_inverts_pretty_on_constructed_formulas(formula):
+    assert parse_formula(pretty(formula)) == formula
