@@ -125,6 +125,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_paths(args) -> int:
+    if args.max is not None and args.max < 0:
+        raise ConfigurationError("--max must not be negative")
     ts, _ = load_ts(args.ts)
     total = total_path_count(ts)
     limit = args.max if args.max is not None else 10_000

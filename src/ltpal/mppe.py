@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import select
 import subprocess
+import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Tuple
 
@@ -19,6 +22,7 @@ from .errors import ConfigurationError, IngestionError
 from .transition import ExecPath, TransitionSystem
 
 SCORE_FLOOR = 1e-6
+SCORER_REPLY_TIMEOUT_S = 30.0
 
 Scorer = Callable[[frozenset, frozenset], float]
 
@@ -82,33 +86,53 @@ class ScoreTable:
                 raise IngestionError(f"no score for edge {u!r} -> {v!r}")
 
 
+def _checked_score(raw, u: str, v: str) -> float:
+    """A scorer result clamped into [SCORE_FLOOR, 1.0]; the error names edge u -> v."""
+    try:
+        raw = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"scorer returned a non-number for edge {u!r} -> {v!r}: {raw!r}"
+        ) from None
+    if math.isnan(raw):
+        raise ConfigurationError(f"scorer returned NaN for edge {u!r} -> {v!r}")
+    if raw < 0:
+        raise ConfigurationError(
+            f"scorer returned a negative score for edge {u!r} -> {v!r}: {raw!r}"
+        )
+    return min(1.0, max(SCORE_FLOOR, raw))
+
+
 def score_edges(ts: TransitionSystem, scorer: Scorer = overlap_score) -> ScoreTable:
     """Score every edge with `scorer` over the endpoint class-label sets.
 
-    Edges touching the synthetic first or last layer always score 1.0 so the
-    endpoints never perturb the product.  Scorer results are clamped into
-    [SCORE_FLOOR, 1.0]; NaN or negative results are configuration errors.
+    A scorer must be a pure function of the two sets: it is called once per
+    distinct (labels(u), labels(v)) pair, at the first edge in `ts.edges()`
+    order that has it, and that result is reused for every later edge with
+    the same pair.  Edges touching the synthetic first or last layer always
+    score 1.0 so the endpoints never perturb the product, and never reach the
+    scorer.  Scorer results are clamped into [SCORE_FLOOR, 1.0]; NaN,
+    negative or non-numeric results are configuration errors naming that
+    first edge.
     """
-    last = len(ts.layers) - 1
+    labels = {}
+    distinct: dict = {}  # one object per distinct label set, so pair keys compare by identity
+    for layer in ts.real_layers:
+        for world in layer.worlds:
+            classes = class_labels(ts, world.id)
+            labels[world.id] = distinct.setdefault(classes, classes)
+    memo: dict = {}
     scores = {}
     for u, v in ts.edges():
-        if ts.layer_index(u) == 0 or ts.layer_index(v) == last:
+        a = labels.get(u)
+        b = labels.get(v)
+        if a is None or b is None:
             scores[(u, v)] = 1.0
             continue
-        raw = scorer(class_labels(ts, u), class_labels(ts, v))
-        try:
-            raw = float(raw)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"scorer returned a non-number for edge {u!r} -> {v!r}: {raw!r}"
-            ) from None
-        if math.isnan(raw):
-            raise ConfigurationError(f"scorer returned NaN for edge {u!r} -> {v!r}")
-        if raw < 0:
-            raise ConfigurationError(
-                f"scorer returned a negative score for edge {u!r} -> {v!r}: {raw!r}"
-            )
-        scores[(u, v)] = min(1.0, max(SCORE_FLOOR, raw))
+        score = memo.get((a, b))
+        if score is None:
+            score = memo[(a, b)] = _checked_score(scorer(a, b), u, v)
+        scores[(u, v)] = score
     return ScoreTable(scores)
 
 
@@ -181,9 +205,11 @@ def correct_stream(ts: TransitionSystem, table: ScoreTable) -> tuple:
 class ExternalScorer:
     """Similarity scorer backed by a line-protocol subprocess.
 
-    For each edge the scorer writes one JSON object per line to the child's
-    stdin, `{"a": [...], "b": [...]}` with sorted class-id lists, and reads
-    one JSON reply per line, `{"score": x}`.  Protocol violations raise
+    For each call (`score_edges` makes one per distinct pair of class-label
+    sets) the scorer writes one JSON object per line to the child's stdin,
+    `{"a": [...], "b": [...]}` with sorted class-id lists, and reads one
+    JSON reply per line, `{"score": x}`.  A reply that does not arrive within
+    SCORER_REPLY_TIMEOUT_S seconds, and any other protocol violation, raises
     ConfigurationError.
     """
 
@@ -196,19 +222,42 @@ class ExternalScorer:
                 self._command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
+                bufsize=0,
             )
         except OSError as exc:
             raise ConfigurationError(
                 f"could not start external scorer {self._command[0]!r}: {exc}"
             ) from None
+        self._pending = b""  # reply bytes read past the last complete line
+
+    def _send(self, data: bytes) -> None:
+        while data:
+            data = data[self._proc.stdin.write(data):]
+
+    def _read_line(self) -> bytes:
+        """The next reply line (empty at end of output), waiting at most
+        SCORER_REPLY_TIMEOUT_S seconds for it."""
+        fd = self._proc.stdout.fileno()
+        deadline = time.monotonic() + SCORER_REPLY_TIMEOUT_S
+        while b"\n" not in self._pending:
+            ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
+            if not ready:
+                raise ConfigurationError(
+                    f"external scorer did not reply within {SCORER_REPLY_TIMEOUT_S:g} s"
+                )
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                line, self._pending = self._pending, b""
+                return line
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line + b"\n"
 
     def __call__(self, a: frozenset, b: frozenset) -> float:
         request = json.dumps({"a": sorted(a), "b": sorted(b)})
         try:
-            self._proc.stdin.write(request + "\n")
-            self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
+            self._send((request + "\n").encode())
+            line = self._read_line().decode("utf-8", "replace")
         except (BrokenPipeError, OSError) as exc:
             raise ConfigurationError(f"external scorer pipe failed: {exc}") from None
         if not line:

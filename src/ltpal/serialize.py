@@ -68,6 +68,22 @@ def _atom(value, where: str) -> Atom:
         raise IngestionError(f"{where}: {exc}") from None
 
 
+def _atoms(value, where: str, known: dict) -> list:
+    """A world's atom list; `known` maps (data_id, class_id) to an Atom
+    already validated in this document, so each distinct pair is checked once."""
+    atoms = []
+    for k, pair in enumerate(_as_list(value, where)):
+        try:
+            atom = known[pair[0], pair[1]] if isinstance(pair, list) and len(pair) == 2 else None
+        except (KeyError, TypeError):
+            atom = None
+        if atom is None:
+            atom = _atom(pair, f"{where}[{k}]")
+            known[atom.data_id, atom.class_id] = atom
+        atoms.append(atom)
+    return atoms
+
+
 def _pairs(value, where: str) -> list:
     pairs = []
     for k, entry in enumerate(_as_list(value, where)):
@@ -99,7 +115,7 @@ def load_rules(source) -> RuleSet:
         raise IngestionError(f"rules document: {exc}") from None
 
 
-def _load_model(entry: dict, agents, where: str) -> PALModel:
+def _load_model(entry: dict, agents, where: str, known_atoms: dict) -> PALModel:
     worlds_value = _as_list(_get(entry, "worlds", where), f"{where}.worlds")
     if not worlds_value:
         raise IngestionError(f"{where}.worlds must not be empty")
@@ -108,11 +124,7 @@ def _load_model(entry: dict, agents, where: str) -> PALModel:
         wwhere = f"{where}.worlds[{j}]"
         world_value = _as_dict(world_value, wwhere)
         wid = _as_str(_get(world_value, "id", wwhere), f"{wwhere}.id")
-        atoms_value = world_value.get("atoms", [])
-        atoms = [
-            _atom(a, f"{wwhere}.atoms[{k}]")
-            for k, a in enumerate(_as_list(atoms_value, f"{wwhere}.atoms"))
-        ]
+        atoms = _atoms(world_value.get("atoms", []), f"{wwhere}.atoms", known_atoms)
         worlds.append(World(wid, atoms))
     ids = [w.id for w in worlds]
     relations_value = _as_dict(entry.get("relations", {}), f"{where}.relations")
@@ -182,8 +194,9 @@ def load_frames(source) -> FramesDocument:
     frames_value = _as_list(_get(doc, "frames", "frames document"), "frames")
     if not frames_value:
         raise IngestionError("frames must not be empty")
+    known_atoms: dict = {}
     frames = [
-        _load_model(_as_dict(entry, f"frames[{i}]"), agents, f"frames[{i}]")
+        _load_model(_as_dict(entry, f"frames[{i}]"), agents, f"frames[{i}]", known_atoms)
         for i, entry in enumerate(frames_value)
     ]
     return FramesDocument(agents=agents, frames=frames, groups=groups)
@@ -234,24 +247,45 @@ def dump_ts(ts: TransitionSystem, scores: ScoreTable | None = None) -> dict:
 
 
 def save_ts(ts: TransitionSystem, path, scores: ScoreTable | None = None) -> None:
-    Path(path).write_text(json.dumps(dump_ts(ts, scores), indent=2) + "\n")
+    """Write `dump_ts(ts, scores)` as compact JSON on one line.
+
+    No indentation, because `json.dumps` with `indent` falls back to its
+    pure-Python encoder; `load_ts` reads indented files all the same.
+    """
+    Path(path).write_text(json.dumps(dump_ts(ts, scores)) + "\n")
+
+
+def _edge(entry, where: str) -> tuple:
+    """The (from, to) ids of one edge entry, or the error naming its bad field."""
+    entry = _as_dict(entry, where)
+    return (_as_str(_get(entry, "from", where), f"{where}.from"),
+            _as_str(_get(entry, "to", where), f"{where}.to"))
+
+
+def _score(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise IngestionError(f"{where}.score must be a number")
+    return float(value)
 
 
 def load_ts(source):
-    """Load a serialized system.
+    """Load a serialized system, compact or indented.
 
     Returns (system, scores) where scores is a ScoreTable when every edge
     entry carries a "score" field and None when none does; a mixture is an
-    error.  The edge list must match the complete bipartite edges between
-    adjacent layers exactly.
+    error.  The edge list must hold exactly the complete bipartite edges
+    between adjacent layers, each once, in any order.  Entries are checked
+    in one pass; the error for a malformed entry is only built when one is
+    found.
     """
     doc = _as_dict(_load_json(source), "system document")
     agents_value = _as_list(_get(doc, "agents", "system document"), "agents")
     agents = tuple(_as_str(a, f"agents[{i}]") for i, a in enumerate(agents_value))
 
     layers_value = _as_list(_get(doc, "layers", "system document"), "layers")
+    known_atoms: dict = {}
     layers = [
-        _load_model(_as_dict(entry, f"layers[{i}]"), agents, f"layers[{i}]")
+        _load_model(_as_dict(entry, f"layers[{i}]"), agents, f"layers[{i}]", known_atoms)
         for i, entry in enumerate(layers_value)
     ]
 
@@ -269,35 +303,36 @@ def load_ts(source):
         raise IngestionError(f"system document: {exc}") from None
 
     edges_value = _as_list(_get(doc, "edges", "system document"), "edges")
-    expected = list(ts.edges())
     seen = {}
     scored = 0
     for i, entry in enumerate(edges_value):
-        where = f"edges[{i}]"
-        entry = _as_dict(entry, where)
-        u = _as_str(_get(entry, "from", where), f"{where}.from")
-        v = _as_str(_get(entry, "to", where), f"{where}.to")
-        if (u, v) in seen:
-            raise IngestionError(f"{where} duplicates edge {u!r} -> {v!r}")
+        try:
+            edge = entry["from"], entry["to"]
+            ok = isinstance(entry, dict) and isinstance(edge[0], str) and isinstance(edge[1], str)
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            edge = _edge(entry, f"edges[{i}]")
+        if edge in seen:
+            raise IngestionError(f"edges[{i}] duplicates edge {edge[0]!r} -> {edge[1]!r}")
         if "score" in entry:
-            value = entry["score"]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise IngestionError(f"{where}.score must be a number")
-            seen[(u, v)] = float(value)
+            seen[edge] = _score(entry["score"], f"edges[{i}]")
             scored += 1
         else:
-            seen[(u, v)] = None
-    missing = [e for e in expected if e not in seen]
-    if missing:
-        u, v = missing[0]
-        raise IngestionError(f"edges is missing {u!r} -> {v!r}")
-    expected_set = set(expected)
-    extra = [e for e in seen if e not in expected_set]
-    if extra:
-        u, v = extra[0]
-        raise IngestionError(
-            f"edges contains {u!r} -> {v!r}, which does not connect adjacent layers"
-        )
+            seen[edge] = None
+    expected = list(ts.edges())
+    if list(seen) != expected:
+        missing = [e for e in expected if e not in seen]
+        if missing:
+            u, v = missing[0]
+            raise IngestionError(f"edges is missing {u!r} -> {v!r}")
+        expected_set = set(expected)
+        extra = [e for e in seen if e not in expected_set]
+        if extra:
+            u, v = extra[0]
+            raise IngestionError(
+                f"edges contains {u!r} -> {v!r}, which does not connect adjacent layers"
+            )
     if scored == 0:
         return ts, None
     if scored != len(seen):
@@ -310,34 +345,42 @@ def load_ts(source):
         raise IngestionError(f"edges: {exc}") from None
 
 
+def _scores_entry(entry, where: str, valid: set, table: dict) -> tuple:
+    """One scores-file entry as (edge, score), or the error naming what is wrong."""
+    u, v = edge = _edge(entry, where)
+    if edge not in valid:
+        raise IngestionError(f"{where}: {u!r} -> {v!r} is not an edge of the system")
+    if edge in table:
+        raise IngestionError(f"{where} duplicates edge {u!r} -> {v!r}")
+    return edge, _score(_get(entry, "score", where), where)
+
+
 def load_scores(source, ts: TransitionSystem) -> ScoreTable:
     """Load a standalone scores file: {"edges": [{"from", "to", "score"}]}.
 
     Every edge of the system must be covered exactly once, and every score
-    must lie in (0, 1].
+    must lie in (0, 1].  Entries are checked in one pass, as in `load_ts`.
     """
     doc = _as_dict(_load_json(source), "scores document")
     entries = _as_list(_get(doc, "edges", "scores document"), "edges")
     valid = set(ts.edges())
     table: dict = {}
     for i, entry in enumerate(entries):
-        where = f"edges[{i}]"
-        entry = _as_dict(entry, where)
-        u = _as_str(_get(entry, "from", where), f"{where}.from")
-        v = _as_str(_get(entry, "to", where), f"{where}.to")
-        if (u, v) not in valid:
-            raise IngestionError(f"{where}: {u!r} -> {v!r} is not an edge of the system")
-        if (u, v) in table:
-            raise IngestionError(f"{where} duplicates edge {u!r} -> {v!r}")
-        value = _get(entry, "score", where)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise IngestionError(f"{where}.score must be a number")
-        table[(u, v)] = float(value)
+        try:
+            edge, value = (entry["from"], entry["to"]), entry["score"]
+            ok = (isinstance(entry, dict) and edge in valid and edge not in table
+                  and isinstance(value, (int, float)) and not isinstance(value, bool))
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            edge, value = _scores_entry(entry, f"edges[{i}]", valid, table)
+        table[edge] = float(value)
     try:
         scores = ScoreTable(table)
     except IngestionError as exc:
         raise IngestionError(f"scores document: {exc}") from None
-    scores.validate_covers(ts)
+    if len(scores) != len(valid):
+        scores.validate_covers(ts)
     return scores
 
 

@@ -114,9 +114,8 @@ class TransitionSystem:
     def edges(self) -> Iterator[tuple]:
         """All cross-layer edges (from, to), layer by layer, in world order."""
         for lower, upper in zip(self._layers, self._layers[1:]):
-            for u in lower.worlds:
-                for v in upper.worlds:
-                    yield (u.id, v.id)
+            yield from itertools.product([u.id for u in lower.worlds],
+                                         [v.id for v in upper.worlds])
 
     def path(self, world_ids: Iterable[str]) -> "ExecPath":
         return ExecPath(self, tuple(world_ids))

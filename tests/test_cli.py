@@ -95,6 +95,16 @@ def test_paths_lists_in_order(ts_file, capsys):
     assert payload["truncated"] is True
 
 
+def test_paths_max_zero_and_negative(ts_file, capsys):
+    code, payload, _ = _run(capsys, ["paths", "--ts", ts_file, "--max", "0"])
+    assert code == 0
+    assert payload == {"count": 6, "paths": [], "truncated": True}
+    code, payload, err = _run(capsys, ["paths", "--ts", ts_file, "--max", "-1"])
+    assert code == 2
+    assert payload is None
+    assert err == "error: --max must not be negative\n"
+
+
 def test_check_all_paths_exit_codes(ts_file, capsys):
     code, payload, _ = _run(capsys, [
         "check", "--ts", ts_file, "--formula", "F (v2:Cat | v2:Dog)",
@@ -373,6 +383,17 @@ def test_mppe_with_external_scorer(ts_file, capsys):
     # lexicographically least path wins with a single scored hop.
     assert payload["path"] == ["w00", "w10", "w20", "w30"]
     assert payload["score"] == pytest.approx(0.5, rel=1e-9)
+
+
+def test_mppe_external_scorer_timeout_is_a_usage_error(ts_file, capsys, monkeypatch):
+    import sys
+    from ltpal import mppe
+    monkeypatch.setattr(mppe, "SCORER_REPLY_TIMEOUT_S", 0.2)
+    cmd = f"{sys.executable} -c \"import time; time.sleep(60)\""
+    code, payload, err = _run(capsys, ["mppe", "--ts", ts_file, "--scorer-cmd", cmd])
+    assert code == 2
+    assert payload is None
+    assert err == "error: external scorer did not reply within 0.2 s\n"
 
 
 @pytest.mark.parametrize("argv", [

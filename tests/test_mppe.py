@@ -4,9 +4,11 @@ import json
 import math
 import random
 import sys
+import time
 
 import pytest
 
+from ltpal import mppe
 from ltpal.errors import ConfigurationError, IngestionError
 from ltpal.model import Atom, PALModel, World
 from ltpal.mppe import (
@@ -93,6 +95,50 @@ def test_score_edges_rejects_nan_and_negatives():
         score_edges(ts, lambda a, b: -0.25)
     with pytest.raises(ConfigurationError, match="non-number"):
         score_edges(ts, lambda a, b: "high")
+
+
+def _repeated_labels_ts():
+    cat, dog = [Atom("v", "Cat")], [Atom("v", "Dog")]
+    return build_ts([
+        _frame([("a1", cat), ("a2", dog), ("a3", cat)]),
+        _frame([("b1", cat), ("b2", [Atom("u", "Cat")])]),
+        _frame([("c1", dog), ("c2", cat)]),
+    ])
+
+
+def test_score_edges_calls_the_scorer_once_per_distinct_label_pair():
+    ts = _repeated_labels_ts()
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return overlap_score(a, b)
+
+    table = score_edges(ts, counting)
+    cat, dog = frozenset({"Cat"}), frozenset({"Dog"})
+    # First appearances in edges() order: a1->b1, a2->b1, b1->c1.
+    assert calls == [(cat, cat), (dog, cat), (cat, dog)]
+    assert len(table) == ts.edge_count
+    assert table == score_edges(ts)
+    for u, v in ts.edges():
+        if ts.layer_index(u) > 0 and ts.layer_index(v) < len(ts.layers) - 1:
+            assert table[(u, v)] == max(SCORE_FLOOR, overlap_score(
+                class_labels(ts, u), class_labels(ts, v)))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (float("nan"), "scorer returned NaN for edge 'b1' -> 'c1'"),
+    (-1.0, "scorer returned a negative score for edge 'b1' -> 'c1': -1.0"),
+    (None, "scorer returned a non-number for edge 'b1' -> 'c1': None"),
+])
+def test_score_edges_error_names_the_first_edge_with_the_bad_pair(bad, message):
+    ts = _repeated_labels_ts()
+    cat, dog = frozenset({"Cat"}), frozenset({"Dog"})
+    # (Cat, Dog) first appears at b1 -> c1, after six scored edges.
+    scorer = lambda a, b: bad if (a, b) == (cat, dog) else 0.5
+    with pytest.raises(ConfigurationError) as info:
+        score_edges(ts, scorer)
+    assert str(info.value) == message
 
 
 def test_score_table_validates_range():
@@ -218,3 +264,30 @@ def test_external_scorer_error_modes():
     with pytest.raises(ConfigurationError, match="not a number"):
         non_number(frozenset(), frozenset())
     non_number.close()
+
+
+def test_external_scorer_reply_timeout(monkeypatch):
+    monkeypatch.setattr(mppe, "SCORER_REPLY_TIMEOUT_S", 0.2)
+    with ExternalScorer([sys.executable, "-c", "import time; time.sleep(60)"]) as scorer:
+        start = time.monotonic()
+        with pytest.raises(ConfigurationError, match=r"^external scorer did not reply within 0.2 s$"):
+            scorer(frozenset({"Cat"}), frozenset({"Dog"}))
+        assert time.monotonic() - start < 10
+
+
+def test_external_scorer_assembles_split_and_batched_replies():
+    # The first reply arrives in two writes; the next two arrive together.
+    child = (
+        "import sys, time\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.write('{\"sco'); sys.stdout.flush(); time.sleep(0.05)\n"
+        "sys.stdout.write('re\": 0.25}\\n'); sys.stdout.flush()\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.write('{\"score\": 0.5}\\n{\"score\": 0.75}\\n'); sys.stdout.flush()\n"
+        "sys.stdin.readline(); sys.stdin.readline()\n"
+    )
+    with ExternalScorer([sys.executable, "-c", child]) as scorer:
+        pair = frozenset({"Cat"}), frozenset({"Dog"})
+        assert [scorer(*pair) for _ in range(3)] == [0.25, 0.5, 0.75]
+        with pytest.raises(ConfigurationError, match="closed its output"):
+            scorer(*pair)

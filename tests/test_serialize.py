@@ -233,3 +233,124 @@ def test_random_documents_roundtrip():
         loaded, _ = load_ts(dumped)
         assert loaded == ts
         assert dump_ts(loaded) == dumped
+
+
+def _mutated(doc, mutate):
+    doc = json.loads(json.dumps(doc))
+    mutate(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "scored, mutate, message",
+    [
+        (False, lambda d: d["edges"].__setitem__(2, ["w10", "w20"]),
+         "edges[2] must be an object, got list"),
+        (False, lambda d: d["edges"][2].pop("from"),
+         "edges[2] is missing the 'from' field"),
+        (False, lambda d: d["edges"][2].__setitem__("to", 7),
+         "edges[2].to must be a string, got int"),
+        (True, lambda d: d["edges"][2].__setitem__("score", True),
+         "edges[2].score must be a number"),
+        (True, lambda d: d["edges"][2].__setitem__("score", "0.5"),
+         "edges[2].score must be a number"),
+        (False, lambda d: d["edges"].insert(3, dict(d["edges"][1])),
+         "edges[3] duplicates edge 'w00' -> 'w11'"),
+        (False, lambda d: d["edges"].pop(3),
+         "edges is missing 'w11' -> 'w20'"),
+        (False, lambda d: d["edges"].append({"from": "w10", "to": "w30"}),
+         "edges contains 'w10' -> 'w30', which does not connect adjacent layers"),
+        (True, lambda d: d["edges"][4].pop("score"),
+         "either every edge must carry a score or none may"),
+        (True, lambda d: d["edges"][4].__setitem__("score", 0),
+         "edges: score for edge 'w20' -> 'w30' must be in (0, 1], got 0.0"),
+    ],
+    ids=["non-object", "missing-from", "non-string-to", "bool-score", "string-score",
+         "duplicate", "missing", "extra", "partial-scores", "zero-score"],
+)
+def test_load_ts_names_each_malformed_edge_entry(scored, mutate, message):
+    ts = build_ts(ingest(FRAMES_DOC).frames)
+    assert list(ts.edges()) == [("w00", "w10"), ("w00", "w11"), ("w10", "w20"),
+                                ("w11", "w20"), ("w20", "w30")]
+    data = dump_ts(ts, score_edges(ts) if scored else None)
+    with pytest.raises(IngestionError) as info:
+        load_ts(_mutated(data, mutate))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda e: e.__setitem__(1, 3), "edges[1] must be an object, got int"),
+        (lambda e: e[1].pop("to"), "edges[1] is missing the 'to' field"),
+        (lambda e: e[1].__setitem__("from", None),
+         "edges[1].from must be a string, got NoneType"),
+        (lambda e: e.append({"from": "w10", "to": "w30"}),
+         "edges[5]: 'w10' -> 'w30' is not an edge of the system"),
+        (lambda e: e.insert(2, dict(e[0])), "edges[2] duplicates edge 'w00' -> 'w10'"),
+        (lambda e: e[1].pop("score"), "edges[1] is missing the 'score' field"),
+        (lambda e: e[1].__setitem__("score", "x"), "edges[1].score must be a number"),
+        (lambda e: e[1].__setitem__("score", float("nan")),
+         "scores document: score for edge 'w00' -> 'w11' must be in (0, 1], got nan"),
+        (lambda e: e.pop(3), "no score for edge 'w11' -> 'w20'"),
+    ],
+    ids=["non-object", "missing-to", "non-string-from", "not-an-edge", "duplicate",
+         "missing-score", "string-score", "nan", "uncovered"],
+)
+def test_load_scores_names_each_malformed_entry(mutate, message):
+    ts = build_ts(ingest(FRAMES_DOC).frames)
+    edges = [{"from": u, "to": v, "score": 0.5} for u, v in ts.edges()]
+    with pytest.raises(IngestionError) as info:
+        load_scores({"edges": _mutated(edges, mutate)}, ts)
+    assert str(info.value) == message
+
+
+def test_load_ts_accepts_a_permuted_edge_list():
+    ts = build_ts(ingest(FRAMES_DOC).frames)
+    table = score_edges(ts, lambda a, b: 0.5)
+    data = dump_ts(ts, table)
+    data["edges"].reverse()
+    loaded, embedded = load_ts(data)
+    assert loaded == ts
+    assert embedded == table
+
+
+def test_save_ts_writes_one_compact_line(tmp_path):
+    doc = random_frames_document(random.Random(97))
+    parsed = load_frames(doc)
+    ts = build_ts(parsed.frames, groups=parsed.groups or None)
+    table = score_edges(ts)
+    target = tmp_path / "ts.json"
+    save_ts(ts, target, table)
+    text = target.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert json.loads(text) == dump_ts(ts, table)
+    loaded, embedded = load_ts(str(target))
+    assert loaded == ts
+    assert embedded == table
+
+
+def test_load_ts_reads_indented_files(tmp_path):
+    ts = build_ts(ingest(FRAMES_DOC).frames)
+    table = score_edges(ts)
+    target = tmp_path / "ts.json"
+    target.write_text(json.dumps(dump_ts(ts, table), indent=2) + "\n")
+    loaded, embedded = load_ts(str(target))
+    assert loaded == ts
+    assert embedded == table
+
+
+def test_atoms_shared_across_worlds_are_checked_in_every_world():
+    # A pair validated once in the document is reused; a bad pair anywhere
+    # later is still reported at its own node.
+    doc = json.loads(json.dumps(FRAMES_DOC))
+    doc["frames"][1]["worlds"][0]["atoms"] = [["v1", "Cat"], ["v1", 7]]
+    with pytest.raises(IngestionError) as info:
+        load_frames(doc)
+    assert str(info.value) == "frames[1].worlds[0].atoms[1][1] must be a string, got int"
+    doc["frames"][1]["worlds"][0]["atoms"] = ["v1Cat"]
+    with pytest.raises(IngestionError, match=r"frames\[1\]\.worlds\[0\]\.atoms\[0\] must be an array"):
+        load_frames(doc)
+    doc["frames"][1]["worlds"][0]["atoms"] = [["v1", "Cat"]]
+    parsed = load_frames(doc)
+    assert parsed.frames[0].labels("w10") == parsed.frames[1].labels("w20")
