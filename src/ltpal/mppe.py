@@ -23,6 +23,8 @@ from .transition import ExecPath, TransitionSystem
 
 SCORE_FLOOR = 1e-6
 SCORER_REPLY_TIMEOUT_S = 30.0
+# select() waits on pipes only on POSIX; elsewhere a reply is read without a time limit.
+_SELECT_ON_PIPES = os.name == "posix"
 
 Scorer = Callable[[frozenset, frozenset], float]
 
@@ -115,12 +117,11 @@ def score_edges(ts: TransitionSystem, scorer: Scorer = overlap_score) -> ScoreTa
     negative or non-numeric results are configuration errors naming that
     first edge.
     """
-    labels = {}
-    distinct: dict = {}  # one object per distinct label set, so pair keys compare by identity
-    for layer in ts.real_layers:
-        for world in layer.worlds:
-            classes = class_labels(ts, world.id)
-            labels[world.id] = distinct.setdefault(classes, classes)
+    labels = {
+        world.id: class_labels(ts, world.id)
+        for layer in ts.real_layers
+        for world in layer.worlds
+    }
     memo: dict = {}
     scores = {}
     for u, v in ts.edges():
@@ -209,8 +210,8 @@ class ExternalScorer:
     sets) the scorer writes one JSON object per line to the child's stdin,
     `{"a": [...], "b": [...]}` with sorted class-id lists, and reads one
     JSON reply per line, `{"score": x}`.  A reply that does not arrive within
-    SCORER_REPLY_TIMEOUT_S seconds, and any other protocol violation, raises
-    ConfigurationError.
+    SCORER_REPLY_TIMEOUT_S seconds (on POSIX systems; elsewhere the wait has
+    no limit), and any other protocol violation, raises ConfigurationError.
     """
 
     def __init__(self, command):
@@ -236,7 +237,10 @@ class ExternalScorer:
 
     def _read_line(self) -> bytes:
         """The next reply line (empty at end of output), waiting at most
-        SCORER_REPLY_TIMEOUT_S seconds for it."""
+        SCORER_REPLY_TIMEOUT_S seconds for it where select() can wait on a
+        pipe."""
+        if not _SELECT_ON_PIPES:
+            return self._proc.stdout.readline()
         fd = self._proc.stdout.fileno()
         deadline = time.monotonic() + SCORER_REPLY_TIMEOUT_S
         while b"\n" not in self._pending:

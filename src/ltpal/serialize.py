@@ -255,16 +255,31 @@ def save_ts(ts: TransitionSystem, path, scores: ScoreTable | None = None) -> Non
     Path(path).write_text(json.dumps(dump_ts(ts, scores)) + "\n")
 
 
-def _edge(entry, where: str) -> tuple:
-    """The (from, to) ids of one edge entry, or the error naming its bad field."""
-    entry = _as_dict(entry, where)
-    return (_as_str(_get(entry, "from", where), f"{where}.from"),
-            _as_str(_get(entry, "to", where), f"{where}.to"))
+def _edge(entry, i: int) -> tuple:
+    """The (from, to) ids of edges[i].
+
+    The checks of `_as_dict`, `_get` and `_as_str`, written out so that the
+    location is formatted only in the message of a failing check.
+    """
+    if not isinstance(entry, dict):
+        raise IngestionError(f"edges[{i}] must be an object, got {type(entry).__name__}")
+    if "from" not in entry:
+        raise IngestionError(f"edges[{i}] is missing the 'from' field")
+    u = entry["from"]
+    if not isinstance(u, str):
+        raise IngestionError(f"edges[{i}].from must be a string, got {type(u).__name__}")
+    if "to" not in entry:
+        raise IngestionError(f"edges[{i}] is missing the 'to' field")
+    v = entry["to"]
+    if not isinstance(v, str):
+        raise IngestionError(f"edges[{i}].to must be a string, got {type(v).__name__}")
+    return u, v
 
 
-def _score(value, where: str) -> float:
+def _score(value, i: int) -> float:
+    """The score of edges[i] as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise IngestionError(f"{where}.score must be a number")
+        raise IngestionError(f"edges[{i}].score must be a number")
     return float(value)
 
 
@@ -274,9 +289,7 @@ def load_ts(source):
     Returns (system, scores) where scores is a ScoreTable when every edge
     entry carries a "score" field and None when none does; a mixture is an
     error.  The edge list must hold exactly the complete bipartite edges
-    between adjacent layers, each once, in any order.  Entries are checked
-    in one pass; the error for a malformed entry is only built when one is
-    found.
+    between adjacent layers, each once, in any order.
     """
     doc = _as_dict(_load_json(source), "system document")
     agents_value = _as_list(_get(doc, "agents", "system document"), "agents")
@@ -306,17 +319,11 @@ def load_ts(source):
     seen = {}
     scored = 0
     for i, entry in enumerate(edges_value):
-        try:
-            edge = entry["from"], entry["to"]
-            ok = isinstance(entry, dict) and isinstance(edge[0], str) and isinstance(edge[1], str)
-        except (KeyError, TypeError):
-            ok = False
-        if not ok:
-            edge = _edge(entry, f"edges[{i}]")
+        edge = _edge(entry, i)
         if edge in seen:
             raise IngestionError(f"edges[{i}] duplicates edge {edge[0]!r} -> {edge[1]!r}")
         if "score" in entry:
-            seen[edge] = _score(entry["score"], f"edges[{i}]")
+            seen[edge] = _score(entry["score"], i)
             scored += 1
         else:
             seen[edge] = None
@@ -345,36 +352,25 @@ def load_ts(source):
         raise IngestionError(f"edges: {exc}") from None
 
 
-def _scores_entry(entry, where: str, valid: set, table: dict) -> tuple:
-    """One scores-file entry as (edge, score), or the error naming what is wrong."""
-    u, v = edge = _edge(entry, where)
-    if edge not in valid:
-        raise IngestionError(f"{where}: {u!r} -> {v!r} is not an edge of the system")
-    if edge in table:
-        raise IngestionError(f"{where} duplicates edge {u!r} -> {v!r}")
-    return edge, _score(_get(entry, "score", where), where)
-
-
 def load_scores(source, ts: TransitionSystem) -> ScoreTable:
     """Load a standalone scores file: {"edges": [{"from", "to", "score"}]}.
 
     Every edge of the system must be covered exactly once, and every score
-    must lie in (0, 1].  Entries are checked in one pass, as in `load_ts`.
+    must lie in (0, 1].
     """
     doc = _as_dict(_load_json(source), "scores document")
     entries = _as_list(_get(doc, "edges", "scores document"), "edges")
     valid = set(ts.edges())
     table: dict = {}
     for i, entry in enumerate(entries):
-        try:
-            edge, value = (entry["from"], entry["to"]), entry["score"]
-            ok = (isinstance(entry, dict) and edge in valid and edge not in table
-                  and isinstance(value, (int, float)) and not isinstance(value, bool))
-        except (KeyError, TypeError):
-            ok = False
-        if not ok:
-            edge, value = _scores_entry(entry, f"edges[{i}]", valid, table)
-        table[edge] = float(value)
+        u, v = edge = _edge(entry, i)
+        if edge not in valid:
+            raise IngestionError(f"edges[{i}]: {u!r} -> {v!r} is not an edge of the system")
+        if edge in table:
+            raise IngestionError(f"edges[{i}] duplicates edge {u!r} -> {v!r}")
+        if "score" not in entry:
+            raise IngestionError(f"edges[{i}] is missing the 'score' field")
+        table[edge] = _score(entry["score"], i)
     try:
         scores = ScoreTable(table)
     except IngestionError as exc:

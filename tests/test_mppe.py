@@ -275,18 +275,23 @@ def test_external_scorer_reply_timeout(monkeypatch):
         assert time.monotonic() - start < 10
 
 
-def test_external_scorer_assembles_split_and_batched_replies():
+SPLIT_AND_BATCHED_REPLIES = (
+    "import sys, time\n"
+    "sys.stdin.readline()\n"
+    "sys.stdout.write('{\"sco'); sys.stdout.flush(); time.sleep(0.05)\n"
+    "sys.stdout.write('re\": 0.25}\\n'); sys.stdout.flush()\n"
+    "sys.stdin.readline()\n"
+    "sys.stdout.write('{\"score\": 0.5}\\n{\"score\": 0.75}\\n'); sys.stdout.flush()\n"
+    "sys.stdin.readline(); sys.stdin.readline()\n"
+)
+
+
+@pytest.mark.parametrize("select_on_pipes", [True, False])
+def test_external_scorer_assembles_split_and_batched_replies(monkeypatch, select_on_pipes):
     # The first reply arrives in two writes; the next two arrive together.
-    child = (
-        "import sys, time\n"
-        "sys.stdin.readline()\n"
-        "sys.stdout.write('{\"sco'); sys.stdout.flush(); time.sleep(0.05)\n"
-        "sys.stdout.write('re\": 0.25}\\n'); sys.stdout.flush()\n"
-        "sys.stdin.readline()\n"
-        "sys.stdout.write('{\"score\": 0.5}\\n{\"score\": 0.75}\\n'); sys.stdout.flush()\n"
-        "sys.stdin.readline(); sys.stdin.readline()\n"
-    )
-    with ExternalScorer([sys.executable, "-c", child]) as scorer:
+    # Without select() on pipes (not POSIX) replies are read with a blocking readline.
+    monkeypatch.setattr(mppe, "_SELECT_ON_PIPES", select_on_pipes)
+    with ExternalScorer([sys.executable, "-c", SPLIT_AND_BATCHED_REPLIES]) as scorer:
         pair = frozenset({"Cat"}), frozenset({"Dog"})
         assert [scorer(*pair) for _ in range(3)] == [0.25, 0.5, 0.75]
         with pytest.raises(ConfigurationError, match="closed its output"):
