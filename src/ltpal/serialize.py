@@ -124,6 +124,8 @@ def _load_model(entry: dict, agents, where: str, known_atoms: dict) -> PALModel:
         wwhere = f"{where}.worlds[{j}]"
         world_value = _as_dict(world_value, wwhere)
         wid = _as_str(_get(world_value, "id", wwhere), f"{wwhere}.id")
+        if not wid:
+            raise IngestionError(f"{wwhere}.id must not be empty")
         atoms = _atoms(world_value.get("atoms", []), f"{wwhere}.atoms", known_atoms)
         worlds.append(World(wid, atoms))
     ids = [w.id for w in worlds]
@@ -220,7 +222,12 @@ def _relation_pairs(model: PALModel, agent: str) -> list:
 
 
 def dump_ts(ts: TransitionSystem, scores: ScoreTable | None = None) -> dict:
-    """Serialize a system (and optionally its edge scores) to a JSON dict."""
+    """Serialize a system (and optionally its edge scores) to a JSON dict.
+
+    The edges are listed, each with its score, only when `scores` is given;
+    without scores there is no "edges" key, because the layers imply every
+    edge.
+    """
     doc: dict = {"agents": list(ts.agents)}
     if ts.groups:
         doc["groups"] = {name: list(members) for name, members in ts.groups.items()}
@@ -236,21 +243,17 @@ def dump_ts(ts: TransitionSystem, scores: ScoreTable | None = None) -> dict:
             },
         })
     doc["layers"] = layers
-    edges = []
-    for u, v in ts.edges():
-        entry = {"from": u, "to": v}
-        if scores is not None:
-            entry["score"] = scores[(u, v)]
-        edges.append(entry)
-    doc["edges"] = edges
+    if scores is not None:
+        doc["edges"] = [{"from": u, "to": v, "score": scores[(u, v)]} for u, v in ts.edges()]
     return doc
 
 
 def save_ts(ts: TransitionSystem, path, scores: ScoreTable | None = None) -> None:
     """Write `dump_ts(ts, scores)` as compact JSON on one line.
 
-    No indentation, because `json.dumps` with `indent` falls back to its
-    pure-Python encoder; `load_ts` reads indented files all the same.
+    An unscored system is written without an edge list.  No indentation,
+    because `json.dumps` with `indent` falls back to its pure-Python
+    encoder; `load_ts` reads indented files all the same.
     """
     Path(path).write_text(json.dumps(dump_ts(ts, scores)) + "\n")
 
@@ -286,10 +289,12 @@ def _score(value, i: int) -> float:
 def load_ts(source):
     """Load a serialized system, compact or indented.
 
-    Returns (system, scores) where scores is a ScoreTable when every edge
-    entry carries a "score" field and None when none does; a mixture is an
-    error.  The edge list must hold exactly the complete bipartite edges
-    between adjacent layers, each once, in any order.
+    Returns (system, scores).  A document without an "edges" key has every
+    edge between adjacent layers and no scores.  A listed edge list, scored
+    or (as older versions wrote) not, must hold exactly the complete
+    bipartite edges between adjacent layers, each once, in any order;
+    scores is a ScoreTable when every entry carries a "score" field and
+    None when none does, and a mixture is an error.
     """
     doc = _as_dict(_load_json(source), "system document")
     agents_value = _as_list(_get(doc, "agents", "system document"), "agents")
@@ -315,7 +320,9 @@ def load_ts(source):
     except IngestionError as exc:
         raise IngestionError(f"system document: {exc}") from None
 
-    edges_value = _as_list(_get(doc, "edges", "system document"), "edges")
+    if "edges" not in doc:
+        return ts, None
+    edges_value = _as_list(doc["edges"], "edges")
     seen = {}
     scored = 0
     for i, entry in enumerate(edges_value):

@@ -84,6 +84,21 @@ def test_build_with_rules(tmp_path, capsys):
     assert ["v1", "Animal"] in worlds[0]["atoms"]
 
 
+def test_build_reports_an_empty_world_id_at_its_node(tmp_path, capsys):
+    frames = json.loads((DATA / "demo_frames.json").read_text())
+    frames["frames"][0]["worlds"][1]["id"] = ""
+    source = tmp_path / "frames.json"
+    source.write_text(json.dumps(frames))
+    out = tmp_path / "ts.json"
+    code, payload, err = _run(capsys, [
+        "build", "--frames", str(source), "--output", str(out),
+    ])
+    assert code == 2
+    assert payload is None
+    assert err == "error: frames[0].worlds[1].id must not be empty\n"
+    assert not out.exists()
+
+
 def test_paths_lists_in_order(ts_file, capsys):
     code, payload, _ = _run(capsys, ["paths", "--ts", ts_file])
     assert code == 0

@@ -25,6 +25,7 @@ from ltpal.transition import build_ts, total_path_count
 
 from generators import random_frames_document
 
+DATA = Path(__file__).parent / "data"
 FRAMES_DOC = {
     "agents": ["a", "b"],
     "groups": {"both": ["a", "b"]},
@@ -145,9 +146,14 @@ def test_partial_scores_are_rejected():
         load_ts(data)
 
 
+def _listed_edges(ts):
+    """`dump_ts(ts)` with the unscored edge list that older builds wrote."""
+    return {**dump_ts(ts), "edges": [{"from": u, "to": v} for u, v in ts.edges()]}
+
+
 def test_load_ts_requires_exact_edge_set():
     ts = build_ts(ingest(FRAMES_DOC).frames)
-    data = dump_ts(ts)
+    data = _listed_edges(ts)
     missing = json.loads(json.dumps(data))
     dropped = missing["edges"].pop(0)
     with pytest.raises(IngestionError, match="missing"):
@@ -272,7 +278,7 @@ def test_load_ts_names_each_malformed_edge_entry(scored, mutate, message):
     ts = build_ts(ingest(FRAMES_DOC).frames)
     assert list(ts.edges()) == [("w00", "w10"), ("w00", "w11"), ("w10", "w20"),
                                 ("w11", "w20"), ("w20", "w30")]
-    data = dump_ts(ts, score_edges(ts) if scored else None)
+    data = dump_ts(ts, score_edges(ts)) if scored else _listed_edges(ts)
     with pytest.raises(IngestionError) as info:
         load_ts(_mutated(data, mutate))
     assert str(info.value) == message
@@ -354,3 +360,47 @@ def test_atoms_shared_across_worlds_are_checked_in_every_world():
     doc["frames"][1]["worlds"][0]["atoms"] = [["v1", "Cat"]]
     parsed = load_frames(doc)
     assert parsed.frames[0].labels("w10") == parsed.frames[1].labels("w20")
+
+
+def test_unscored_dump_has_no_edge_list_and_round_trips(tmp_path):
+    rng = random.Random(1357)
+    for _ in range(20):
+        parsed = load_frames(random_frames_document(rng))
+        ts = build_ts(parsed.frames, groups=parsed.groups or None)
+        data = dump_ts(ts)
+        assert "edges" not in data
+        assert load_ts(data) == (ts, None)
+        assert load_ts(_listed_edges(ts)) == (ts, None)
+        target = tmp_path / "ts.json"
+        save_ts(ts, target)
+        assert "edges" not in json.loads(target.read_text())
+        assert load_ts(str(target)) == (ts, None)
+
+
+def test_scored_dump_lists_every_edge():
+    parsed = load_frames(random_frames_document(random.Random(2024), max_frames=4))
+    ts = build_ts(parsed.frames)
+    table = score_edges(ts)
+    edges = dump_ts(ts, table)["edges"]
+    assert [(e["from"], e["to"]) for e in edges] == list(ts.edges())
+    assert [e["score"] for e in edges] == [table[edge] for edge in ts.edges()]
+
+
+def test_system_file_with_listed_edges_from_older_builds_loads():
+    listed = DATA / "demo_ts_listed_edges.json"
+    doc = json.loads(listed.read_text())
+    assert len(doc["edges"]) == 11
+    assert all(set(entry) == {"from", "to"} for entry in doc["edges"])
+    ts = build_from_files(DATA / "demo_frames.json")
+    assert load_ts(str(listed)) == (ts, None)
+    assert load_ts(dump_ts(ts)) == (ts, None)
+
+
+@pytest.mark.parametrize("loader, key", [(load_frames, "frames"), (load_ts, "layers")])
+def test_empty_world_id_is_reported_at_its_node(loader, key):
+    doc = FRAMES_DOC if key == "frames" else dump_ts(build_ts(ingest(FRAMES_DOC).frames))
+    doc = json.loads(json.dumps(doc))
+    doc[key][1]["worlds"][0]["id"] = ""
+    with pytest.raises(IngestionError) as info:
+        loader(doc)
+    assert str(info.value) == f"{key}[1].worlds[0].id must not be empty"
