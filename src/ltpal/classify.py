@@ -26,7 +26,6 @@ than a silently truncated answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
 
@@ -43,7 +42,7 @@ from .formulas import (
     placeholder_indices,
     substitute,
 )
-from .model import Atom
+from .model import Atom, Record
 from .syntax import pretty
 from .temporal import decide, tems
 from .transition import (  # noqa: F401  (enumerate_total_paths kept importable for tools that wrap it)
@@ -57,8 +56,7 @@ from .transition import (  # noqa: F401  (enumerate_total_paths kept importable 
 DEFAULT_PATH_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(Record):
     """Outcome of one verdict check.
 
     `path` carries the witness for existential modes and the counterexample
@@ -68,15 +66,11 @@ class VerdictReport:
     query.
     """
 
-    mode: str
-    result: bool | None
-    path: ExecPath | None
-    paths_checked: int
-    capped: bool
-    group: tuple | None = None
-    agent: str | None = None
-    qualifying: tuple = ()
-    restricted: bool = False
+    __slots__ = _fields = (
+        "mode", "result", "path", "paths_checked", "capped",
+        "group", "agent", "qualifying", "restricted",
+    )
+    _defaults = {"group": None, "agent": None, "qualifying": (), "restricted": False}
 
     def to_json_dict(self) -> dict:
         data: dict = {"mode": self.mode}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shlex
 import sys
 from itertools import islice
 
@@ -242,6 +241,8 @@ def _cmd_classify(args) -> int:
 def _cmd_mppe(args) -> int:
     ts, embedded = load_ts(args.ts)
     if args.scorer_cmd is not None:
+        import shlex  # only --scorer-cmd needs it
+
         with ExternalScorer(shlex.split(args.scorer_cmd)) as scorer:
             table = score_edges(ts, scorer)
     elif args.scorer is not None:

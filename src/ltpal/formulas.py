@@ -6,6 +6,13 @@ group knowledge, and public announcements.  `TemporalFormula` wraps PAL
 formulas as leaves (`Pal`) and adds negation, conjunction, Next and Until
 over finite execution paths.
 
+Nodes are interned (hash-consed, as in Filliâtre and Conchon, "Type-Safe
+Modular Hash-Consing", ML Workshop 2006): constructing a node whose class
+and fields equal those of a live node returns that node.  Equal formulas are
+therefore the same object, equality is identity, and hashing is by identity,
+so neither recurses however deep the formula is.  Nodes cannot be assigned
+to; a node leaves the intern table when nothing else refers to it.
+
 Everything beyond the core operators is sugar and is rewritten into core
 nodes at construction time: or, implication and the constants at both
 levels, plus Future / Globally / Release / WeakUntil at the temporal level.
@@ -19,106 +26,125 @@ stays inside the PAL layer instead of being lifted node by node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+import weakref
 from typing import Iterable, Mapping, Sequence, Union
 
-from .model import Atom
+from .model import Atom, Record, bind
+
+# (class, *fields) -> the live node with those fields.  One lock covers each
+# lookup and insert, so two threads never intern two copies of a formula.
+_interned = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()
 
 
-class PalFormula:
+def _intern(cls, fields):
+    key = (cls, *fields)
+    with _intern_lock:
+        node = _interned.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                object.__setattr__(node, name, value)
+            _interned[key] = node
+    return node
+
+
+class _Node:
+    """Interned formula node; subclasses list their fields in `__slots__`
+    and `_fields`.  Equality and hashing are `object`'s: by identity."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __new__(cls, *args, **kwargs):
+        return _intern(cls, bind(cls, args, kwargs))
+
+    __repr__ = Record.__repr__
+    __reduce__ = Record.__reduce__
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
+
+class PalFormula(_Node):
     """Base class for per-frame (epistemic) formulas."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Prop(PalFormula):
-    atom: Atom
+    __slots__ = _fields = ("atom",)
 
 
-@dataclass(frozen=True)
 class PNot(PalFormula):
-    operand: PalFormula
+    __slots__ = _fields = ("operand",)
 
 
-@dataclass(frozen=True)
 class PAnd(PalFormula):
-    left: PalFormula
-    right: PalFormula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Knows(PalFormula):
     """K: the agent's whole indistinguishability block satisfies the operand."""
 
-    agent: str
-    operand: PalFormula
+    __slots__ = _fields = ("agent", "operand")
 
 
-@dataclass(frozen=True)
 class Dist(PalFormula):
     """D: the intersection of the group's blocks satisfies the operand."""
 
-    agents: frozenset
-    operand: PalFormula
+    __slots__ = _fields = ("agents", "operand")
 
-    def __post_init__(self):
-        agents = frozenset(self.agents)
+    def __new__(cls, agents, operand):
+        agents = frozenset(agents)
         if not agents:
             raise ValueError("distributed knowledge needs a non-empty agent set")
-        object.__setattr__(self, "agents", agents)
+        return _intern(cls, (agents, operand))
 
 
-@dataclass(frozen=True)
 class Announce(PalFormula):
     """[announced] operand: operand holds after truthfully announcing."""
 
-    announced: PalFormula
-    operand: PalFormula
+    __slots__ = _fields = ("announced", "operand")
 
 
-@dataclass(frozen=True)
 class Placeholder(PalFormula):
     """Template slot ?k; must be substituted away before evaluation."""
 
-    index: int
+    __slots__ = _fields = ("index",)
 
-    def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 1:
+    def __new__(cls, index):
+        # bool is refused: True would intern as the node for 1.
+        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
             raise ValueError("placeholder index must be a positive integer")
+        return _intern(cls, (index,))
 
 
-class TemporalFormula:
+class TemporalFormula(_Node):
     """Base class for path formulas."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Pal(TemporalFormula):
-    formula: PalFormula
+    __slots__ = _fields = ("formula",)
 
 
-@dataclass(frozen=True)
 class TNot(TemporalFormula):
-    operand: TemporalFormula
+    __slots__ = _fields = ("operand",)
 
 
-@dataclass(frozen=True)
 class TAnd(TemporalFormula):
-    left: TemporalFormula
-    right: TemporalFormula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Next(TemporalFormula):
-    operand: TemporalFormula
+    __slots__ = _fields = ("operand",)
 
 
-@dataclass(frozen=True)
 class Until(TemporalFormula):
-    left: TemporalFormula
-    right: TemporalFormula
+    __slots__ = _fields = ("left", "right")
 
 
 Formula = Union[PalFormula, TemporalFormula]
@@ -281,22 +307,22 @@ def expand_groups(f: Formula, groups: Mapping[str, Iterable[str]]) -> Formula:
     return map_pal_leaves(f, visit_pal)
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(Record):
     """A temporal skeleton with numbered PAL slots ?1 ... ?arity.
 
     Every index from 1 to `arity` must occur at least once and no higher
     index may appear, so substitution is total.
     """
 
-    skeleton: TemporalFormula
-    arity: int
+    __slots__ = _fields = ("skeleton", "arity")
 
-    def __post_init__(self):
-        if not isinstance(self.skeleton, TemporalFormula):
-            object.__setattr__(self, "skeleton", lift(self.skeleton))
-        present = placeholder_indices(self.skeleton)
-        wanted = frozenset(range(1, self.arity + 1))
+    def __init__(self, skeleton: Formula, arity: int):
+        if not isinstance(skeleton, TemporalFormula):
+            skeleton = lift(skeleton)
+        object.__setattr__(self, "skeleton", skeleton)
+        object.__setattr__(self, "arity", arity)
+        present = placeholder_indices(skeleton)
+        wanted = frozenset(range(1, arity + 1))
         if present != wanted:
             missing = sorted(wanted - present)
             extra = sorted(present - wanted)
@@ -305,7 +331,7 @@ class Template:
                 parts.append("missing " + ", ".join(f"?{i}" for i in missing))
             if extra:
                 parts.append("unexpected " + ", ".join(f"?{i}" for i in extra))
-            raise ValueError(f"template of arity {self.arity}: " + "; ".join(parts))
+            raise ValueError(f"template of arity {arity}: " + "; ".join(parts))
 
     @classmethod
     def from_skeleton(cls, skeleton: Formula) -> "Template":

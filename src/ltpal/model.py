@@ -10,7 +10,7 @@ indistinguishability lookups are a single dict access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Mapping
 
 from .errors import EvaluationError, IngestionError
@@ -29,36 +29,121 @@ def _check_name(value, what: str) -> None:
             )
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+_set = object.__setattr__
+
+
+def bind(cls, args: tuple, kwargs: dict):
+    """The arguments of a call `cls(*args, **kwargs)` in `cls.__slots__`
+    order, with `cls._defaults` for those not given."""
+    names = cls.__slots__
+    if not kwargs and len(args) == len(names):
+        return args
+    given = dict(zip(names, args))
+    unknown = set(kwargs).difference(names[len(given):])
+    if len(args) > len(names) or unknown:
+        raise TypeError(f"{cls.__name__}() got unexpected arguments: "
+                        f"{list(args[len(names):]) or sorted(unknown)}")
+    values = {**cls._defaults, **given, **kwargs}
+    missing = [name for name in names if name not in values]
+    if missing:
+        raise TypeError(f"{cls.__name__}() is missing arguments: {missing}")
+    return [values[name] for name in names]
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass lists its constructor arguments in `__slots__` and the fields
+    that are compared, hashed and shown in `_fields` (usually the same
+    tuple).  Instances compare field by field with instances of the same
+    class only, print like dataclasses, refuse assignment, and copy and
+    pickle through their constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        for name, value in zip(self.__slots__, bind(type(self), args, kwargs)):
+            _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Atom(Record):
     """A single detection: class `class_id` reported for datum `data_id`."""
 
-    data_id: str
-    class_id: str
+    __slots__ = _fields = ("data_id", "class_id")
 
-    def __post_init__(self):
-        _check_name(self.data_id, "atom data id")
-        _check_name(self.class_id, "atom class id")
+    def __init__(self, data_id: str, class_id: str):
+        _check_name(data_id, "atom data id")
+        _check_name(class_id, "atom class id")
+        _set(self, "data_id", data_id)
+        _set(self, "class_id", class_id)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.data_id == other.data_id and self.class_id == other.class_id
+
+    def __hash__(self):
+        return hash((self.data_id, self.class_id))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.data_id, self.class_id) < (other.data_id, other.class_id)
 
     def __str__(self):
         return f"{self.data_id}:{self.class_id}"
 
 
-@dataclass(frozen=True)
-class World:
+class World(Record):
     """A possible reading of one frame: an id plus the atoms true in it."""
 
-    id: str
-    atoms: frozenset = frozenset()
+    __slots__ = _fields = ("id", "atoms")
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
+    def __init__(self, id: str, atoms: Iterable[Atom] = frozenset()):
+        if not isinstance(id, str) or not id:
             raise ValueError("world id must be a non-empty string")
-        atoms = frozenset(self.atoms)
+        atoms = frozenset(atoms)
         for atom in atoms:
             if not isinstance(atom, Atom):
-                raise ValueError(f"world {self.id!r} holds a non-atom value {atom!r}")
-        object.__setattr__(self, "atoms", atoms)
+                raise ValueError(f"world {id!r} holds a non-atom value {atom!r}")
+        _set(self, "id", id)
+        _set(self, "atoms", atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.id == other.id and self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash((self.id, self.atoms))
 
 
 class RuleSet:

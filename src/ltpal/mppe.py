@@ -12,14 +12,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import select
-import subprocess
 import time
-from dataclasses import dataclass
 from typing import Callable, Mapping, Tuple
 
 from .errors import ConfigurationError, IngestionError
-from .transition import ExecPath, TransitionSystem
+from .model import Record
+from .transition import TransitionSystem
 
 SCORE_FLOOR = 1e-6
 SCORER_REPLY_TIMEOUT_S = 30.0
@@ -137,20 +135,16 @@ def score_edges(ts: TransitionSystem, scorer: Scorer = overlap_score) -> ScoreTa
     return ScoreTable(scores)
 
 
-@dataclass(frozen=True)
-class ScoredPath:
-    path: ExecPath
-    score: float
-    log_score: float
+class ScoredPath(Record):
+    """A total path with its score and the score's natural logarithm."""
+
+    __slots__ = _fields = ("path", "score", "log_score")
 
 
-@dataclass(frozen=True)
-class FrameChoice:
+class FrameChoice(Record):
     """The world selected for one input frame, with its atoms."""
 
-    frame: int
-    world: str
-    atoms: tuple
+    __slots__ = _fields = ("frame", "world", "atoms")
 
 
 def most_probable_path(ts: TransitionSystem, table: ScoreTable) -> ScoredPath:
@@ -218,6 +212,8 @@ class ExternalScorer:
         self._command = list(command)
         if not self._command:
             raise ConfigurationError("external scorer command must not be empty")
+        import subprocess  # only the external scorer starts a process
+
         try:
             self._proc = subprocess.Popen(
                 self._command,
@@ -241,6 +237,8 @@ class ExternalScorer:
         pipe."""
         if not _SELECT_ON_PIPES:
             return self._proc.stdout.readline()
+        import select
+
         fd = self._proc.stdout.fileno()
         deadline = time.monotonic() + SCORER_REPLY_TIMEOUT_S
         while b"\n" not in self._pending:

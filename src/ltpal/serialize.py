@@ -8,11 +8,10 @@ document node (for example "frames[0].worlds[1].atoms[2]").
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import IngestionError, ParseError
-from .model import Atom, PALModel, RuleSet, World, enrich_model, equivalence_closure
+from .model import Atom, PALModel, Record, RuleSet, World, enrich_model, equivalence_closure
 from .mppe import ScoreTable
 from .syntax import parse_pal_formula
 from .transition import TransitionSystem, build_ts
@@ -147,13 +146,21 @@ def _load_model(entry: dict, agents, where: str, known_atoms: dict) -> PALModel:
         raise IngestionError(f"{where}: {exc}") from None
 
 
-@dataclass
-class FramesDocument:
-    """Parsed frames input: the agent roster, group aliases and one model per frame."""
+class FramesDocument(Record):
+    """Parsed frames input: the agent roster, group aliases and one model per frame.
 
-    agents: tuple
-    frames: list
-    groups: dict = field(default_factory=dict)
+    Unlike the other records it can be assigned to, and so is unhashable.
+    """
+
+    __slots__ = _fields = ("agents", "frames", "groups")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, agents: tuple, frames: list, groups: dict | None = None):
+        self.agents = agents
+        self.frames = frames
+        self.groups = {} if groups is None else groups
 
 
 def load_frames(source) -> FramesDocument:

@@ -13,11 +13,10 @@ Edges are implicit in the layering (every cross-layer pair is an edge);
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .errors import EvaluationError, IngestionError
-from .model import PALModel, World
+from .model import PALModel, Record, World
 
 
 class TransitionSystem:
@@ -132,18 +131,22 @@ class TransitionSystem:
         return f"TransitionSystem(layers={sizes}, agents={list(self.agents)})"
 
 
-@dataclass(frozen=True)
-class ExecPath:
-    """A run through consecutive layers; may be a suffix of a total path."""
+class ExecPath(Record):
+    """A run through consecutive layers; may be a suffix of a total path.
 
-    ts: TransitionSystem = field(repr=False, compare=False)
-    worlds: tuple = ()
+    Equality, hashing and the repr look at the worlds only, not at `ts`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "worlds", tuple(self.worlds))
+    __slots__ = ("ts", "worlds")
+    _fields = ("worlds",)
+
+    def __init__(self, ts: TransitionSystem, worlds: Iterable[str] = ()):
+        worlds = tuple(worlds)
+        object.__setattr__(self, "ts", ts)
+        object.__setattr__(self, "worlds", worlds)
         previous = None
-        for wid in self.worlds:
-            index = self.ts.layer_index(wid)
+        for wid in worlds:
+            index = ts.layer_index(wid)
             if previous is not None and index != previous + 1:
                 raise ValueError(
                     f"path worlds must sit in consecutive layers; {wid!r} does not follow"

@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -469,3 +472,20 @@ def test_readme_python_quick_start_runs(monkeypatch, capsys):
     exec(compile(code, "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert "('w00', 'w10', 'w20', 'w30')" in out
+
+
+def test_importing_the_cli_loads_no_scorer_or_dataclass_modules():
+    """Start-up stays cheap: `import ltpal.cli` pulls in none of the modules
+    only `--scorer-cmd` needs, nor `dataclasses` and what it imports."""
+    probe = (
+        "import sys; bare = set(sys.modules); import ltpal.cli; "
+        "print(' '.join(sorted(set(sys.modules) - bare)))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    added = set(done.stdout.split())
+    assert "ltpal.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "subprocess", "select", "shlex"})

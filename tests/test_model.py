@@ -1,9 +1,12 @@
 """Tests for atoms, worlds, rule closure and partition-based models."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
+from ltpal.classify import VerdictReport
 from ltpal.errors import EvaluationError, IngestionError
 from ltpal.model import (
     Atom,
@@ -14,6 +17,9 @@ from ltpal.model import (
     equivalence_closure,
     rule_closure,
 )
+from ltpal.mppe import FrameChoice, ScoredPath
+from ltpal.serialize import FramesDocument
+from ltpal.transition import ExecPath, build_ts
 
 from generators import ATOM_POOL, random_model_with_pairs
 from oracles import bfs_partition, closure_fixpoint
@@ -211,3 +217,107 @@ def test_random_models_expose_consistent_blocks():
             assert set(model.partition(agent)) == expected
             for wid in ids:
                 assert wid in model.block(agent, wid)
+
+
+# The value records: field-wise equality, frozen fields, dataclass reprs.
+
+_CAT = Atom("v1", "Cat")
+_TS = build_ts([PALModel([World("w1", {_CAT})], ["a"])])
+_PATH = ExecPath(_TS, ("w00", "w1", "w20"))
+_RECORDS = {
+    "Atom": _CAT,
+    "World": World("w1", {_CAT}),
+    "ExecPath": _PATH,
+    "VerdictReport": VerdictReport("verified", True, _PATH, 1, False, group=("a",)),
+    "ScoredPath": ScoredPath(_PATH, 0.5, -0.6931471805599453),
+    "FrameChoice": FrameChoice(1, "w1", (_CAT,)),
+}
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record)),
+], ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_copies_of_a_record_are_equal(name, duplicate):
+    record = _RECORDS[name]
+    copied = duplicate(record)
+    assert type(copied) is type(record)
+    assert copied == record
+    assert hash(copied) == hash(record)
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_record_fields_cannot_be_assigned(name):
+    record = _RECORDS[name]
+    for field in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("name, text", [
+    ("Atom", "Atom(data_id='v1', class_id='Cat')"),
+    ("World", "World(id='w1', atoms=frozenset({Atom(data_id='v1', class_id='Cat')}))"),
+    ("ExecPath", "ExecPath(worlds=('w00', 'w1', 'w20'))"),
+    ("VerdictReport",
+     "VerdictReport(mode='verified', result=True, path=ExecPath(worlds=('w00', 'w1', 'w20')), "
+     "paths_checked=1, capped=False, group=('a',), agent=None, qualifying=(), restricted=False)"),
+    ("ScoredPath",
+     "ScoredPath(path=ExecPath(worlds=('w00', 'w1', 'w20')), score=0.5, log_score=-0.6931471805599453)"),
+    ("FrameChoice", "FrameChoice(frame=1, world='w1', atoms=(Atom(data_id='v1', class_id='Cat'),))"),
+])
+def test_record_reprs_are_pinned(name, text):
+    assert repr(_RECORDS[name]) == text
+
+
+def test_records_equal_only_records_of_their_class():
+    assert Atom("x", "Cat") == Atom("x", "Cat")
+    assert hash(Atom("x", "Cat")) == hash(Atom("x", "Cat"))
+    assert Atom("x", "Cat") != ("x", "Cat")
+    assert World("x") != Atom("x", "Cat")
+    assert World("w", [_CAT]) == World("w", {_CAT}) != World("w")
+    assert FrameChoice(1, "w1", ()) != ScoredPath(1, "w1", ())
+
+
+def test_exec_path_equality_ignores_the_system():
+    other = build_ts([PALModel([World("w1", {Atom("v1", "Dog")})], ["b"])])
+    assert ExecPath(other, _PATH.worlds) == _PATH
+    assert hash(ExecPath(other, _PATH.worlds)) == hash(_PATH)
+
+
+def test_atoms_sort_and_refuse_other_types():
+    atoms = [Atom("b", "A"), Atom("a", "C"), Atom("a", "B")]
+    assert sorted(atoms) == [Atom("a", "B"), Atom("a", "C"), Atom("b", "A")]
+    assert Atom("a", "B") <= Atom("a", "B") < Atom("a", "C")
+    assert Atom("b", "A") >= Atom("a", "C") > Atom("a", "B")
+    for compare in (
+        lambda: Atom("a", "B") < 1,
+        lambda: Atom("a", "B") <= "a",
+        lambda: Atom("a", "B") > ("a", "B"),
+        lambda: Atom("a", "B") >= None,
+    ):
+        with pytest.raises(TypeError):
+            compare()
+
+
+def test_verdict_report_defaults_and_arguments():
+    report = VerdictReport("possible", None, None, 3, True)
+    assert (report.group, report.agent, report.qualifying, report.restricted) == (None, None, (), False)
+    assert report == VerdictReport(mode="possible", result=None, path=None, paths_checked=3, capped=True)
+    with pytest.raises(TypeError):
+        VerdictReport("possible", None, None, 3)
+    with pytest.raises(TypeError):
+        VerdictReport("possible", None, None, 3, True, colour="red")
+
+
+def test_frames_document_stays_mutable_and_unhashable():
+    doc = FramesDocument(("a",), [])
+    assert repr(doc) == "FramesDocument(agents=('a',), frames=[], groups={})"
+    assert doc.groups == {} and doc.groups is not FramesDocument(("a",), []).groups
+    doc.groups = {"g": ["a"]}
+    assert doc == FramesDocument(agents=("a",), frames=[], groups={"g": ["a"]})
+    with pytest.raises(TypeError):
+        hash(doc)

@@ -1,12 +1,19 @@
 """Tests for the formula lexer, parser and canonical pretty-printer."""
 
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltpal.errors import EpistemicScopeError, ParseError
+from ltpal import formulas
 from ltpal.formulas import (
     Announce,
     Dist,
@@ -17,6 +24,9 @@ from ltpal.formulas import (
     Placeholder,
     PNot,
     Prop,
+    TAnd,
+    Template,
+    TNot,
     Until,
     bottom,
     future,
@@ -259,3 +269,156 @@ _TEMPORAL = st.recursive(
 @given(_TEMPORAL)
 def test_parse_inverts_pretty_on_constructed_formulas(formula):
     assert parse_formula(pretty(formula)) == formula
+
+
+# Formula nodes are interned: equal formulas are one object.
+
+
+def test_equal_formulas_built_or_parsed_twice_are_one_object():
+    text = "G (K{a} v:Cat -> F D{a,b} v:Dog)"
+    built = globally(t_implies(
+        Knows("a", Prop(Atom("v", "Cat"))),
+        future(Dist({"b", "a"}, Prop(Atom("v", "Dog")))),
+    ))
+    assert parse_formula(text) is parse_formula(text) is built
+    assert PAnd(A, PNot(B)) is PAnd(Prop(Atom("a", "a")), PNot(Prop(Atom("b", "b"))))
+    assert Dist(["b", "a", "b"], A) is Dist(frozenset({"a", "b"}), A)
+    assert Knows(agent="i", operand=A) is Knows("i", A)
+    assert PAnd(A, B) is not PAnd(B, A)
+
+
+def test_deep_formulas_compare_and_hash_without_recursion():
+    def chain():
+        formula = Pal(A)
+        for _ in range(100_000):
+            formula = Next(formula)
+        return formula
+
+    first, second = chain(), chain()
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first is second
+
+
+def test_dropped_formulas_leave_the_intern_table():
+    gc.collect()
+    before = len(formulas._interned)
+    formula = PNot(Prop(Atom("only", "here")))
+    assert len(formulas._interned) == before + 2
+    probe = weakref.ref(formula)
+    del formula
+    gc.collect()
+    assert probe() is None
+    assert len(formulas._interned) == before
+
+
+def test_threads_intern_one_copy_of_each_formula():
+    rounds, workers = 1000, 4
+    results = [[] for _ in range(workers)]
+    start = threading.Barrier(workers)
+
+    def build(out):
+        start.wait()
+        for k in range(rounds):
+            out.append(Next(Pal(PAnd(Prop(Atom("t", f"c{k}")), A))))
+
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(rounds):
+        assert len({id(out[k]) for out in results}) == 1
+
+
+_EVERY_NODE = [
+    Prop(Atom("v1", "Cat")),
+    PNot(A),
+    PAnd(A, B),
+    Knows("a", A),
+    Dist({"a"}, A),
+    Announce(A, B),
+    Placeholder(1),
+    Pal(A),
+    TNot(Pal(A)),
+    TAnd(Pal(A), Pal(B)),
+    Next(Pal(A)),
+    Until(Pal(A), Pal(B)),
+]
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda node: pickle.loads(pickle.dumps(node)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_a_formula_are_the_formula(duplicate):
+    for node in _EVERY_NODE + [parse_formula("G (K{a} v:Cat -> [v:Dog] D{a,b} v:Dog U X v:Fox)")]:
+        assert duplicate(node) is node
+
+
+@pytest.mark.parametrize("node", _EVERY_NODE, ids=lambda node: type(node).__name__)
+def test_formula_fields_cannot_be_assigned(node):
+    for name in type(node).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(node, name, A)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+
+
+def test_template_fields_cannot_be_assigned():
+    template = Template(Pal(Placeholder(1)), 1)
+    for name in ("skeleton", "arity"):
+        with pytest.raises(AttributeError):
+            setattr(template, name, 2)
+    assert copy.deepcopy(template) == template
+    assert pickle.loads(pickle.dumps(template)) == template
+
+
+_PINNED_REPRS = list(zip(_EVERY_NODE + [Template(Pal(Placeholder(1)), 1)], [
+    "Prop(atom=Atom(data_id='v1', class_id='Cat'))",
+    "PNot(operand=Prop(atom=Atom(data_id='a', class_id='a')))",
+    "PAnd(left=Prop(atom=Atom(data_id='a', class_id='a')), right=Prop(atom=Atom(data_id='b', class_id='b')))",
+    "Knows(agent='a', operand=Prop(atom=Atom(data_id='a', class_id='a')))",
+    "Dist(agents=frozenset({'a'}), operand=Prop(atom=Atom(data_id='a', class_id='a')))",
+    "Announce(announced=Prop(atom=Atom(data_id='a', class_id='a')), "
+    "operand=Prop(atom=Atom(data_id='b', class_id='b')))",
+    "Placeholder(index=1)",
+    "Pal(formula=Prop(atom=Atom(data_id='a', class_id='a')))",
+    "TNot(operand=Pal(formula=Prop(atom=Atom(data_id='a', class_id='a'))))",
+    "TAnd(left=Pal(formula=Prop(atom=Atom(data_id='a', class_id='a'))), "
+    "right=Pal(formula=Prop(atom=Atom(data_id='b', class_id='b'))))",
+    "Next(operand=Pal(formula=Prop(atom=Atom(data_id='a', class_id='a'))))",
+    "Until(left=Pal(formula=Prop(atom=Atom(data_id='a', class_id='a'))), "
+    "right=Pal(formula=Prop(atom=Atom(data_id='b', class_id='b'))))",
+    "Template(skeleton=Pal(formula=Placeholder(index=1)), arity=1)",
+]))
+
+
+@pytest.mark.parametrize("node, text", _PINNED_REPRS,
+                         ids=[type(node).__name__ for node, _ in _PINNED_REPRS])
+def test_formula_reprs_are_pinned(node, text):
+    assert repr(node) == text
+
+
+@pytest.mark.parametrize("index", [True, False, 0, -1, 1.0, "1", None])
+def test_placeholder_rejects_non_positive_integers_and_bools(index):
+    with pytest.raises(ValueError):
+        Placeholder(index)
+
+
+def test_node_constructors_check_their_arguments():
+    with pytest.raises(TypeError):
+        PAnd(A)
+    with pytest.raises(TypeError):
+        PNot(A, B)
+    with pytest.raises(TypeError):
+        Knows("a", operand=A, agents="b")
+    with pytest.raises(ValueError):
+        Dist((), A)
