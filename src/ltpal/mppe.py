@@ -13,6 +13,7 @@ import json
 import math
 import os
 import time
+from itertools import repeat
 from typing import Callable, Mapping, Tuple
 
 from .errors import ConfigurationError, IngestionError
@@ -29,7 +30,11 @@ Scorer = Callable[[frozenset, frozenset], float]
 
 def class_labels(ts: TransitionSystem, world_id: str) -> frozenset:
     """Class ids asserted at a world, ignoring which stream they came from."""
-    return frozenset(atom.class_id for atom in ts.label(world_id))
+    return _class_set(ts.label(world_id))
+
+
+def _class_set(atoms) -> frozenset:
+    return frozenset(atom.class_id for atom in atoms)
 
 
 def overlap_score(a: frozenset, b: frozenset) -> float:
@@ -40,6 +45,11 @@ def overlap_score(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(union)
 
 
+def score_range_message(u: str, v: str, value) -> str:
+    """What is wrong with a score of edge u -> v outside (0, 1]; `value` as given."""
+    return f"score for edge {u!r} -> {v!r} must be in (0, 1], got {value!r}"
+
+
 class ScoreTable:
     """Immutable edge-to-score mapping with validated score range."""
 
@@ -48,12 +58,21 @@ class ScoreTable:
         for edge, value in scores.items():
             u, v = edge
             score = float(value)
-            if math.isnan(score) or not 0.0 < score <= 1.0:
-                raise IngestionError(
-                    f"score for edge {u!r} -> {v!r} must be in (0, 1], got {value!r}"
-                )
+            if not 0.0 < score <= 1.0:  # also false for NaN
+                raise IngestionError(score_range_message(u, v, value))
             table[(str(u), str(v))] = score
         self._scores = table
+
+    @classmethod
+    def from_checked(cls, scores: dict) -> "ScoreTable":
+        """A table that takes over `scores` without checking it again.
+
+        For callers that have built `scores` themselves: (str, str) keys and
+        float values, each already checked to lie in (0, 1].
+        """
+        table = cls.__new__(cls)
+        table._scores = scores
+        return table
 
     def __getitem__(self, edge: Tuple[str, str]) -> float:
         try:
@@ -115,24 +134,25 @@ def score_edges(ts: TransitionSystem, scorer: Scorer = overlap_score) -> ScoreTa
     negative or non-numeric results are configuration errors naming that
     first edge.
     """
-    labels = {
-        world.id: class_labels(ts, world.id)
-        for layer in ts.real_layers
-        for world in layer.worlds
-    }
+    layers = ts.layers
+    scores = dict.fromkeys(zip(repeat(ts.s0), [v.id for v in layers[1].worlds]), 1.0)
+    labelled = [[(w.id, _class_set(w.atoms)) for w in layer.worlds] for layer in ts.real_layers]
     memo: dict = {}
-    scores = {}
-    for u, v in ts.edges():
-        a = labels.get(u)
-        b = labels.get(v)
-        if a is None or b is None:
-            scores[(u, v)] = 1.0
-            continue
-        score = memo.get((a, b))
-        if score is None:
-            score = memo[(a, b)] = _checked_score(scorer(a, b), u, v)
-        scores[(u, v)] = score
-    return ScoreTable(scores)
+    for below, above in zip(labelled, labelled[1:]):
+        upper_ids = [v for v, _ in above]
+        rows: dict = {}  # labels(u) -> scores of u's edges, in upper-layer order
+        for u, a in below:
+            row = rows.get(a)
+            if row is None:
+                row = rows[a] = []
+                for v, b in above:
+                    score = memo.get((a, b))
+                    if score is None:
+                        score = memo[(a, b)] = _checked_score(scorer(a, b), u, v)
+                    row.append(score)
+            scores.update(zip(zip(repeat(u), upper_ids), row))
+    scores.update(dict.fromkeys(zip([u.id for u in layers[-2].worlds], repeat(ts.s_minus1)), 1.0))
+    return ScoreTable.from_checked(scores)
 
 
 class ScoredPath(Record):
@@ -289,6 +309,7 @@ class ExternalScorer:
                 pass
         self._proc.terminate()
         self._proc.wait()
+        self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .errors import IngestionError, ParseError
 from .model import Atom, PALModel, Record, RuleSet, World, enrich_model, equivalence_closure
-from .mppe import ScoreTable
+from .mppe import ScoreTable, score_range_message
 from .syntax import parse_pal_formula
 from .transition import TransitionSystem, build_ts
 
@@ -332,12 +332,15 @@ def load_ts(source):
     edges_value = _as_list(doc["edges"], "edges")
     seen = {}
     scored = 0
+    out_of_range = None  # the first, reported once the entries' shape is known good
     for i, entry in enumerate(edges_value):
         edge = _edge(entry, i)
         if edge in seen:
             raise IngestionError(f"edges[{i}] duplicates edge {edge[0]!r} -> {edge[1]!r}")
         if "score" in entry:
-            seen[edge] = _score(entry["score"], i)
+            score = seen[edge] = _score(entry["score"], i)
+            if not 0.0 < score <= 1.0 and out_of_range is None:
+                out_of_range = score_range_message(*edge, score)
             scored += 1
         else:
             seen[edge] = None
@@ -360,10 +363,9 @@ def load_ts(source):
         raise IngestionError(
             "either every edge must carry a score or none may"
         )
-    try:
-        return ts, ScoreTable(seen)
-    except IngestionError as exc:
-        raise IngestionError(f"edges: {exc}") from None
+    if out_of_range is not None:
+        raise IngestionError(f"edges: {out_of_range}")
+    return ts, ScoreTable.from_checked(seen)
 
 
 def load_scores(source, ts: TransitionSystem) -> ScoreTable:
@@ -376,6 +378,7 @@ def load_scores(source, ts: TransitionSystem) -> ScoreTable:
     entries = _as_list(_get(doc, "edges", "scores document"), "edges")
     valid = set(ts.edges())
     table: dict = {}
+    out_of_range = None  # the first, reported once the entries' shape is known good
     for i, entry in enumerate(entries):
         u, v = edge = _edge(entry, i)
         if edge not in valid:
@@ -384,11 +387,12 @@ def load_scores(source, ts: TransitionSystem) -> ScoreTable:
             raise IngestionError(f"edges[{i}] duplicates edge {u!r} -> {v!r}")
         if "score" not in entry:
             raise IngestionError(f"edges[{i}] is missing the 'score' field")
-        table[edge] = _score(entry["score"], i)
-    try:
-        scores = ScoreTable(table)
-    except IngestionError as exc:
-        raise IngestionError(f"scores document: {exc}") from None
+        score = table[edge] = _score(entry["score"], i)
+        if not 0.0 < score <= 1.0 and out_of_range is None:
+            out_of_range = score_range_message(u, v, score)
+    if out_of_range is not None:
+        raise IngestionError(f"scores document: {out_of_range}")
+    scores = ScoreTable.from_checked(table)
     if len(scores) != len(valid):
         scores.validate_covers(ts)
     return scores

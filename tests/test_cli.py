@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import gc
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -13,6 +15,8 @@ import pytest
 
 from ltpal import cli
 from ltpal.cli import _build_parser, main
+
+from generators import ATOM_POOL
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -194,6 +198,83 @@ def test_unexpected_errors_exit_2_without_traceback(ts_file, capsys, monkeypatch
     assert code == 2
     assert payload is None
     assert err == "error: internal error: KeyError: 'lost'\n"
+
+
+def _internal_error(args):
+    raise KeyError("lost")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, broken, expected", [
+    (["check", "--formula", "true"], False, 0),
+    (["check", "--formula", "F v2:Cat"], False, 1),
+    (["check", "--ts", "no-such-file.json", "--formula", "true"], False, 2),
+    (["check", "--formula", "true"], True, 2),
+], ids=["exit-0", "exit-1", "input-error", "internal-error"])
+def test_main_restores_the_collector_state(ts_file, monkeypatch, collecting, argv, broken,
+                                           expected):
+    if "--ts" not in argv:
+        argv = [argv[0], "--ts", ts_file, *argv[1:]]
+    if broken:
+        monkeypatch.setattr(cli, "_cmd_check", _internal_error)
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        code = main(argv)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == expected
+
+
+def test_main_pauses_the_collector_while_the_command_runs(ts_file, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_check", lambda args: seen.append(gc.isenabled()) or 0)
+    assert gc.isenabled()
+    assert main(["check", "--ts", ts_file, "--formula", "true"]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def _stream_frames(frames: int) -> dict:
+    rng = random.Random(frames)
+    doc = {"agents": ["a", "b"], "frames": []}
+    for i in range(frames):
+        ids = [f"f{i}w{k}" for k in range(3)]
+        doc["frames"].append({
+            "worlds": [
+                {"id": wid, "atoms": [[a.data_id, a.class_id] for a in rng.sample(ATOM_POOL, 2)]}
+                for wid in ids
+            ],
+            "relations": {"a": [ids[:2]]},
+        })
+    return doc
+
+
+def test_a_command_leaves_no_more_cyclic_garbage_on_larger_input(tmp_path):
+    """The collector may stay paused for a whole command because what a
+    command leaves for it does not grow with the input."""
+
+    def garbage_after_build_and_mppe(frames: int) -> int:
+        frames_file, ts = tmp_path / f"frames{frames}.json", tmp_path / f"ts{frames}.json"
+        frames_file.write_text(json.dumps(_stream_frames(frames)))
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["build", "--frames", str(frames_file), "--rules", str(rules),
+                         "--output", str(ts)]) == 0
+            assert main(["mppe", "--ts", str(ts)]) == 0
+            return gc.collect()
+        finally:
+            if was:
+                gc.enable()
+
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": [{"class": "Cat", "implies": ["Warm"]}]}))
+    small = garbage_after_build_and_mppe(3)
+    large = garbage_after_build_and_mppe(300)
+    assert large <= small + 50
 
 
 def test_check_group_alias_expansion(ts_file, capsys):

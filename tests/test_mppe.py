@@ -126,6 +126,40 @@ def test_score_edges_calls_the_scorer_once_per_distinct_label_pair():
                 class_labels(ts, u), class_labels(ts, v)))
 
 
+def _per_edge_scores(ts, scorer):
+    """Reference for `score_edges`: one pass over `ts.edges()`, labels from
+    `class_labels`; returns the table and the scorer calls in order."""
+    last = len(ts.layers) - 1
+    memo, calls, table = {}, [], {}
+    for u, v in ts.edges():
+        if ts.layer_index(u) == 0 or ts.layer_index(v) == last:
+            table[(u, v)] = 1.0
+            continue
+        pair = (class_labels(ts, u), class_labels(ts, v))
+        if pair not in memo:
+            calls.append(pair)
+            memo[pair] = min(1.0, max(SCORE_FLOOR, scorer(*pair)))
+        table[(u, v)] = memo[pair]
+    return table, calls
+
+
+def test_score_edges_matches_a_per_edge_reference():
+    rng = random.Random(1717)
+    one_real_layer = _frame([("m1", [Atom("v", "Cat")]), ("m2", [Atom("v", "Dog")])])
+    systems = [build_ts([one_real_layer]), _repeated_labels_ts(), _demo_ts()]
+    systems += [random_ts(rng, max_frames=6, max_worlds=4) for _ in range(60)]
+    assert len(systems[0].layers) == 3  # both layer pairs touch an endpoint
+    scorers = [overlap_score, lambda a, b: (len(a) + 2 * len(b)) / 7]  # 0 and > 1 clamp
+    for ts in systems:
+        for scorer in scorers:
+            expected, expected_calls = _per_edge_scores(ts, scorer)
+            calls = []
+            table = score_edges(ts, lambda a, b: calls.append((a, b)) or scorer(a, b))
+            assert list(table.items()) == list(expected.items())
+            assert calls == expected_calls
+            assert table == ScoreTable(expected)
+
+
 @pytest.mark.parametrize("bad, message", [
     (float("nan"), "scorer returned NaN for edge 'b1' -> 'c1'"),
     (-1.0, "scorer returned a negative score for edge 'b1' -> 'c1': -1.0"),
@@ -264,6 +298,14 @@ def test_external_scorer_error_modes():
     with pytest.raises(ConfigurationError, match="not a number"):
         non_number(frozenset(), frozenset())
     non_number.close()
+
+
+def test_external_scorer_close_closes_the_reply_pipe():
+    scorer = ExternalScorer([sys.executable, "-c", ECHO_SCORER])
+    assert scorer(frozenset({"Cat"}), frozenset({"Cat"})) == 1.0
+    scorer.close()
+    assert scorer._proc.stdin.closed
+    assert scorer._proc.stdout.closed
 
 
 def test_external_scorer_reply_timeout(monkeypatch):
