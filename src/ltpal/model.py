@@ -137,6 +137,18 @@ class World(Record):
         _set(self, "id", id)
         _set(self, "atoms", atoms)
 
+    @classmethod
+    def from_checked(cls, id: str, atoms: frozenset) -> "World":
+        """A world that takes `id` and `atoms` without checking them again.
+
+        For callers that have checked them: a non-empty string id and a
+        frozenset of Atoms.
+        """
+        world = object.__new__(cls)
+        _set(world, "id", id)
+        _set(world, "atoms", atoms)
+        return world
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -230,6 +242,17 @@ def equivalence_closure(pairs, worlds) -> tuple:
     return tuple(sorted((frozenset(b) for b in blocks.values()), key=min))
 
 
+def check_roster(agents: tuple) -> None:
+    """Require distinct, non-empty string agent names."""
+    seen = set()
+    for agent in agents:
+        if not isinstance(agent, str) or not agent:
+            raise IngestionError(f"agent name must be a non-empty string, got {agent!r}")
+        if agent in seen:
+            raise IngestionError(f"duplicate agent {agent!r} in roster")
+        seen.add(agent)
+
+
 class PALModel:
     """One frame as a Kripke model over a fixed classifier roster.
 
@@ -252,18 +275,12 @@ class PALModel:
             by_id[world.id] = world
 
         agents = tuple(agents)
-        seen = set()
-        for agent in agents:
-            if not isinstance(agent, str) or not agent:
-                raise IngestionError(f"agent name must be a non-empty string, got {agent!r}")
-            if agent in seen:
-                raise IngestionError(f"duplicate agent {agent!r} in roster")
-            seen.add(agent)
+        check_roster(agents)
 
         ids = frozenset(by_id)
         relations = dict(relations or {})
         for agent in relations:
-            if agent not in seen:
+            if agent not in agents:
                 raise IngestionError(f"relation listed for unknown agent {agent!r}")
 
         partitions: dict[str, tuple] = {}
@@ -294,7 +311,22 @@ class PALModel:
                     )
                 part = tuple(sorted(raw, key=min))
             partitions[agent] = part
+        self._assign(worlds, by_id, agents, partitions)
 
+    @classmethod
+    def from_checked(cls, worlds: tuple, by_id: dict, agents: tuple, partitions: dict) -> "PALModel":
+        """A model that takes its parts without checking them again.
+
+        For callers that have checked them: `worlds` a tuple of Worlds with
+        distinct ids, `by_id` maps each id to its world, `agents` passes
+        `check_roster`, and `partitions` maps every agent, in roster order,
+        to a partition of the ids into frozensets ordered by smallest member.
+        """
+        model = object.__new__(cls)
+        model._assign(worlds, by_id, agents, partitions)
+        return model
+
+    def _assign(self, worlds, by_id, agents, partitions) -> None:
         self._worlds = worlds
         self._by_id = by_id
         self._agents = agents

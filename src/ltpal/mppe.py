@@ -136,7 +136,8 @@ def score_edges(ts: TransitionSystem, scorer: Scorer = overlap_score) -> ScoreTa
     """
     layers = ts.layers
     scores = dict.fromkeys(zip(repeat(ts.s0), [v.id for v in layers[1].worlds]), 1.0)
-    labelled = [[(w.id, _class_set(w.atoms)) for w in layer.worlds] for layer in ts.real_layers]
+    classes = {atoms: _class_set(atoms) for atoms in {w.atoms for layer in layers for w in layer.worlds}}
+    labelled = [[(w.id, classes[w.atoms]) for w in layer.worlds] for layer in ts.real_layers]
     memo: dict = {}
     for below, above in zip(labelled, labelled[1:]):
         upper_ids = [v for v, _ in above]

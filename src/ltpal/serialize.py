@@ -11,7 +11,8 @@ import json
 from pathlib import Path
 
 from .errors import IngestionError, ParseError
-from .model import Atom, PALModel, Record, RuleSet, World, enrich_model, equivalence_closure
+from .model import Atom, PALModel, Record, RuleSet, World, check_roster, equivalence_closure, rule_closure
+from .model import enrich_model  # noqa: F401  (kept importable for tools that wrap it)
 from .mppe import ScoreTable, score_range_message
 from .syntax import parse_pal_formula
 from .transition import TransitionSystem, build_ts
@@ -31,27 +32,35 @@ def _load_json(source):
         raise IngestionError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _wrong_type(value, kind: str, where: str) -> IngestionError:
+    return IngestionError(f"{where} must be {kind}, got {type(value).__name__}")
+
+
+def _missing(key: str, where: str) -> IngestionError:
+    return IngestionError(f"{where} is missing the {key!r} field")
+
+
 def _as_dict(value, where: str) -> dict:
     if not isinstance(value, dict):
-        raise IngestionError(f"{where} must be an object, got {type(value).__name__}")
+        raise _wrong_type(value, "an object", where)
     return value
 
 
 def _as_list(value, where: str) -> list:
     if not isinstance(value, list):
-        raise IngestionError(f"{where} must be an array, got {type(value).__name__}")
+        raise _wrong_type(value, "an array", where)
     return value
 
 
 def _as_str(value, where: str) -> str:
     if not isinstance(value, str):
-        raise IngestionError(f"{where} must be a string, got {type(value).__name__}")
+        raise _wrong_type(value, "a string", where)
     return value
 
 
 def _get(obj: dict, key: str, where: str):
     if key not in obj:
-        raise IngestionError(f"{where} is missing the {key!r} field")
+        raise _missing(key, where)
     return obj[key]
 
 
@@ -67,30 +76,41 @@ def _atom(value, where: str) -> Atom:
         raise IngestionError(f"{where}: {exc}") from None
 
 
-def _atoms(value, where: str, known: dict) -> list:
-    """A world's atom list; `known` maps (data_id, class_id) to an Atom
-    already validated in this document, so each distinct pair is checked once."""
-    atoms = []
-    for k, pair in enumerate(_as_list(value, where)):
+def _atom_set(value, atom_sets: dict, where: str, j: int, close) -> frozenset:
+    """The atom set of the JSON atom list `value` at {where}.worlds[{j}].atoms,
+    passed through `close` (None leaves it as is).
+
+    `atom_sets` maps the key ((data_id, class_id), ...) of every list already
+    checked in this document to its set, so each distinct list is checked
+    and closed once.  A list can match a key only if each of its members is
+    a list: tuple("vC") and tuple({"v": 0, "C": 0}) both equal ("v", "C").
+    """
+    if value.__class__ is list:
         try:
-            atom = known[pair[0], pair[1]] if isinstance(pair, list) and len(pair) == 2 else None
-        except (KeyError, TypeError):
-            atom = None
-        if atom is None:
-            atom = _atom(pair, f"{where}[{k}]")
-            known[atom.data_id, atom.class_id] = atom
-        atoms.append(atom)
-    return atoms
+            return atom_sets[tuple([tuple(x) if x.__class__ is list else () for x in value])]
+        except (KeyError, TypeError):  # TypeError: an unhashable member
+            pass
+    where = f"{where}.worlds[{j}].atoms"
+    atoms = [_atom(pair, f"{where}[{k}]") for k, pair in enumerate(_as_list(value, where))]
+    atom_set = atom_sets[tuple([(a.data_id, a.class_id) for a in atoms])] = (
+        frozenset(atoms) if close is None else close(atoms)
+    )
+    return atom_set
 
 
 def _pairs(value, where: str) -> list:
     pairs = []
     for k, entry in enumerate(_as_list(value, where)):
-        pair = _as_list(entry, f"{where}[{k}]")
-        if len(pair) != 2:
+        if not isinstance(entry, list):
+            raise _wrong_type(entry, "an array", f"{where}[{k}]")
+        if len(entry) != 2:
             raise IngestionError(f"{where}[{k}] must be a [left, right] world-id pair")
-        pairs.append((_as_str(pair[0], f"{where}[{k}][0]"),
-                      _as_str(pair[1], f"{where}[{k}][1]")))
+        a, b = entry
+        if not isinstance(a, str):
+            raise _wrong_type(a, "a string", f"{where}[{k}][0]")
+        if not isinstance(b, str):
+            raise _wrong_type(b, "a string", f"{where}[{k}][1]")
+        pairs.append((a, b))
     return pairs
 
 
@@ -114,19 +134,30 @@ def load_rules(source) -> RuleSet:
         raise IngestionError(f"rules document: {exc}") from None
 
 
-def _load_model(entry: dict, agents, where: str, known_atoms: dict) -> PALModel:
+def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=None) -> PALModel:
+    """The model of a frame or layer entry at `where`.
+
+    Every check of `World(...)` and `PALModel(...)` that the entry could
+    fail is made here, in the order those constructors make it, so the
+    model is built through their `from_checked` constructors.  Locations
+    are formatted only for the message of a failing check.
+    """
     worlds_value = _as_list(_get(entry, "worlds", where), f"{where}.worlds")
     if not worlds_value:
         raise IngestionError(f"{where}.worlds must not be empty")
     worlds = []
-    for j, world_value in enumerate(worlds_value):
-        wwhere = f"{where}.worlds[{j}]"
-        world_value = _as_dict(world_value, wwhere)
-        wid = _as_str(_get(world_value, "id", wwhere), f"{wwhere}.id")
+    for j, value in enumerate(worlds_value):
+        if not isinstance(value, dict):
+            raise _wrong_type(value, "an object", f"{where}.worlds[{j}]")
+        if "id" not in value:
+            raise _missing("id", f"{where}.worlds[{j}]")
+        wid = value["id"]
+        if not isinstance(wid, str):
+            raise _wrong_type(wid, "a string", f"{where}.worlds[{j}].id")
         if not wid:
-            raise IngestionError(f"{wwhere}.id must not be empty")
-        atoms = _atoms(world_value.get("atoms", []), f"{wwhere}.atoms", known_atoms)
-        worlds.append(World(wid, atoms))
+            raise IngestionError(f"{where}.worlds[{j}].id must not be empty")
+        atoms = _atom_set(value.get("atoms", []), atom_sets, where, j, close)
+        worlds.append(World.from_checked(wid, atoms))
     ids = [w.id for w in worlds]
     relations_value = _as_dict(entry.get("relations", {}), f"{where}.relations")
     partitions = {}
@@ -140,10 +171,18 @@ def _load_model(entry: dict, agents, where: str, known_atoms: dict) -> PALModel:
             partitions[agent] = equivalence_closure(pairs, ids)
         except IngestionError as exc:
             raise IngestionError(f"{where}.relations[{agent!r}]: {exc}") from None
+    by_id = dict(zip(ids, worlds))
     try:
-        return PALModel(worlds, agents, partitions)
+        if len(by_id) != len(worlds):
+            PALModel(worlds, agents)  # raises on the first duplicate world id
+        check_roster(agents)
     except IngestionError as exc:
         raise IngestionError(f"{where}: {exc}") from None
+    partitions = {
+        agent: partitions[agent] if agent in partitions else equivalence_closure((), ids)
+        for agent in agents
+    }
+    return PALModel.from_checked(tuple(worlds), by_id, agents, partitions)
 
 
 class FramesDocument(Record):
@@ -171,8 +210,15 @@ def load_frames(source) -> FramesDocument:
     "relations": {agent: [[w, w'], ...], ...}}.
 
     Missing agents in "relations" (or empty pair lists) mean the agent
-    distinguishes all worlds of that frame.
+    distinguishes all worlds of that frame.  Each distinct atom list is
+    checked once per document, and worlds with equal atom lists share one
+    atom set.
     """
+    return _load_frames(source, None)
+
+
+def _load_frames(source, close) -> FramesDocument:
+    """`load_frames`, with each distinct atom set passed through `close`."""
     doc = _as_dict(_load_json(source), "frames document")
     agents_value = _as_list(_get(doc, "agents", "frames document"), "agents")
     if not agents_value:
@@ -203,20 +249,34 @@ def load_frames(source) -> FramesDocument:
     frames_value = _as_list(_get(doc, "frames", "frames document"), "frames")
     if not frames_value:
         raise IngestionError("frames must not be empty")
-    known_atoms: dict = {}
+    atom_sets: dict = {}
     frames = [
-        _load_model(_as_dict(entry, f"frames[{i}]"), agents, f"frames[{i}]", known_atoms)
+        _load_model(_as_dict(entry, f"frames[{i}]"), agents, f"frames[{i}]", atom_sets, close)
         for i, entry in enumerate(frames_value)
     ]
     return FramesDocument(agents=agents, frames=frames, groups=groups)
 
 
 def ingest(frames_source, rules_source=None) -> FramesDocument:
-    """Load frames and apply ontology rules to every world's atom set."""
-    doc = load_frames(frames_source)
-    rules = load_rules(rules_source) if rules_source is not None else RuleSet({})
-    if rules:
-        doc.frames = [enrich_model(frame, rules) for frame in doc.frames]
+    """Load frames and apply ontology rules to every world's atom set.
+
+    Each distinct atom list is closed under the rules once, and each frame's
+    model is built once, already closed.  For that the rules are loaded first,
+    but an error in them is raised only after the frames document has
+    passed every check, as though the frames were loaded first.
+    """
+    close = error = None
+    if rules_source is not None:
+        try:
+            rules = load_rules(rules_source)
+        except Exception as exc:  # any failure, so that the frames' errors come first
+            error = exc
+        else:
+            if rules:
+                close = lambda atoms: rule_closure(atoms, rules)
+    doc = _load_frames(frames_source, close)
+    if error is not None:
+        raise error
     return doc
 
 
@@ -233,18 +293,18 @@ def dump_ts(ts: TransitionSystem, scores: ScoreTable | None = None) -> dict:
 
     The edges are listed, each with its score, only when `scores` is given;
     without scores there is no "edges" key, because the layers imply every
-    edge.
+    edge.  Worlds with equal atom sets share one "atoms" list object.
     """
     doc: dict = {"agents": list(ts.agents)}
     if ts.groups:
         doc["groups"] = {name: list(members) for name, members in ts.groups.items()}
+    listed: dict = {}  # atom set -> its sorted [[data_id, class_id], ...] list
+    for atoms in {w.atoms for model in ts.layers for w in model.worlds}:
+        listed[atoms] = [[a.data_id, a.class_id] for a in sorted(atoms)]
     layers = []
     for model in ts.layers:
         layers.append({
-            "worlds": [
-                {"id": w.id, "atoms": [[a.data_id, a.class_id] for a in sorted(w.atoms)]}
-                for w in model.worlds
-            ],
+            "worlds": [{"id": w.id, "atoms": listed[w.atoms]} for w in model.worlds],
             "relations": {
                 agent: _relation_pairs(model, agent) for agent in ts.agents
             },
@@ -272,17 +332,17 @@ def _edge(entry, i: int) -> tuple:
     location is formatted only in the message of a failing check.
     """
     if not isinstance(entry, dict):
-        raise IngestionError(f"edges[{i}] must be an object, got {type(entry).__name__}")
+        raise _wrong_type(entry, "an object", f"edges[{i}]")
     if "from" not in entry:
-        raise IngestionError(f"edges[{i}] is missing the 'from' field")
+        raise _missing("from", f"edges[{i}]")
     u = entry["from"]
     if not isinstance(u, str):
-        raise IngestionError(f"edges[{i}].from must be a string, got {type(u).__name__}")
+        raise _wrong_type(u, "a string", f"edges[{i}].from")
     if "to" not in entry:
-        raise IngestionError(f"edges[{i}] is missing the 'to' field")
+        raise _missing("to", f"edges[{i}]")
     v = entry["to"]
     if not isinstance(v, str):
-        raise IngestionError(f"edges[{i}].to must be a string, got {type(v).__name__}")
+        raise _wrong_type(v, "a string", f"edges[{i}].to")
     return u, v
 
 
@@ -301,16 +361,18 @@ def load_ts(source):
     or (as older versions wrote) not, must hold exactly the complete
     bipartite edges between adjacent layers, each once, in any order;
     scores is a ScoreTable when every entry carries a "score" field and
-    None when none does, and a mixture is an error.
+    None when none does, and a mixture is an error.  Each distinct atom list
+    is checked once per document, and worlds with equal atom lists share
+    one atom set.
     """
     doc = _as_dict(_load_json(source), "system document")
     agents_value = _as_list(_get(doc, "agents", "system document"), "agents")
     agents = tuple(_as_str(a, f"agents[{i}]") for i, a in enumerate(agents_value))
 
     layers_value = _as_list(_get(doc, "layers", "system document"), "layers")
-    known_atoms: dict = {}
+    atom_sets: dict = {}
     layers = [
-        _load_model(_as_dict(entry, f"layers[{i}]"), agents, f"layers[{i}]", known_atoms)
+        _load_model(_as_dict(entry, f"layers[{i}]"), agents, f"layers[{i}]", atom_sets)
         for i, entry in enumerate(layers_value)
     ]
 
@@ -376,12 +438,13 @@ def load_scores(source, ts: TransitionSystem) -> ScoreTable:
     """
     doc = _as_dict(_load_json(source), "scores document")
     entries = _as_list(_get(doc, "edges", "scores document"), "edges")
-    valid = set(ts.edges())
+    layer_of = ts.layer_of
     table: dict = {}
     out_of_range = None  # the first, reported once the entries' shape is known good
     for i, entry in enumerate(entries):
         u, v = edge = _edge(entry, i)
-        if edge not in valid:
+        # An edge joins adjacent layers; the defaults never match for unknown ids.
+        if layer_of.get(v, -1) != layer_of.get(u, -3) + 1:
             raise IngestionError(f"edges[{i}]: {u!r} -> {v!r} is not an edge of the system")
         if edge in table:
             raise IngestionError(f"edges[{i}] duplicates edge {u!r} -> {v!r}")
@@ -393,7 +456,7 @@ def load_scores(source, ts: TransitionSystem) -> ScoreTable:
     if out_of_range is not None:
         raise IngestionError(f"scores document: {out_of_range}")
     scores = ScoreTable.from_checked(table)
-    if len(scores) != len(valid):
+    if len(scores) != ts.edge_count:
         scores.validate_covers(ts)
     return scores
 

@@ -98,6 +98,11 @@ class TransitionSystem:
         sizes = [len(layer.worlds) for layer in self._layers]
         return sum(a * b for a, b in zip(sizes, sizes[1:]))
 
+    @property
+    def layer_of(self) -> dict:
+        """World id -> layer index, for every world.  Do not modify it."""
+        return self._layer_of
+
     def layer_index(self, world_id: str) -> int:
         try:
             return self._layer_of[world_id]

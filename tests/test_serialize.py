@@ -8,7 +8,7 @@ import pytest
 
 from ltpal.errors import IngestionError
 from ltpal.formulas import PAnd, PNot, Prop
-from ltpal.model import Atom
+from ltpal.model import Atom, PALModel, RuleSet, World, rule_closure
 from ltpal.mppe import ScoreTable, score_edges
 from ltpal.serialize import (
     build_from_files,
@@ -21,7 +21,7 @@ from ltpal.serialize import (
     load_ts,
     save_ts,
 )
-from ltpal.transition import build_ts, total_path_count
+from ltpal.transition import TransitionSystem, build_ts, total_path_count
 
 from generators import random_frames_document
 
@@ -293,6 +293,12 @@ def test_load_ts_names_each_malformed_edge_entry(scored, mutate, message):
          "edges[1].from must be a string, got NoneType"),
         (lambda e: e.append({"from": "w10", "to": "w30"}),
          "edges[5]: 'w10' -> 'w30' is not an edge of the system"),
+        (lambda e: e.append({"from": "w20", "to": "w10"}),
+         "edges[5]: 'w20' -> 'w10' is not an edge of the system"),
+        (lambda e: e.insert(0, {"from": "zz", "to": "w10"}),
+         "edges[0]: 'zz' -> 'w10' is not an edge of the system"),
+        (lambda e: e.insert(0, {"from": "w10", "to": "zz"}),
+         "edges[0]: 'w10' -> 'zz' is not an edge of the system"),
         (lambda e: e.insert(2, dict(e[0])), "edges[2] duplicates edge 'w00' -> 'w10'"),
         (lambda e: e[1].pop("score"), "edges[1] is missing the 'score' field"),
         (lambda e: e[1].__setitem__("score", "x"), "edges[1].score must be a number"),
@@ -300,7 +306,8 @@ def test_load_ts_names_each_malformed_edge_entry(scored, mutate, message):
          "scores document: score for edge 'w00' -> 'w11' must be in (0, 1], got nan"),
         (lambda e: e.pop(3), "no score for edge 'w11' -> 'w20'"),
     ],
-    ids=["non-object", "missing-to", "non-string-from", "not-an-edge", "duplicate",
+    ids=["non-object", "missing-to", "non-string-from", "not-an-edge", "backwards",
+         "unknown-from", "unknown-to", "duplicate",
          "missing-score", "string-score", "nan", "uncovered"],
 )
 def test_load_scores_names_each_malformed_entry(mutate, message):
@@ -404,3 +411,374 @@ def test_empty_world_id_is_reported_at_its_node(loader, key):
     with pytest.raises(IngestionError) as info:
         loader(doc)
     assert str(info.value) == f"{key}[1].worlds[0].id must not be empty"
+
+
+# Differential corpus: one corrupted node per document, each message pinned.
+
+_ATOM_LISTS = ([["v", "C"]], [["v", "C"], ["u", "Dog"]], [], [["u", "Dog"]], [["v", "Cat"]])
+
+
+def _corpus_frames_doc(rng):
+    """A valid frames document with repeated atom lists, one-letter ids among them."""
+    frames = []
+    for i in range(4):
+        ids = [f"f{i}w{k}" for k in range(3)]
+        frames.append({
+            "worlds": [{"id": wid, "atoms": json.loads(json.dumps(rng.choice(_ATOM_LISTS)))}
+                       for wid in ids],
+            "relations": {"a": [rng.sample(ids, 2)], "b": []},
+        })
+    return {"agents": ["a", "b"], "frames": frames}
+
+
+def _corpus_doc(key, seed):
+    rng = random.Random(seed)
+    doc = _corpus_frames_doc(rng)
+    if key == "layers":
+        doc = json.loads(json.dumps(dump_ts(build_ts(load_frames(doc).frames))))
+    return doc, rng
+
+
+def _some_world(doc, key, rng, *, atoms=False):
+    """A random world node; with `atoms`, one that holds at least one atom."""
+    worlds = [w for layer in doc[key] for w in layer["worlds"] if w.get("atoms") or not atoms]
+    return rng.choice(worlds)
+
+
+def _set_atom(value):
+    def mutate(doc, key, rng):
+        world = _some_world(doc, key, rng, atoms=True)
+        world["atoms"][rng.randrange(len(world["atoms"]))] = value
+    return mutate
+
+
+def _set_world(field, value):
+    def mutate(doc, key, rng):
+        world = _some_world(doc, key, rng)
+        if value is None:
+            del world[field]
+        else:
+            world[field] = value
+    return mutate
+
+
+def _replace_world(value):
+    def mutate(doc, key, rng):
+        layer = rng.choice(doc[key])
+        layer["worlds"][rng.randrange(len(layer["worlds"]))] = value
+    return mutate
+
+
+def _unpaired(layer):
+    """The worlds of a layer that no relation pair names."""
+    named = {wid for pairs in layer.get("relations", {}).values() for pair in pairs for wid in pair}
+    return [w for w in layer["worlds"] if w["id"] not in named]
+
+
+def _duplicate_id_in_layer(doc, key, rng):
+    layer = rng.choice([layer for layer in doc[key] if len(layer["worlds"]) >= 2 and _unpaired(layer)])
+    victim = rng.choice(_unpaired(layer))
+    victim["id"] = rng.choice([w for w in layer["worlds"] if w is not victim])["id"]
+
+
+def _duplicate_id_across_layers(doc, key, rng):
+    upper = rng.choice([i for i, layer in enumerate(doc[key]) if i and _unpaired(layer)])
+    lower = rng.randrange(upper)
+    rng.choice(_unpaired(doc[key][upper]))["id"] = rng.choice(doc[key][lower]["worlds"])["id"]
+
+
+def _set_relation(agent, make_pairs):
+    def mutate(doc, key, rng):
+        layer = rng.choice(doc[key])
+        ids = [w["id"] for w in layer["worlds"]]
+        layer.setdefault("relations", {})[agent] = make_pairs(ids, rng)
+    return mutate
+
+
+_CORRUPTIONS = {
+    "world-int": _replace_world(7),
+    "world-string": _replace_world("f0w0"),
+    "world-list": _replace_world([["v", "C"]]),
+    "world-null": _replace_world(None),
+    "world-id-missing": _set_world("id", None),
+    "world-id-empty": _set_world("id", ""),
+    "world-id-int": _set_world("id", 5),
+    "world-id-list": _set_world("id", ["f0w0"]),
+    "atoms-string": _set_world("atoms", "vC"),
+    "atoms-object": _set_world("atoms", {"v": "C"}),
+    "atoms-int": _set_world("atoms", 3),
+    "atoms-strings": _set_world("atoms", ["vC"]),
+    "atoms-objects": _set_world("atoms", [{"v": 0, "C": 0}, ["u", "Dog"]]),
+    "atom-string": _set_atom("vC"),
+    "atom-object": _set_atom({"v": 0, "C": 0}),
+    "atom-3-list": _set_atom(["v", "C", "x"]),
+    "atom-1-list": _set_atom(["v"]),
+    "atom-int-member": _set_atom(["v", 7]),
+    "atom-null-member": _set_atom([None, "C"]),
+    "atom-list-member": _set_atom([["v"], "C"]),
+    "atom-empty-member": _set_atom(["", "C"]),
+    "atom-colon": _set_atom(["v", "C:t"]),
+    "atom-paren": _set_atom(["v(", "C"]),
+    "atom-space": _set_atom(["v", "C t"]),
+    "duplicate-id-in-layer": _duplicate_id_in_layer,
+    "duplicate-id-across-layers": _duplicate_id_across_layers,
+    "relation-unknown-agent": _set_relation("zz", lambda ids, rng: []),
+    "relation-unknown-world": _set_relation("a", lambda ids, rng: [[rng.choice(ids), "nowhere"]]),
+    "relation-string-pair": _set_relation("b", lambda ids, rng: [ids[0]]),
+    "relation-1-list-pair": _set_relation("a", lambda ids, rng: [[ids[0]]]),
+    "relation-int-member": _set_relation("a", lambda ids, rng: [[ids[0], 5]]),
+    "relation-not-list": _set_relation("b", lambda ids, rng: {"x": ids[0]}),
+    "duplicate-agent": lambda doc, key, rng: doc["agents"].append("a"),
+    "empty-agent": lambda doc, key, rng: doc["agents"].append(""),
+}
+
+
+def _corrupted_documents():
+    """(key, corruption, message or "ok") for each seeded corrupted document."""
+    for key, loader in (("layers", load_ts), ("frames", load_frames)):
+        for seed, (name, mutate) in enumerate(_CORRUPTIONS.items()):
+            doc, rng = _corpus_doc(key, seed)
+            mutate(doc, key, rng)
+            try:
+                loader(doc)
+            except IngestionError as exc:
+                yield key, name, str(exc)
+            else:
+                yield key, name, "ok"
+
+
+# Each message as the loaders reported it before atom lists were interned.
+_PINNED = {
+    ("layers", "world-int"):
+        "layers[2].worlds[0] must be an object, got int",
+    ("layers", "world-string"):
+        "layers[2].worlds[2] must be an object, got str",
+    ("layers", "world-list"):
+        "layers[0].worlds[0] must be an object, got list",
+    ("layers", "world-null"):
+        "layers[5].worlds[0] must be an object, got NoneType",
+    ("layers", "world-id-missing"):
+        "layers[5].worlds[0] is missing the 'id' field",
+    ("layers", "world-id-empty"):
+        "layers[2].worlds[2].id must not be empty",
+    ("layers", "world-id-int"):
+        "layers[1].worlds[2].id must be a string, got int",
+    ("layers", "world-id-list"):
+        "layers[0].worlds[0].id must be a string, got list",
+    ("layers", "atoms-string"):
+        "layers[1].worlds[0].atoms must be an array, got str",
+    ("layers", "atoms-object"):
+        "layers[1].worlds[1].atoms must be an array, got dict",
+    ("layers", "atoms-int"):
+        "layers[3].worlds[2].atoms must be an array, got int",
+    ("layers", "atoms-strings"):
+        "layers[4].worlds[0].atoms[0] must be an array, got str",
+    ("layers", "atoms-objects"):
+        "layers[2].worlds[1].atoms[0] must be an array, got dict",
+    ("layers", "atom-string"):
+        "layers[2].worlds[0].atoms[1] must be an array, got str",
+    ("layers", "atom-object"):
+        "layers[1].worlds[2].atoms[0] must be an array, got dict",
+    ("layers", "atom-3-list"):
+        "layers[2].worlds[0].atoms[0] must be a [data_id, class_id] pair",
+    ("layers", "atom-1-list"):
+        "layers[2].worlds[1].atoms[0] must be a [data_id, class_id] pair",
+    ("layers", "atom-int-member"):
+        "layers[2].worlds[1].atoms[0][1] must be a string, got int",
+    ("layers", "atom-null-member"):
+        "layers[2].worlds[0].atoms[0][0] must be a string, got NoneType",
+    ("layers", "atom-list-member"):
+        "layers[1].worlds[0].atoms[0][0] must be a string, got list",
+    ("layers", "atom-empty-member"):
+        "layers[3].worlds[0].atoms[1]: atom data id must be a non-empty string",
+    ("layers", "atom-colon"):
+        "layers[2].worlds[0].atoms[0]: atom class id 'C:t' may not contain whitespace, unprintable characters or any of : , ( ) [ ] { }",
+    ("layers", "atom-paren"):
+        "layers[2].worlds[1].atoms[0]: atom data id 'v(' may not contain whitespace, unprintable characters or any of : , ( ) [ ] { }",
+    ("layers", "atom-space"):
+        "layers[4].worlds[0].atoms[0]: atom class id 'C t' may not contain whitespace, unprintable characters or any of : , ( ) [ ] { }",
+    ("layers", "duplicate-id-in-layer"):
+        "layers[3]: duplicate world id 'f2w0'",
+    ("layers", "duplicate-id-across-layers"):
+        "system document: world id 'f2w2' appears in two layers",
+    ("layers", "relation-unknown-agent"):
+        "layers[4].relations names unknown agent 'zz'",
+    ("layers", "relation-unknown-world"):
+        "layers[4].relations['a']: relation pair ('f3w1', 'nowhere') references unknown world id 'nowhere'",
+    ("layers", "relation-string-pair"):
+        "layers[1].relations['b'][0] must be an array, got str",
+    ("layers", "relation-1-list-pair"):
+        "layers[5].relations['a'][0] must be a [left, right] world-id pair",
+    ("layers", "relation-int-member"):
+        "layers[5].relations['a'][0][1] must be a string, got int",
+    ("layers", "relation-not-list"):
+        "layers[4].relations['b'] must be an array, got dict",
+    ("layers", "duplicate-agent"):
+        "layers[0]: duplicate agent 'a' in roster",
+    ("layers", "empty-agent"):
+        "layers[0]: agent name must be a non-empty string, got ''",
+    ("frames", "world-int"):
+        "frames[2].worlds[0] must be an object, got int",
+    ("frames", "world-string"):
+        "frames[2].worlds[2] must be an object, got str",
+    ("frames", "world-list"):
+        "frames[0].worlds[0] must be an object, got list",
+    ("frames", "world-null"):
+        "frames[1].worlds[0] must be an object, got NoneType",
+    ("frames", "world-id-missing"):
+        "frames[0].worlds[1] is missing the 'id' field",
+    ("frames", "world-id-empty"):
+        "frames[2].worlds[0].id must not be empty",
+    ("frames", "world-id-int"):
+        "frames[1].worlds[0].id must be a string, got int",
+    ("frames", "world-id-list"):
+        "frames[0].worlds[0].id must be a string, got list",
+    ("frames", "atoms-string"):
+        "frames[0].worlds[1].atoms must be an array, got str",
+    ("frames", "atoms-object"):
+        "frames[0].worlds[2].atoms must be an array, got dict",
+    ("frames", "atoms-int"):
+        "frames[3].worlds[0].atoms must be an array, got int",
+    ("frames", "atoms-strings"):
+        "frames[3].worlds[1].atoms[0] must be an array, got str",
+    ("frames", "atoms-objects"):
+        "frames[1].worlds[2].atoms[0] must be an array, got dict",
+    ("frames", "atom-string"):
+        "frames[1].worlds[0].atoms[1] must be an array, got str",
+    ("frames", "atom-object"):
+        "frames[0].worlds[2].atoms[0] must be an array, got dict",
+    ("frames", "atom-3-list"):
+        "frames[1].worlds[0].atoms[0] must be a [data_id, class_id] pair",
+    ("frames", "atom-1-list"):
+        "frames[1].worlds[1].atoms[0] must be a [data_id, class_id] pair",
+    ("frames", "atom-int-member"):
+        "frames[1].worlds[1].atoms[0][1] must be a string, got int",
+    ("frames", "atom-null-member"):
+        "frames[1].worlds[0].atoms[0][0] must be a string, got NoneType",
+    ("frames", "atom-list-member"):
+        "frames[0].worlds[0].atoms[0][0] must be a string, got list",
+    ("frames", "atom-empty-member"):
+        "frames[2].worlds[0].atoms[1]: atom data id must be a non-empty string",
+    ("frames", "atom-colon"):
+        "frames[1].worlds[0].atoms[0]: atom class id 'C:t' may not contain whitespace, unprintable characters or any of : , ( ) [ ] { }",
+    ("frames", "atom-paren"):
+        "frames[1].worlds[1].atoms[0]: atom data id 'v(' may not contain whitespace, unprintable characters or any of : , ( ) [ ] { }",
+    ("frames", "atom-space"):
+        "frames[3].worlds[0].atoms[0]: atom class id 'C t' may not contain whitespace, unprintable characters or any of : , ( ) [ ] { }",
+    ("frames", "duplicate-id-in-layer"):
+        "frames[2]: duplicate world id 'f2w0'",
+    ("frames", "duplicate-id-across-layers"):
+        "ok",
+    ("frames", "relation-unknown-agent"):
+        "frames[3].relations names unknown agent 'zz'",
+    ("frames", "relation-unknown-world"):
+        "frames[3].relations['a']: relation pair ('f3w1', 'nowhere') references unknown world id 'nowhere'",
+    ("frames", "relation-string-pair"):
+        "frames[1].relations['b'][0] must be an array, got str",
+    ("frames", "relation-1-list-pair"):
+        "frames[1].relations['a'][0] must be a [left, right] world-id pair",
+    ("frames", "relation-int-member"):
+        "frames[2].relations['a'][0][1] must be a string, got int",
+    ("frames", "relation-not-list"):
+        "frames[3].relations['b'] must be an array, got dict",
+    ("frames", "duplicate-agent"):
+        "agents contains duplicate ids",
+    ("frames", "empty-agent"):
+        "frames[0]: agent name must be a non-empty string, got ''",
+}
+
+
+def test_corrupted_documents_keep_their_messages():
+    found = {(key, name): message for key, name, message in _corrupted_documents()}
+    assert found == _PINNED
+
+
+def _public_model(entry, agents, close=frozenset):
+    """The model of a frame or layer entry, built through the checking constructors."""
+    worlds = [World(w["id"], close([Atom(*pair) for pair in w.get("atoms", [])]))
+              for w in entry["worlds"]]
+    return PALModel.from_pairs(worlds, agents, entry.get("relations", {}))
+
+
+def _atom_sets_by_list(worlds_by_entry, doc_entries):
+    """JSON atom list -> the ids of the distinct atom sets loaded for it."""
+    shared: dict = {}
+    for model, entry in zip(worlds_by_entry, doc_entries):
+        for world, node in zip(model.worlds, entry["worlds"]):
+            shared.setdefault(json.dumps(node.get("atoms", [])), set()).add(id(world.atoms))
+    return shared
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_loaded_documents_share_atom_sets_and_equal_the_checked_build(seed):
+    rng = random.Random(seed)
+    frames = random_frames_document(rng, max_frames=4) if seed % 2 else _corpus_doc("frames", seed)[0]
+    agents = tuple(frames["agents"])
+    system = json.loads(json.dumps(dump_ts(build_ts(load_frames(frames).frames))))
+
+    ts, _ = load_ts(system)
+    layers = [_public_model(entry, agents) for entry in system["layers"]]
+    assert ts == TransitionSystem(layers)
+    assert all(len(ids) == 1 for ids in _atom_sets_by_list(ts.layers, system["layers"]).values())
+
+    rules_doc = {"rules": [{"class": "Cat", "implies": ["Animal"]}, {"class": "C", "implies": ["Cat"]},
+                           {"class": "Dog", "implies": ["Animal", "Pet"]}]}
+    rules = RuleSet({"Cat": ["Animal"], "C": ["Cat"], "Dog": ["Animal", "Pet"]})
+    doc = ingest(frames, rules_doc)
+    closed = [_public_model(entry, agents, lambda atoms: rule_closure(atoms, rules))
+              for entry in frames["frames"]]
+    assert doc.frames == closed
+    assert all(len(ids) == 1 for ids in _atom_sets_by_list(doc.frames, frames["frames"]).values())
+
+
+def _reference_dump(ts, scores=None):
+    """The system document layout that `save_ts` writes, built the plain way."""
+    doc = {"agents": list(ts.agents)}
+    if ts.groups:
+        doc["groups"] = {name: list(members) for name, members in ts.groups.items()}
+    layers = []
+    for model in ts.layers:
+        relations = {}
+        for agent in ts.agents:
+            pairs = []
+            for block in model.partition(agent):
+                members = sorted(block)
+                pairs.extend([a, b] for a, b in zip(members, members[1:]))
+            relations[agent] = pairs
+        layers.append({
+            "worlds": [{"id": w.id, "atoms": [[a.data_id, a.class_id] for a in sorted(w.atoms)]}
+                       for w in model.worlds],
+            "relations": relations,
+        })
+    doc["layers"] = layers
+    if scores is not None:
+        doc["edges"] = [{"from": u, "to": v, "score": scores[(u, v)]} for u, v in ts.edges()]
+    return doc
+
+
+def test_save_ts_bytes_match_the_reference_layout(tmp_path):
+    rng = random.Random(8642)
+    target = tmp_path / "ts.json"
+    for k in range(30):
+        parsed = load_frames(random_frames_document(rng, max_frames=4) if k % 3 else _corpus_doc("frames", k)[0])
+        ts = build_ts(parsed.frames, groups=parsed.groups or None)
+        for scores in (None, score_edges(ts)):
+            save_ts(ts, target, scores)
+            assert target.read_bytes() == (json.dumps(_reference_dump(ts, scores)) + "\n").encode()
+            loaded, _ = load_ts(str(target))
+            save_ts(loaded, target, scores)
+            assert target.read_bytes() == (json.dumps(_reference_dump(ts, scores)) + "\n").encode()
+
+
+def test_ingest_reports_frame_errors_before_rule_errors(tmp_path):
+    frames = json.loads(json.dumps(FRAMES_DOC))
+    frames["frames"][1]["worlds"][0]["id"] = 3
+    bad_rules = {"rules": [{"class": "Cat", "implies": [7]}]}
+    unreadable = str(tmp_path / "missing.json")
+    for rules in (bad_rules, unreadable):
+        with pytest.raises(IngestionError) as info:
+            ingest(frames, rules)
+        assert str(info.value) == "frames[1].worlds[0].id must be a string, got int"
+    with pytest.raises(IngestionError) as info:
+        ingest(FRAMES_DOC, bad_rules)
+    assert str(info.value) == "rules[0].implies[0] must be a string, got int"
