@@ -52,7 +52,8 @@ def _intern(cls, fields):
 
 class _Node:
     """Interned formula node; subclasses list their fields in `__slots__`
-    and `_fields`.  Equality and hashing are `object`'s: by identity."""
+    and `_fields`.  Equality and hashing are `object`'s: by identity, and a
+    copy, shallow or deep, is the node itself."""
 
     __slots__ = ("__weakref__",)
     _fields: tuple = ()
@@ -65,6 +66,12 @@ class _Node:
     __reduce__ = Record.__reduce__
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 class PalFormula(_Node):
@@ -231,50 +238,42 @@ def weak_until(a: Formula, b: Formula) -> TemporalFormula:
     return release(b, t_or(a, b))
 
 
-def map_pal_leaves(f: TemporalFormula, fn) -> TemporalFormula:
-    """Rebuild a temporal formula with `fn` applied to each PAL payload."""
-    if isinstance(f, Pal):
-        return Pal(fn(f.formula))
-    if isinstance(f, TNot):
-        return TNot(map_pal_leaves(f.operand, fn))
-    if isinstance(f, TAnd):
-        return TAnd(map_pal_leaves(f.left, fn), map_pal_leaves(f.right, fn))
-    if isinstance(f, Next):
-        return Next(map_pal_leaves(f.operand, fn))
-    if isinstance(f, Until):
-        return Until(map_pal_leaves(f.left, fn), map_pal_leaves(f.right, fn))
-    raise TypeError(f"not a temporal formula: {f!r}")
+def _rebuild(f: Formula, visit) -> Formula:
+    """Rebuild `f` bottom-up, replacing each node, once its operands are
+    rebuilt, by `visit(node)`.
 
-
-def _map_pal(f: PalFormula, fn) -> PalFormula:
-    if isinstance(f, (Prop, Placeholder)):
-        return fn(f)
-    if isinstance(f, PNot):
-        return PNot(_map_pal(f.operand, fn))
-    if isinstance(f, PAnd):
-        return PAnd(_map_pal(f.left, fn), _map_pal(f.right, fn))
-    if isinstance(f, Knows):
-        return Knows(f.agent, _map_pal(f.operand, fn))
-    if isinstance(f, Dist):
-        return Dist(f.agents, _map_pal(f.operand, fn))
-    if isinstance(f, Announce):
-        return Announce(_map_pal(f.announced, fn), _map_pal(f.operand, fn))
-    raise TypeError(f"not a PAL formula: {f!r}")
+    An explicit stack walks each node's `_fields` in post-order, so nesting
+    depth costs no Python frames.  A node whose operands come back unchanged
+    is kept, and a subformula shared by several parents is visited once.
+    """
+    if not isinstance(f, _Node):
+        raise TypeError(f"not a formula: {f!r}")
+    done = {}
+    stack = [(f, None)]  # (node, its field values once its operands are queued)
+    while stack:
+        node, values = stack.pop()
+        if values is None:
+            if node not in done:
+                values = [getattr(node, name) for name in node._fields]
+                stack.append((node, values))
+                stack.extend((v, None) for v in values if isinstance(v, _Node))
+            continue
+        rebuilt = [done[v] if isinstance(v, _Node) else v for v in values]
+        # Nodes compare by identity, so this asks whether any operand changed.
+        done[node] = visit(type(node)(*rebuilt) if rebuilt != values else node)
+    return done[f]
 
 
 def placeholder_indices(f: Formula) -> frozenset:
     """Every ?k index occurring anywhere in the formula."""
     found: set[int] = set()
 
-    def visit_pal(p):
-        if isinstance(p, Placeholder):
-            found.add(p.index)
-        return p
+    def visit(node):
+        if isinstance(node, Placeholder):
+            found.add(node.index)
+        return node
 
-    if isinstance(f, PalFormula):
-        _map_pal(f, visit_pal)
-    else:
-        map_pal_leaves(f, lambda p: _map_pal(p, visit_pal))
+    _rebuild(f, visit)
     return frozenset(found)
 
 
@@ -284,27 +283,13 @@ def expand_groups(f: Formula, groups: Mapping[str, Iterable[str]]) -> Formula:
     if not table:
         return f
 
-    def visit_pal(p):
-        if isinstance(p, Dist):
-            expanded: set[str] = set()
-            for name in p.agents:
-                expanded.update(table.get(name, (name,)))
-            return Dist(frozenset(expanded), visit_pal(p.operand))
-        if isinstance(p, (Prop, Placeholder)):
-            return p
-        if isinstance(p, PNot):
-            return PNot(visit_pal(p.operand))
-        if isinstance(p, PAnd):
-            return PAnd(visit_pal(p.left), visit_pal(p.right))
-        if isinstance(p, Knows):
-            return Knows(p.agent, visit_pal(p.operand))
-        if isinstance(p, Announce):
-            return Announce(visit_pal(p.announced), visit_pal(p.operand))
-        raise TypeError(f"not a PAL formula: {p!r}")
+    def visit(node):
+        if isinstance(node, Dist):
+            agents = [m for name in node.agents for m in table.get(name, (name,))]
+            return Dist(agents, node.operand)
+        return node
 
-    if isinstance(f, PalFormula):
-        return visit_pal(f)
-    return map_pal_leaves(f, visit_pal)
+    return _rebuild(f, visit)
 
 
 class Template(Record):
@@ -355,9 +340,7 @@ def substitute(template: Template, args: Sequence[PalFormula]) -> TemporalFormul
         if placeholder_indices(arg):
             raise ValueError(f"argument {pos} still contains placeholders")
 
-    def fill(p):
-        if isinstance(p, Placeholder):
-            return args[p.index - 1]
-        return p
+    def fill(node):
+        return args[node.index - 1] if isinstance(node, Placeholder) else node
 
-    return map_pal_leaves(template.skeleton, lambda leaf: _map_pal(leaf, fill))
+    return _rebuild(template.skeleton, fill)

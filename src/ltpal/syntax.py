@@ -23,6 +23,9 @@ must be parenthesised: ``(f U g)``.  Temporal operators of any kind are
 rejected inside K{...}, D{...} and announcement brackets; that violation is
 reported as `EpistemicScopeError`, a distinct subclass of `ParseError`.
 
+Neither the parser nor `pretty` recurses: both keep explicit stacks, so
+formulas may nest to any depth.
+
 `pretty` emits a canonical minimal-parenthesis rendering.  Parsing a
 pretty-printed formula yields a structurally identical AST, provided the
 AST was produced by the parser or by the canonical constructors in
@@ -129,14 +132,61 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the token list.
+def _not(a: Formula) -> Formula:
+    return PNot(a) if isinstance(a, PalFormula) else TNot(a)
 
-    `pal_scope` is None while temporal operators are allowed; inside an
-    epistemic or announcement scope it holds a description of that scope for
-    error messages.  Boolean connectives keep pure PAL operands inside the
-    PAL layer, so a formula without temporal operators parses to a single
-    PAL tree (lifted once at the very end).
+
+def _and(a: Formula, b: Formula) -> Formula:
+    if isinstance(a, PalFormula) and isinstance(b, PalFormula):
+        return PAnd(a, b)
+    return TAnd(lift(a), lift(b))
+
+
+# Operator-stack entry kind -> how it combines its payload (the announced
+# formula, the agent or agents, or the left operand) with the operand after it.
+_BUILD = {
+    "!": lambda _, a: _not(a),
+    "X": lambda _, a: Next(lift(a)),
+    "F": lambda _, a: future(lift(a)),
+    "G": lambda _, a: globally(lift(a)),
+    "K": Knows,
+    "D": Dist,
+    "[]": Announce,
+    "&": _and,
+    "|": lambda a, b: _not(_and(_not(a), _not(b))),
+    "->": lambda a, b: _not(_and(a, _not(b))),
+    "U": lambda a, b: Until(lift(a), lift(b)),
+    "R": lambda a, b: release(lift(a), lift(b)),
+    "W": lambda a, b: weak_until(lift(a), lift(b)),
+}
+
+# Binding strength of the stack entries an operand completes: the
+# connectives, then the prefix operators, which bind tightest.  Brackets and
+# a pending (f U ...) are closed only by their bracket, so they are absent.
+_BINARY = {"->": 1, "|": 2, "&": 3}
+_STRENGTH = {**_BINARY, "!": 4, "X": 4, "F": 4, "G": 4, "K": 4, "D": 4, "[]": 4}
+
+
+def _bare_temporal(token: _Token) -> ParseError:
+    return ParseError(
+        f"binary temporal operator '{token.value}' must appear inside "
+        f"parentheses: (f {token.value} g)",
+        token.line,
+        token.column,
+    )
+
+
+class _Parser:
+    """Operator-precedence parsing over the token list, without recursion.
+
+    One stack holds the open operators: prefix operators waiting for their
+    operand, binary connectives holding their left operand, and the open
+    brackets.  Each entry also carries the scope that applies to the tokens
+    after it: None while temporal operators are allowed, and inside an
+    epistemic or announcement scope a description of that scope for error
+    messages.  Boolean connectives keep pure PAL operands inside the PAL
+    layer, so a formula without temporal operators parses to a single PAL
+    tree (lifted once at the very end).
     """
 
     def __init__(self, text: str, *, allow_placeholders: bool):
@@ -174,15 +224,72 @@ class _Parser:
         return f"'{token.value}'"
 
     def parse(self, pal_scope: str | None) -> Formula:
-        formula = self._parse_implies(pal_scope)
+        stack = []  # (kind, payload, scope of the tokens after the entry)
+        operand = self._operand(stack, pal_scope)
+        while True:
+            # `operand` is complete: reduce the entries that bind at least as
+            # tightly as the next token.  '->' associates to the right, and a
+            # token other than a connective ends the innermost bracket.
+            token = self._peek()
+            strength = _BINARY.get(token.kind)
+            limit = 1 if strength is None else strength + (token.kind == "->")
+            while stack and _STRENGTH.get(stack[-1][0], 0) >= limit:
+                entry, payload, _ = stack.pop()
+                operand = _BUILD[entry](payload, operand)
+            entry, payload, scope = stack[-1] if stack else (None, None, pal_scope)
+            if strength is not None:
+                self._advance()
+                stack.append((token.kind, operand, scope))
+            elif entry is None:
+                return self._finish(operand)
+            elif entry == "(" and token.kind in ("U", "R", "W"):
+                self._reject_temporal(token, scope)
+                self._advance()
+                stack[-1] = (token.kind, operand, scope)
+            elif entry == "[":
+                self._expect("]")
+                stack[-1] = ("[]", operand, scope)
+            else:
+                self._expect(")")
+                stack.pop()
+                if entry != "(":
+                    operand = _BUILD[entry](payload, operand)
+                continue
+            operand = self._operand(stack, pal_scope)
+
+    def _operand(self, stack: list, pal_scope: str | None) -> Formula:
+        """Push the prefix operators and opening brackets that start an
+        operand, each with the scope after it, and return the primary
+        formula that ends them."""
+        while True:
+            scope = stack[-1][2] if stack else pal_scope
+            token = self._advance()
+            kind, payload = token.kind, None
+            if kind in ("X", "F", "G"):
+                self._reject_temporal(token, scope)
+            elif kind == "K":
+                self._expect("{")
+                payload = self._expect("identifier").value
+                self._expect("}")
+                scope = f"the scope of K{{{payload}}}"
+            elif kind == "D":
+                self._expect("{")
+                payload = [self._expect("identifier").value]
+                while self._peek().kind == ",":
+                    self._advance()
+                    payload.append(self._expect("identifier").value)
+                self._expect("}")
+                scope = "the scope of D{...}"
+            elif kind == "[":
+                scope = "an announcement"
+            elif kind not in ("!", "("):
+                return self._primary(token)
+            stack.append((kind, payload, scope))
+
+    def _finish(self, formula: Formula) -> Formula:
         tail = self._peek()
         if tail.kind in ("U", "R", "W"):
-            raise ParseError(
-                f"binary temporal operator '{tail.value}' must appear inside "
-                f"parentheses: (f {tail.value} g)",
-                tail.line,
-                tail.column,
-            )
+            raise _bare_temporal(tail)
         if tail.kind != "end":
             raise ParseError(
                 f"unexpected {self._describe(tail)} after the formula",
@@ -192,97 +299,13 @@ class _Parser:
             )
         return formula
 
-    def _parse_implies(self, pal_scope) -> Formula:
-        left = self._parse_or(pal_scope)
-        if self._peek().kind == "->":
-            self._advance()
-            right = self._parse_implies(pal_scope)
-            return self._implies(left, right)
-        return left
-
-    def _parse_or(self, pal_scope) -> Formula:
-        formula = self._parse_and(pal_scope)
-        while self._peek().kind == "|":
-            self._advance()
-            formula = self._or(formula, self._parse_and(pal_scope))
-        return formula
-
-    def _parse_and(self, pal_scope) -> Formula:
-        formula = self._parse_unary(pal_scope)
-        while self._peek().kind == "&":
-            self._advance()
-            formula = self._and(formula, self._parse_unary(pal_scope))
-        return formula
-
-    def _parse_unary(self, pal_scope) -> Formula:
-        token = self._peek()
-        if token.kind == "!":
-            self._advance()
-            operand = self._parse_unary(pal_scope)
-            if isinstance(operand, PalFormula):
-                return PNot(operand)
-            return TNot(operand)
-        if token.kind in ("X", "F", "G"):
-            self._reject_temporal(token, pal_scope)
-            self._advance()
-            operand = lift(self._parse_unary(pal_scope))
-            if token.kind == "X":
-                return Next(operand)
-            if token.kind == "F":
-                return future(operand)
-            return globally(operand)
-        if token.kind == "K":
-            self._advance()
-            self._expect("{")
-            agent = self._expect("identifier").value
-            self._expect("}")
-            operand = self._parse_unary(f"the scope of K{{{agent}}}")
-            return Knows(agent, operand)
-        if token.kind == "D":
-            self._advance()
-            self._expect("{")
-            agents = [self._expect("identifier").value]
-            while self._peek().kind == ",":
-                self._advance()
-                agents.append(self._expect("identifier").value)
-            self._expect("}")
-            operand = self._parse_unary("the scope of D{...}")
-            return Dist(frozenset(agents), operand)
-        if token.kind == "[":
-            self._advance()
-            announced = self._parse_implies("an announcement")
-            self._expect("]")
-            operand = self._parse_unary("an announcement")
-            return Announce(announced, operand)
-        return self._parse_primary(pal_scope)
-
-    def _parse_primary(self, pal_scope) -> Formula:
-        token = self._peek()
-        if token.kind == "(":
-            self._advance()
-            inner = self._parse_implies(pal_scope)
-            middle = self._peek()
-            if middle.kind in ("U", "R", "W"):
-                self._reject_temporal(middle, pal_scope)
-                self._advance()
-                right = self._parse_implies(pal_scope)
-                self._expect(")")
-                left, right = lift(inner), lift(right)
-                if middle.kind == "U":
-                    return Until(left, right)
-                if middle.kind == "R":
-                    return release(left, right)
-                return weak_until(left, right)
-            self._expect(")")
-            return inner
+    def _primary(self, token: _Token) -> Formula:
+        """The atom, constant or placeholder `token` starts."""
         if token.kind == "true":
-            self._advance()
             return top()
         if token.kind == "false":
-            self._advance()
             return bottom()
         if token.kind == "identifier":
-            self._advance()
             if self._peek().kind == ":":
                 self._advance()
                 class_id = self._expect("identifier").value
@@ -295,19 +318,13 @@ class _Parser:
                     token.line,
                     token.column,
                 )
-            self._advance()
             if token.value < 1:
                 raise ParseError(
                     "placeholder indices start at 1", token.line, token.column
                 )
             return Placeholder(token.value)
         if token.kind in ("U", "R", "W"):
-            raise ParseError(
-                f"binary temporal operator '{token.value}' must appear inside "
-                f"parentheses: (f {token.value} g)",
-                token.line,
-                token.column,
-            )
+            raise _bare_temporal(token)
         raise ParseError(
             f"unexpected {self._describe(token)}",
             token.line,
@@ -323,23 +340,6 @@ class _Parser:
                 token.line,
                 token.column,
             )
-
-    def _and(self, a: Formula, b: Formula) -> Formula:
-        if isinstance(a, PalFormula) and isinstance(b, PalFormula):
-            return PAnd(a, b)
-        return TAnd(lift(a), lift(b))
-
-    def _or(self, a: Formula, b: Formula) -> Formula:
-        return self._not(self._and(self._not(a), self._not(b)))
-
-    def _implies(self, a: Formula, b: Formula) -> Formula:
-        return self._not(self._and(a, self._not(b)))
-
-    @staticmethod
-    def _not(a: Formula) -> Formula:
-        if isinstance(a, PalFormula):
-            return PNot(a)
-        return TNot(a)
 
 
 def parse_formula(text: str) -> TemporalFormula:
@@ -367,10 +367,6 @@ def parse_template(text: str) -> Template:
 _IMPLIES, _OR, _AND, _UNARY, _ATOM = 1, 2, 3, 4, 5
 
 _PAL_TOP = Pal(top())
-
-
-def _wrap(text: str, level: int, minimum: int) -> str:
-    return f"({text})" if level < minimum else text
 
 
 def _unwrap_not(f: TemporalFormula):
@@ -409,91 +405,91 @@ def _match_or_p(f: PalFormula):
 
 
 def pretty(formula: Formula) -> str:
-    """Canonical text for a formula; see the module docstring for caveats."""
-    if isinstance(formula, PalFormula):
-        return _pp_pal(formula, _IMPLIES)
-    if isinstance(formula, TemporalFormula):
-        return _pp_temporal(formula, _IMPLIES)
-    raise TypeError(f"not a formula: {formula!r}")
+    """Canonical text for a formula; see the module docstring for caveats.
+
+    One stack holds text pieces and (subformula, minimum level, PAL?)
+    entries, so nesting depth costs no Python frames.  A subformula whose
+    own level is looser than its minimum is parenthesised.
+    """
+    if not isinstance(formula, (PalFormula, TemporalFormula)):
+        raise TypeError(f"not a formula: {formula!r}")
+    out = []
+    stack = [(formula, _IMPLIES, isinstance(formula, PalFormula))]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        f, minimum, pal = item
+        if not pal and isinstance(f, Pal):
+            stack.append((f.formula, minimum, True))
+            continue
+        level, parts = _pal_layout(f) if pal else _temporal_layout(f)
+        if level < minimum:
+            parts = ["(", *parts, ")"]
+        stack.extend(p if isinstance(p, str) else (*p, pal) for p in reversed(parts))
+    return "".join(out)
 
 
-def _pp_pal(f: PalFormula, minimum: int) -> str:
+def _pal_layout(f: PalFormula):
+    """The level of `f` and its pieces: text and (operand, minimum level)."""
     if is_top(f):
-        return "true"
+        return _ATOM, ["true"]
     if is_bottom(f):
-        return "false"
+        return _ATOM, ["false"]
     if isinstance(f, Prop):
         atom = f.atom
         text = atom.data_id if atom.data_id == atom.class_id else f"{atom.data_id}:{atom.class_id}"
-        return text
+        return _ATOM, [text]
     if isinstance(f, Placeholder):
-        return f"?{f.index}"
+        return _ATOM, [f"?{f.index}"]
     if isinstance(f, PNot):
         disjuncts = _match_or_p(f)
         if disjuncts is not None:
-            text = f"{_pp_pal(disjuncts[0], _OR)} | {_pp_pal(disjuncts[1], _AND)}"
-            return _wrap(text, _OR, minimum)
+            return _OR, [(disjuncts[0], _OR), " | ", (disjuncts[1], _AND)]
         if isinstance(f.operand, PAnd) and isinstance(f.operand.right, PNot):
-            text = (
-                f"{_pp_pal(f.operand.left, _OR)} -> "
-                f"{_pp_pal(f.operand.right.operand, _IMPLIES)}"
-            )
-            return _wrap(text, _IMPLIES, minimum)
-        return _wrap(f"!{_pp_pal(f.operand, _UNARY)}", _UNARY, minimum)
+            return _IMPLIES, [(f.operand.left, _OR), " -> ", (f.operand.right.operand, _IMPLIES)]
+        return _UNARY, ["!", (f.operand, _UNARY)]
     if isinstance(f, PAnd):
-        text = f"{_pp_pal(f.left, _AND)} & {_pp_pal(f.right, _UNARY)}"
-        return _wrap(text, _AND, minimum)
+        return _AND, [(f.left, _AND), " & ", (f.right, _UNARY)]
     if isinstance(f, Knows):
-        text = f"K{{{f.agent}}} {_pp_pal(f.operand, _UNARY)}"
-        return _wrap(text, _UNARY, minimum)
+        return _UNARY, [f"K{{{f.agent}}} ", (f.operand, _UNARY)]
     if isinstance(f, Dist):
         members = ",".join(sorted(f.agents))
-        text = f"D{{{members}}} {_pp_pal(f.operand, _UNARY)}"
-        return _wrap(text, _UNARY, minimum)
+        return _UNARY, [f"D{{{members}}} ", (f.operand, _UNARY)]
     if isinstance(f, Announce):
-        text = f"[{_pp_pal(f.announced, _IMPLIES)}] {_pp_pal(f.operand, _UNARY)}"
-        return _wrap(text, _UNARY, minimum)
+        return _UNARY, ["[", (f.announced, _IMPLIES), "] ", (f.operand, _UNARY)]
     raise TypeError(f"not a PAL formula: {f!r}")
 
 
-def _pp_temporal(f: TemporalFormula, minimum: int) -> str:
-    if isinstance(f, Pal):
-        return _pp_pal(f.formula, minimum)
+def _temporal_layout(f: TemporalFormula):
+    """As `_pal_layout`, for a temporal node other than `Pal`."""
     if isinstance(f, Until):
         if f.left == _PAL_TOP:
-            return _wrap(f"F {_pp_temporal(f.right, _UNARY)}", _UNARY, minimum)
-        return f"({_pp_temporal(f.left, _IMPLIES)} U {_pp_temporal(f.right, _IMPLIES)})"
+            return _UNARY, ["F ", (f.right, _UNARY)]
+        return _ATOM, ["(", (f.left, _IMPLIES), " U ", (f.right, _IMPLIES), ")"]
     if isinstance(f, Next):
-        return _wrap(f"X {_pp_temporal(f.operand, _UNARY)}", _UNARY, minimum)
+        return _UNARY, ["X ", (f.operand, _UNARY)]
     if isinstance(f, TAnd):
-        text = f"{_pp_temporal(f.left, _AND)} & {_pp_temporal(f.right, _UNARY)}"
-        return _wrap(text, _AND, minimum)
+        return _AND, [(f.left, _AND), " & ", (f.right, _UNARY)]
     if isinstance(f, TNot):
         if isinstance(f.operand, Until):
             until = f.operand
             body = _unwrap_not(until.right)
             if until.left == _PAL_TOP and body is not None:
-                return _wrap(f"G {_pp_temporal(body, _UNARY)}", _UNARY, minimum)
+                return _UNARY, ["G ", (body, _UNARY)]
             held = _unwrap_not(until.left)
             if held is not None and body is not None:
                 disjuncts = _match_or_t(body)
                 if disjuncts is not None and disjuncts[1] == held:
-                    return (
-                        f"({_pp_temporal(disjuncts[0], _IMPLIES)} W "
-                        f"{_pp_temporal(held, _IMPLIES)})"
-                    )
-                return (
-                    f"({_pp_temporal(held, _IMPLIES)} R "
-                    f"{_pp_temporal(body, _IMPLIES)})"
-                )
+                    return _ATOM, ["(", (disjuncts[0], _IMPLIES), " W ", (held, _IMPLIES), ")"]
+                return _ATOM, ["(", (held, _IMPLIES), " R ", (body, _IMPLIES), ")"]
         if isinstance(f.operand, TAnd):
             a = _unwrap_not(f.operand.left)
             b = _unwrap_not(f.operand.right)
             if a is not None and b is not None:
-                text = f"{_pp_temporal(a, _OR)} | {_pp_temporal(b, _AND)}"
-                return _wrap(text, _OR, minimum)
+                return _OR, [(a, _OR), " | ", (b, _AND)]
             if b is not None:
-                text = f"{_pp_temporal(f.operand.left, _OR)} -> {_pp_temporal(b, _IMPLIES)}"
-                return _wrap(text, _IMPLIES, minimum)
-        return _wrap(f"!{_pp_temporal(f.operand, _UNARY)}", _UNARY, minimum)
+                return _IMPLIES, [(f.operand.left, _OR), " -> ", (b, _IMPLIES)]
+        return _UNARY, ["!", (f.operand, _UNARY)]
     raise TypeError(f"not a temporal formula: {f!r}")

@@ -495,19 +495,64 @@ def test_mppe_external_scorer_timeout_is_a_usage_error(ts_file, capsys, monkeypa
     assert err == "error: external scorer did not reply within 0.2 s\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "--formula", "!" * 3000 + "v1:Cat"],
-    ["check", "--formula", "X " * 1500 + "v1:Cat"],
-    ["classify", "--mode", "verified", "--group", "both", "--atoms", "v1:Cat",
-     "--template", "!" * 3000 + "?1"],
+_VERIFIED = ["classify", "--mode", "verified", "--group", "both", "--atoms", "v1:Cat"]
+
+
+# Deep formula text and a shallow equivalent on the demo system, whose paths
+# have four positions: X past the last one is false, and G G f, K{a} K{a} f
+# and [p] [p] f say what G f, K{a} f and [p] f say.
+@pytest.mark.parametrize("argv, shallow", [
+    (["check", "--formula", "!" * 3000 + "v1:Cat"], ["check", "--formula", "v1:Cat"]),
+    (["check", "--formula", "X " * 1500 + "v1:Cat"], ["check", "--formula", "X X X X v1:Cat"]),
+    ([*_VERIFIED, "--template", "!" * 3000 + "?1"], [*_VERIFIED, "--template", "?1"]),
 ], ids=["check-not", "check-next", "classify-not"])
-def test_deep_formulas_are_usage_errors(ts_file, capsys, argv):
-    # Exit 1 would read as "false"; an input too deep to evaluate is an error.
+def test_deep_formulas_get_the_shallow_verdict(ts_file, capsys, argv, shallow):
+    _assert_same_verdict(ts_file, capsys, argv, shallow)
+
+
+_N = 50_000
+
+
+# Too long for one argv string on Linux (128 KiB), so only in process.
+@pytest.mark.parametrize("argv, shallow", [
+    (["check", "--formula", "X " * _N + "v1:Cat"], ["check", "--formula", "X X X X v1:Cat"]),
+    (["check", "--formula", "!" * _N + "v1:Cat"], ["check", "--formula", "v1:Cat"]),
+    (["check", "--formula", "G (" * _N + "v1:Cat" + ")" * _N], ["check", "--formula", "G v1:Cat"]),
+    (["check", "--formula", "(" * _N + "v1:Cat" + ")" * _N], ["check", "--formula", "v1:Cat"]),
+    (["check", "--formula", "[v1:Cat] " * _N + "v1:Cat"], ["check", "--formula", "[v1:Cat] v1:Cat"]),
+    (["check", "--formula", "K{a} " * _N + "v1:Cat"], ["check", "--formula", "K{a} v1:Cat"]),
+    ([*_VERIFIED, "--template", "X " * _N + "?1"], [*_VERIFIED, "--template", "X X X X ?1"]),
+    ([*_VERIFIED, "--template", "!" * _N + "?1"], [*_VERIFIED, "--template", "?1"]),
+], ids=["check-next", "check-not", "check-globally", "check-parentheses",
+        "check-announce", "check-knows", "classify-next", "classify-not"])
+def test_formulas_50000_deep_get_the_shallow_verdict(ts_file, capsys, argv, shallow):
+    _assert_same_verdict(ts_file, capsys, argv, shallow)
+
+
+def _assert_same_verdict(ts_file, capsys, argv, shallow):
     code, payload, err = _run(capsys, [argv[0], "--ts", ts_file, *argv[1:]])
+    assert err == ""
+    shallow_code, shallow_payload, _ = _run(capsys, [shallow[0], "--ts", ts_file, *shallow[1:]])
+    assert code == shallow_code
+    assert code in (0, 1)
+    if argv[0] == "check":
+        # The formula is echoed in canonical form: parentheses around
+        # unary operators are dropped.
+        text = argv[-1].replace("(", "").replace(")", "")
+        assert payload.pop("formula") == text
+        shallow_payload.pop("formula")
+    assert payload == shallow_payload
+
+
+def test_input_nested_past_the_recursion_limit_is_a_usage_error(tmp_path, capsys):
+    # A system file of nested JSON arrays is the one input left that the
+    # decoder itself cannot read without recursing.
+    ts = tmp_path / "ts.json"
+    ts.write_text("[" * 100_000 + "]" * 100_000)
+    code, payload, err = _run(capsys, ["check", "--ts", str(ts), "--formula", "p"])
     assert code == 2
     assert payload is None
-    assert err.startswith("error:")
-    assert err.count("\n") == 1
+    assert err == "error: input is nested too deeply to evaluate\n"
 
 
 def _readme_sh_block(marker: str) -> list:
