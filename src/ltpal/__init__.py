@@ -18,6 +18,7 @@ from .classify import (
     quantify_paths,
 )
 from .errors import (
+    ArityError,
     ConfigurationError,
     EpistemicScopeError,
     EvaluationError,
@@ -95,8 +96,8 @@ from .transition import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Announce", "Atom", "ConfigurationError", "DEFAULT_PATH_CAP", "Dist",
-    "EpistemicScopeError", "EvaluationError", "ExecPath", "ExternalScorer",
+    "Announce", "ArityError", "Atom", "ConfigurationError", "DEFAULT_PATH_CAP",
+    "Dist", "EpistemicScopeError", "EvaluationError", "ExecPath", "ExternalScorer",
     "FrameChoice", "FramesDocument", "IngestionError", "Knows", "LtpalError",
     "Next", "PALModel", "PAnd", "PNot", "Pal", "PalFormula", "ParseError",
     "Placeholder", "Prop", "RuleSet", "ScoreTable", "ScoredPath", "TAnd",

@@ -17,7 +17,7 @@ import sys
 from itertools import islice
 
 from .classify import DEFAULT_PATH_CAP, quantify_paths, verdict
-from .errors import ConfigurationError, EvaluationError, IngestionError, ParseError
+from .errors import ConfigurationError, IngestionError, LtpalError
 from .formulas import Template, expand_groups
 from .mppe import ExternalScorer, most_probable_path, project_stream, score_edges
 from .serialize import (
@@ -365,7 +365,7 @@ def _run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IngestionError, EvaluationError, ConfigurationError, ParseError, OSError) as exc:
+    except (LtpalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -17,6 +17,10 @@ class ConfigurationError(LtpalError):
     """A pluggable component (such as an edge scorer) misbehaved."""
 
 
+class ArityError(LtpalError, ValueError):
+    """A template was given a different number of arguments than it has slots."""
+
+
 class ParseError(LtpalError):
     """Formula text could not be parsed.
 

@@ -30,6 +30,7 @@ import threading
 import weakref
 from typing import Iterable, Mapping, Sequence, Union
 
+from .errors import ArityError
 from .model import Atom, Record, bind
 
 # (class, *fields) -> the live node with those fields.  One lock covers each
@@ -331,7 +332,7 @@ def substitute(template: Template, args: Sequence[PalFormula]) -> TemporalFormul
     """Fill every ?k slot of the template with args[k-1]."""
     args = [Prop(a) if isinstance(a, Atom) else a for a in args]
     if len(args) != template.arity:
-        raise ValueError(
+        raise ArityError(
             f"template needs {template.arity} argument(s), got {len(args)}"
         )
     for pos, arg in enumerate(args, 1):

@@ -5,6 +5,12 @@ one world per layer and its probability is the product of its edge scores.
 The extraction runs a max-product dynamic program in log space, one score
 lookup per edge, and breaks ties toward the lexicographically smaller
 predecessor id, which makes the reported path deterministic.
+
+A ScoreTable holds one row per source world, `{u: {v: score}}`.  The scores
+depend only on the endpoints' class-label sets, so `score_edges` builds one
+row per (layer pair, label set of u) and points every world of the lower
+layer with that label set at it; the edges out of the first layer and into
+the last share one row each in the same way.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import json
 import math
 import os
 import time
-from itertools import repeat
 from typing import Callable, Mapping, Tuple
 
 from .errors import ConfigurationError, IngestionError
@@ -51,57 +56,74 @@ def score_range_message(u: str, v: str, value) -> str:
 
 
 class ScoreTable:
-    """Immutable edge-to-score mapping with validated score range."""
+    """Immutable edge-to-score mapping with validated score range.
+
+    Scores are stored as one row per source world, `{u: {v: score}}`, so
+    `table[(u, v)]` is `rows[u][v]`: no tuple is hashed, and a `v` outside
+    `u`'s row is simply absent.  Worlds whose out-edges score alike may share
+    one row object; `score_edges` gives every world of a layer with the same
+    class-label set the same row.  Rows are never changed once the table
+    holds them; `from_checked` takes such rows as they are.
+    """
 
     def __init__(self, scores: Mapping[Tuple[str, str], float]):
-        table = {}
+        rows: dict = {}
         for edge, value in scores.items():
             u, v = edge
             score = float(value)
             if not 0.0 < score <= 1.0:  # also false for NaN
                 raise IngestionError(score_range_message(u, v, value))
-            table[(str(u), str(v))] = score
-        self._scores = table
+            u = str(u)
+            row = rows.get(u)
+            if row is None:
+                row = rows[u] = {}
+            row[str(v)] = score
+        self._rows = rows
 
     @classmethod
-    def from_checked(cls, scores: dict) -> "ScoreTable":
-        """A table that takes over `scores` without checking it again.
+    def from_checked(cls, rows: dict) -> "ScoreTable":
+        """A table that takes over `rows`, `{u: {v: score}}`, without checking it again.
 
-        For callers that have built `scores` themselves: (str, str) keys and
-        float values, each already checked to lie in (0, 1].
+        For callers that have built `rows` themselves: str ids, no empty row,
+        and float scores, each already checked to lie in (0, 1].  Rows may be
+        shared between source worlds.
         """
         table = cls.__new__(cls)
-        table._scores = scores
+        table._rows = rows
         return table
 
     def __getitem__(self, edge: Tuple[str, str]) -> float:
+        u, v = edge
         try:
-            return self._scores[edge]
+            return self._rows[u][v]
         except KeyError:
-            u, v = edge
             raise IngestionError(f"no score for edge {u!r} -> {v!r}") from None
 
     def get(self, u: str, v: str) -> float:
         return self[(u, v)]
 
-    def items(self):
-        return self._scores.items()
+    def items(self) -> list:
+        """((u, v), score) pairs, row by row in the order the rows were made."""
+        return [((u, v), score) for u, row in self._rows.items() for v, score in row.items()]
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return sum(map(len, self._rows.values()))
 
     def __contains__(self, edge) -> bool:
-        return edge in self._scores
+        if not (isinstance(edge, tuple) and len(edge) == 2):
+            return False
+        row = self._rows.get(edge[0])
+        return row is not None and edge[1] in row
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoreTable):
             return NotImplemented
-        return self._scores == other._scores
+        return self._rows == other._rows
 
     def validate_covers(self, ts: TransitionSystem) -> None:
         """Require a score for every edge of the system."""
         for u, v in ts.edges():
-            if (u, v) not in self._scores:
+            if (u, v) not in self:
                 raise IngestionError(f"no score for edge {u!r} -> {v!r}")
 
 
@@ -135,25 +157,24 @@ def score_edges(ts: TransitionSystem, scorer: Scorer = overlap_score) -> ScoreTa
     first edge.
     """
     layers = ts.layers
-    scores = dict.fromkeys(zip(repeat(ts.s0), [v.id for v in layers[1].worlds]), 1.0)
+    rows = {ts.s0: dict.fromkeys([v.id for v in layers[1].worlds], 1.0)}
     classes = {atoms: _class_set(atoms) for atoms in {w.atoms for layer in layers for w in layer.worlds}}
     labelled = [[(w.id, classes[w.atoms]) for w in layer.worlds] for layer in ts.real_layers]
     memo: dict = {}
     for below, above in zip(labelled, labelled[1:]):
-        upper_ids = [v for v, _ in above]
-        rows: dict = {}  # labels(u) -> scores of u's edges, in upper-layer order
+        shared: dict = {}  # labels(u) -> the row of every u with those labels
         for u, a in below:
-            row = rows.get(a)
+            row = shared.get(a)
             if row is None:
-                row = rows[a] = []
+                row = shared[a] = {}
                 for v, b in above:
                     score = memo.get((a, b))
                     if score is None:
                         score = memo[(a, b)] = _checked_score(scorer(a, b), u, v)
-                    row.append(score)
-            scores.update(zip(zip(repeat(u), upper_ids), row))
-    scores.update(dict.fromkeys(zip([u.id for u in layers[-2].worlds], repeat(ts.s_minus1)), 1.0))
-    return ScoreTable.from_checked(scores)
+                    row[v] = score
+            rows[u] = row
+    rows.update(dict.fromkeys([u.id for u in layers[-2].worlds], {ts.s_minus1: 1.0}))
+    return ScoreTable.from_checked(rows)
 
 
 class ScoredPath(Record):
@@ -175,27 +196,26 @@ def most_probable_path(ts: TransitionSystem, table: ScoreTable) -> ScoredPath:
     predecessors go to the lexicographically smaller world id, so over an
     all-ties table the result is the lexicographically least total path.
     """
-    layers = ts.layers
-    best = {ts.s0: 0.0}
+    log = math.log
     parent: dict = {}
-    for lower, upper in zip(layers, layers[1:]):
-        following = {}
-        for v in upper.worlds:
+    lower = [(ts.s0, 0.0)]  # (world id, best log score of a path to it)
+    for layer in ts.layers[1:]:
+        best = {}
+        for v in [w.id for w in layer.worlds]:
             best_log = None
             best_pred = None
-            for u in lower.worlds:
-                weight = table[(u.id, v.id)]
-                candidate = best[u.id] + math.log(weight)
+            for u, base in lower:
+                candidate = base + log(table[(u, v)])
                 if (
                     best_pred is None
                     or candidate > best_log
-                    or (candidate == best_log and u.id < best_pred)
+                    or (candidate == best_log and u < best_pred)
                 ):
                     best_log = candidate
-                    best_pred = u.id
-            following[v.id] = best_log
-            parent[v.id] = best_pred
-        best = following
+                    best_pred = u
+            best[v] = best_log
+            parent[v] = best_pred
+        lower = list(best.items())
     ids = [ts.s_minus1]
     while ids[-1] != ts.s0:
         ids.append(parent[ids[-1]])

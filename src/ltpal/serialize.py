@@ -392,42 +392,47 @@ def load_ts(source):
     if "edges" not in doc:
         return ts, None
     edges_value = _as_list(doc["edges"], "edges")
-    seen = {}
+    layer_of = ts.layer_of
+    rows: dict = {}  # u -> {v: score, or None when unscored}
     scored = 0
+    extra = None  # the first entry that is no edge, reported after any missing edge
     out_of_range = None  # the first, reported once the entries' shape is known good
     for i, entry in enumerate(edges_value):
-        edge = _edge(entry, i)
-        if edge in seen:
-            raise IngestionError(f"edges[{i}] duplicates edge {edge[0]!r} -> {edge[1]!r}")
+        u, v = _edge(entry, i)
+        row = rows.get(u)
+        if row is None:
+            row = rows[u] = {}
+        elif v in row:
+            raise IngestionError(f"edges[{i}] duplicates edge {u!r} -> {v!r}")
+        # An edge joins adjacent layers; the defaults never match for unknown ids.
+        if extra is None and layer_of.get(v, -1) != layer_of.get(u, -3) + 1:
+            extra = u, v
         if "score" in entry:
-            score = seen[edge] = _score(entry["score"], i)
+            score = row[v] = _score(entry["score"], i)
             if not 0.0 < score <= 1.0 and out_of_range is None:
-                out_of_range = score_range_message(*edge, score)
+                out_of_range = score_range_message(u, v, score)
             scored += 1
         else:
-            seen[edge] = None
-    expected = list(ts.edges())
-    if list(seen) != expected:
-        missing = [e for e in expected if e not in seen]
-        if missing:
-            u, v = missing[0]
-            raise IngestionError(f"edges is missing {u!r} -> {v!r}")
-        expected_set = set(expected)
-        extra = [e for e in seen if e not in expected_set]
-        if extra:
-            u, v = extra[0]
-            raise IngestionError(
-                f"edges contains {u!r} -> {v!r}, which does not connect adjacent layers"
-            )
+            row[v] = None
+    # With no duplicates and no extra entry, every edge is listed exactly
+    # when the counts agree.
+    if extra is not None or len(edges_value) != ts.edge_count:
+        for u, v in ts.edges():
+            if v not in rows.get(u, ()):
+                raise IngestionError(f"edges is missing {u!r} -> {v!r}")
+        u, v = extra
+        raise IngestionError(
+            f"edges contains {u!r} -> {v!r}, which does not connect adjacent layers"
+        )
     if scored == 0:
         return ts, None
-    if scored != len(seen):
+    if scored != len(edges_value):
         raise IngestionError(
             "either every edge must carry a score or none may"
         )
     if out_of_range is not None:
         raise IngestionError(f"edges: {out_of_range}")
-    return ts, ScoreTable.from_checked(seen)
+    return ts, ScoreTable.from_checked(rows)
 
 
 def load_scores(source, ts: TransitionSystem) -> ScoreTable:
@@ -439,24 +444,40 @@ def load_scores(source, ts: TransitionSystem) -> ScoreTable:
     doc = _as_dict(_load_json(source), "scores document")
     entries = _as_list(_get(doc, "edges", "scores document"), "edges")
     layer_of = ts.layer_of
-    table: dict = {}
+    rows: dict = {}
     out_of_range = None  # the first, reported once the entries' shape is known good
     for i, entry in enumerate(entries):
-        u, v = edge = _edge(entry, i)
+        # A well-formed entry as JSON decodes it skips `_edge` and `_score`,
+        # which make the same checks and name what is wrong with any other.
+        if not (
+            entry.__class__ is dict
+            and (u := entry.get("from")).__class__ is str
+            and (v := entry.get("to")).__class__ is str
+            and (score := entry.get("score")).__class__ is float
+        ):
+            u, v = _edge(entry, i)
+            score = None
         # An edge joins adjacent layers; the defaults never match for unknown ids.
         if layer_of.get(v, -1) != layer_of.get(u, -3) + 1:
             raise IngestionError(f"edges[{i}]: {u!r} -> {v!r} is not an edge of the system")
-        if edge in table:
+        row = rows.get(u)
+        if row is None:
+            row = rows[u] = {}
+        elif v in row:
             raise IngestionError(f"edges[{i}] duplicates edge {u!r} -> {v!r}")
-        if "score" not in entry:
-            raise IngestionError(f"edges[{i}] is missing the 'score' field")
-        score = table[edge] = _score(entry["score"], i)
+        if score is None:
+            if "score" not in entry:
+                raise IngestionError(f"edges[{i}] is missing the 'score' field")
+            score = _score(entry["score"], i)
+        row[v] = score
         if not 0.0 < score <= 1.0 and out_of_range is None:
             out_of_range = score_range_message(u, v, score)
     if out_of_range is not None:
         raise IngestionError(f"scores document: {out_of_range}")
-    scores = ScoreTable.from_checked(table)
-    if len(scores) != ts.edge_count:
+    scores = ScoreTable.from_checked(rows)
+    # Every entry is a distinct edge, so the entries cover the system when
+    # there are as many as it has edges.
+    if len(entries) != ts.edge_count:
         scores.validate_covers(ts)
     return scores
 

@@ -442,6 +442,18 @@ def test_classify_usage_errors(ts_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("template, atoms, message", [
+    ("F ?1", "v1:Cat,v2:Dog", "error: template needs 1 argument(s), got 2\n"),
+    ("F (?1 & ?2)", "v1:Cat", "error: template needs 2 argument(s), got 1\n"),
+])
+def test_classify_argument_count_mismatch_is_a_usage_error(ts_file, capsys, template, atoms, message):
+    code, payload, err = _run(capsys, [
+        "classify", "--ts", ts_file, "--mode", "verified",
+        "--template", template, "--atoms", atoms, "--group", "both",
+    ])
+    assert (code, payload, err) == (2, None, message)
+
+
 def test_mppe_with_scores_file(ts_file, tmp_path, capsys):
     corrected_file = tmp_path / "corrected.json"
     code, payload, _ = _run(capsys, [

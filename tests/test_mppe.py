@@ -156,8 +156,24 @@ def test_score_edges_matches_a_per_edge_reference():
             calls = []
             table = score_edges(ts, lambda a, b: calls.append((a, b)) or scorer(a, b))
             assert list(table.items()) == list(expected.items())
+            assert [edge for edge, _ in table.items()] == list(ts.edges())
             assert calls == expected_calls
-            assert table == ScoreTable(expected)
+            flat = ScoreTable(expected)
+            assert table == flat and flat == table
+            assert len(table) == len(flat) == ts.edge_count
+            assert table.items() == flat.items()
+
+
+def test_score_edges_shares_one_row_per_label_set():
+    ts = _repeated_labels_ts()
+    rows = score_edges(ts)._rows
+    # a1 and a3 are both {Cat}; b1 and b2 are {Cat} with different data ids.
+    assert rows["a1"] is rows["a3"]
+    assert rows["a1"] is not rows["a2"]
+    assert rows["b1"] is rows["b2"]
+    assert rows["c1"] is rows["c2"]  # every edge into the last layer scores 1.0
+    assert rows["a1"] is not rows["b1"]  # rows are never shared across layers
+    assert rows["w00"] == {"a1": 1.0, "a2": 1.0, "a3": 1.0}
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -183,6 +199,17 @@ def test_score_table_validates_range():
     assert table[("u", "v")] == 1.0
     assert ("u", "v") in table
     assert ("v", "u") not in table
+
+
+def test_score_table_rejects_what_is_not_an_edge():
+    for table in (ScoreTable({("a", "b"): 0.5, ("x", "y"): 0.5}), score_edges(_demo_ts())):
+        assert "x" not in table
+        assert ("a", "b", "c") not in table
+        assert ("w00", "w10", "w20") not in table
+        with pytest.raises(ValueError):
+            table["abc"]
+        with pytest.raises(ValueError):
+            table[("w00", "w10", "w20")]
 
 
 def test_score_table_missing_edge_lookup():

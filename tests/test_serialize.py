@@ -270,9 +270,33 @@ def _mutated(doc, mutate):
          "either every edge must carry a score or none may"),
         (True, lambda d: d["edges"][4].__setitem__("score", 0),
          "edges: score for edge 'w20' -> 'w30' must be in (0, 1], got 0.0"),
+        # Two faults: the message the checks' order gives.
+        (True, lambda d: (d["edges"][0].__setitem__("score", 0.0),
+                          d["edges"].append(dict(d["edges"][1]))),
+         "edges[5] duplicates edge 'w00' -> 'w11'"),
+        (True, lambda d: (d["edges"][1].__setitem__("score", 1.5),
+                          d["edges"][2].__setitem__("score", False)),
+         "edges[2].score must be a number"),
+        (True, lambda d: (d["edges"][1].__setitem__("score", 1),
+                          d["edges"][3].__setitem__("score", 0)),
+         "edges: score for edge 'w11' -> 'w20' must be in (0, 1], got 0.0"),
+        (True, lambda d: (d["edges"][0].__setitem__("from", 3),
+                          d["edges"].append({"from": "w10", "to": "w30", "score": 0.5})),
+         "edges[0].from must be a string, got int"),
+        (True, lambda d: (d["edges"][0].__setitem__("score", 2.0),
+                          d["edges"].append({"from": "w10", "to": "w30", "score": 0.5})),
+         "edges contains 'w10' -> 'w30', which does not connect adjacent layers"),
+        (True, lambda d: (d["edges"][0].pop("score"),
+                          d["edges"].append({"from": "w10", "to": "w30", "score": 0.5})),
+         "edges contains 'w10' -> 'w30', which does not connect adjacent layers"),
+        (True, lambda d: (d["edges"].pop(3),
+                          d["edges"].append({"from": "w10", "to": "w30", "score": 0.5})),
+         "edges is missing 'w11' -> 'w20'"),
     ],
     ids=["non-object", "missing-from", "non-string-to", "bool-score", "string-score",
-         "duplicate", "missing", "extra", "partial-scores", "zero-score"],
+         "duplicate", "missing", "extra", "partial-scores", "zero-score",
+         "range-then-duplicate", "range-then-bool", "int-then-zero", "entries-0-and-5",
+         "range-0-and-extra-5", "unscored-0-and-extra-5", "missing-and-extra"],
 )
 def test_load_ts_names_each_malformed_edge_entry(scored, mutate, message):
     ts = build_ts(ingest(FRAMES_DOC).frames)
@@ -305,10 +329,28 @@ def test_load_ts_names_each_malformed_edge_entry(scored, mutate, message):
         (lambda e: e[1].__setitem__("score", float("nan")),
          "scores document: score for edge 'w00' -> 'w11' must be in (0, 1], got nan"),
         (lambda e: e.pop(3), "no score for edge 'w11' -> 'w20'"),
+        # Two faults: the message the checks' order gives.
+        (lambda e: (e[0].__setitem__("score", 0.0), e.append(dict(e[1]))),
+         "edges[5] duplicates edge 'w00' -> 'w11'"),
+        (lambda e: (e[1].__setitem__("score", 1.5), e[2].__setitem__("score", True)),
+         "edges[2].score must be a number"),
+        (lambda e: (e[1].__setitem__("score", 1), e[3].__setitem__("score", 0)),
+         "scores document: score for edge 'w11' -> 'w20' must be in (0, 1], got 0.0"),
+        (lambda e: (e[1].__setitem__("score", 1), e.pop(3)),
+         "no score for edge 'w11' -> 'w20'"),
+        (lambda e: (e[0].__setitem__("to", None), e.append({"from": "w10", "to": "w30"})),
+         "edges[0].to must be a string, got NoneType"),
+        (lambda e: (e[0].__setitem__("score", -1.0),
+                    e.append({"from": "w10", "to": "w30", "score": 0.5})),
+         "edges[5]: 'w10' -> 'w30' is not an edge of the system"),
+        (lambda e: (e[0].__setitem__("score", 2), e.append(dict(e[2], score="x"))),
+         "edges[5] duplicates edge 'w10' -> 'w20'"),
     ],
     ids=["non-object", "missing-to", "non-string-from", "not-an-edge", "backwards",
          "unknown-from", "unknown-to", "duplicate",
-         "missing-score", "string-score", "nan", "uncovered"],
+         "missing-score", "string-score", "nan", "uncovered",
+         "range-then-duplicate", "range-then-bool", "int-then-zero", "int-then-uncovered",
+         "entries-0-and-5", "range-0-and-extra-5", "range-0-and-duplicate-5"],
 )
 def test_load_scores_names_each_malformed_entry(mutate, message):
     ts = build_ts(ingest(FRAMES_DOC).frames)
