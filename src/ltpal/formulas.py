@@ -63,8 +63,42 @@ class _Node:
     def __new__(cls, *args, **kwargs):
         return _intern(cls, bind(cls, args, kwargs))
 
-    __repr__ = Record.__repr__
-    __reduce__ = Record.__reduce__
+    def __repr__(self):
+        """Dataclass-style text, like `Record`'s, written from an explicit
+        stack so that nesting depth costs no Python frames."""
+        parts = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                parts.append(item)
+                continue
+            pieces = [f"{type(item).__qualname__}("]
+            for k, name in enumerate(item._fields):
+                value = getattr(item, name)
+                pieces.append(f"{', ' if k else ''}{name}=")
+                pieces.append(value if isinstance(value, _Node) else repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(parts)
+
+    def __reduce__(self):
+        """Pickle as one flat post-order list, rebuilt by `_unflatten`."""
+        flat = []
+        index = {}  # node -> its position in `flat`
+
+        def visit(node):
+            values = [getattr(node, name) for name in node._fields]
+            links = tuple(k for k, v in enumerate(values) if isinstance(v, _Node))
+            for k in links:
+                values[k] = index[values[k]]
+            index[node] = len(flat)
+            flat.append((type(node), tuple(values), links))
+            return node
+
+        _rebuild(self, visit)
+        return _unflatten, (flat,)
+
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
 
@@ -263,6 +297,23 @@ def _rebuild(f: Formula, visit) -> Formula:
         # Nodes compare by identity, so this asks whether any operand changed.
         done[node] = visit(type(node)(*rebuilt) if rebuilt != values else node)
     return done[f]
+
+
+def _unflatten(flat: list) -> Formula:
+    """The last node of a list that `_Node.__reduce__` made.
+
+    Each entry is (class, field values, links): the fields at the positions
+    in `links` hold the index of an earlier entry, whose node goes there.
+    Nodes are rebuilt through their constructors, so they are interned.
+    """
+    nodes: list = []
+    for cls, values, links in flat:
+        if links:
+            values = list(values)
+            for k in links:
+                values[k] = nodes[values[k]]
+        nodes.append(cls(*values))
+    return nodes[-1]
 
 
 def placeholder_indices(f: Formula) -> frozenset:

@@ -4,8 +4,8 @@ One frame of multi-classifier output becomes a small Kripke model: a set of
 possible worlds (candidate readings of the frame), a valuation assigning the
 detected (datum, class) atoms to each world, and one equivalence relation per
 classifier grouping the worlds that classifier cannot tell apart.  Relations
-are stored as partitions of the world set rather than pair lists, so
-indistinguishability lookups are a single dict access.
+are stored as partitions of the world set rather than pair lists, and the
+block of one world is found by a scan of its agent's partition.
 """
 
 from __future__ import annotations
@@ -136,26 +136,6 @@ class World(Record):
                 raise ValueError(f"world {id!r} holds a non-atom value {atom!r}")
         _set(self, "id", id)
         _set(self, "atoms", atoms)
-
-    @classmethod
-    def from_checked(cls, id: str, atoms: frozenset) -> "World":
-        """A world that takes `id` and `atoms` without checking them again.
-
-        For callers that have checked them: a non-empty string id and a
-        frozenset of Atoms.
-        """
-        world = object.__new__(cls)
-        _set(world, "id", id)
-        _set(world, "atoms", atoms)
-        return world
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.id == other.id and self.atoms == other.atoms
-
-    def __hash__(self):
-        return hash((self.id, self.atoms))
 
 
 class RuleSet:
@@ -331,10 +311,6 @@ class PALModel:
         self._by_id = by_id
         self._agents = agents
         self._partitions = partitions
-        self._block_of = {
-            agent: {wid: block for block in part for wid in block}
-            for agent, part in partitions.items()
-        }
 
     @classmethod
     def from_pairs(cls, worlds, agents, pairs_by_agent=None):
@@ -380,14 +356,10 @@ class PALModel:
 
     def block(self, agent: str, world_id: str) -> frozenset:
         """Worlds `agent` cannot distinguish from `world_id` (incl. itself)."""
-        try:
-            by_world = self._block_of[agent]
-        except KeyError:
-            raise EvaluationError(f"unknown agent {agent!r}") from None
-        try:
-            return by_world[world_id]
-        except KeyError:
-            raise EvaluationError(f"unknown world id {world_id!r}") from None
+        for block in self.partition(agent):
+            if world_id in block:
+                return block
+        raise EvaluationError(f"unknown world id {world_id!r}")
 
     def restricted(self, keep) -> "PALModel":
         """Submodel over `keep`: worlds filtered, partitions intersected."""

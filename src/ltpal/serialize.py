@@ -137,10 +137,11 @@ def load_rules(source) -> RuleSet:
 def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=None) -> PALModel:
     """The model of a frame or layer entry at `where`.
 
-    Every check of `World(...)` and `PALModel(...)` that the entry could
-    fail is made here, in the order those constructors make it, so the
-    model is built through their `from_checked` constructors.  Locations
-    are formatted only for the message of a failing check.
+    Every check of `PALModel(...)` that the entry could fail is made here,
+    in the order that constructor makes it, so the model is built through
+    `PALModel.from_checked`.  `World(...)` keeps the frozenset it is given,
+    so worlds with equal atom lists share one atom set.  Locations are
+    formatted only for the message of a failing check.
     """
     worlds_value = _as_list(_get(entry, "worlds", where), f"{where}.worlds")
     if not worlds_value:
@@ -157,7 +158,7 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
         if not wid:
             raise IngestionError(f"{where}.worlds[{j}].id must not be empty")
         atoms = _atom_set(value.get("atoms", []), atom_sets, where, j, close)
-        worlds.append(World.from_checked(wid, atoms))
+        worlds.append(World(wid, atoms))
     ids = [w.id for w in worlds]
     relations_value = _as_dict(entry.get("relations", {}), f"{where}.relations")
     partitions = {}
@@ -326,23 +327,11 @@ def save_ts(ts: TransitionSystem, path, scores: ScoreTable | None = None) -> Non
 
 
 def _edge(entry, i: int) -> tuple:
-    """The (from, to) ids of edges[i].
-
-    The checks of `_as_dict`, `_get` and `_as_str`, written out so that the
-    location is formatted only in the message of a failing check.
-    """
-    if not isinstance(entry, dict):
-        raise _wrong_type(entry, "an object", f"edges[{i}]")
-    if "from" not in entry:
-        raise _missing("from", f"edges[{i}]")
-    u = entry["from"]
-    if not isinstance(u, str):
-        raise _wrong_type(u, "a string", f"edges[{i}].from")
-    if "to" not in entry:
-        raise _missing("to", f"edges[{i}]")
-    v = entry["to"]
-    if not isinstance(v, str):
-        raise _wrong_type(v, "a string", f"edges[{i}].to")
+    """The (from, to) ids of edges[i]."""
+    where = f"edges[{i}]"
+    entry = _as_dict(entry, where)
+    u = _as_str(_get(entry, "from", where), f"{where}.from")
+    v = _as_str(_get(entry, "to", where), f"{where}.to")
     return u, v
 
 

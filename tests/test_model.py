@@ -151,6 +151,8 @@ def test_model_unknown_lookups_raise():
         model.partition("zz")
     with pytest.raises(EvaluationError, match="unknown agent"):
         model.block("zz", "w0")
+    with pytest.raises(EvaluationError, match="unknown agent"):
+        model.block("zz", "zz")
     with pytest.raises(EvaluationError, match="unknown world id"):
         model.block("a", "zz")
 
@@ -217,6 +219,19 @@ def test_random_models_expose_consistent_blocks():
             assert set(model.partition(agent)) == expected
             for wid in ids:
                 assert wid in model.block(agent, wid)
+
+
+def test_block_is_the_block_of_the_partition_that_holds_the_world():
+    rng = random.Random(11)
+    for _ in range(100):
+        model = random_model_with_pairs(rng)[0]
+        keep = rng.sample([w.id for w in model.worlds], rng.randint(0, len(model.worlds)))
+        for variant in (model, model.restricted(keep), model.renamed(lambda wid: f"r_{wid}")):
+            for agent in variant.agents:
+                part = variant.partition(agent)
+                for world in variant.worlds:
+                    [expected] = [block for block in part if world.id in block]
+                    assert variant.block(agent, world.id) is expected
 
 
 # The value records: field-wise equality, frozen fields, dataclass reprs.

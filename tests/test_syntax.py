@@ -510,6 +510,11 @@ def test_front_end_does_not_recurse():
             assert pretty(expand_groups(filled, groups)) == expected, name
             assert copy.copy(formula) is copy.deepcopy(formula) is formula, name
             assert copy.deepcopy(template) == template, name
+            assert pickle.loads(pickle.dumps(formula)) is formula, name
+            assert pickle.loads(pickle.dumps(template)) == template, name
+            assert repr(template) == f"Template(skeleton={repr(lift(formula))}, arity=1)", name
+        leaf = "Pal(formula=Placeholder(index=1))"
+        assert repr(dict(chains)["Next"]) == "Next(operand=" * (_DEEP + 1) + leaf + ")" * (_DEEP + 1)
     finally:
         sys.setrecursionlimit(limit)
 
