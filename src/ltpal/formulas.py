@@ -63,24 +63,7 @@ class _Node:
     def __new__(cls, *args, **kwargs):
         return _intern(cls, bind(cls, args, kwargs))
 
-    def __repr__(self):
-        """Dataclass-style text, like `Record`'s, written from an explicit
-        stack so that nesting depth costs no Python frames."""
-        parts = []
-        stack = [self]
-        while stack:
-            item = stack.pop()
-            if not isinstance(item, _Node):
-                parts.append(item)
-                continue
-            pieces = [f"{type(item).__qualname__}("]
-            for k, name in enumerate(item._fields):
-                value = getattr(item, name)
-                pieces.append(f"{', ' if k else ''}{name}=")
-                pieces.append(value if isinstance(value, _Node) else repr(value))
-            pieces.append(")")
-            stack.extend(reversed(pieces))
-        return "".join(parts)
+    __repr__ = Record.__repr__
 
     def __reduce__(self):
         """Pickle as one flat post-order list, rebuilt by `_unflatten`."""

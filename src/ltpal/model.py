@@ -80,8 +80,24 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({shown})"
+        """Dataclass-style text, written from an explicit stack so that
+        nesting depth costs no Python frames: a field whose value prints
+        through this method is expanded in place, any other is `repr`'d."""
+        parts = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if type(item).__repr__ is not Record.__repr__:
+                parts.append(item)
+                continue
+            pieces = [f"{type(item).__qualname__}("]
+            for k, name in enumerate(item._fields):
+                value = getattr(item, name)
+                pieces.append(f"{', ' if k else ''}{name}=")
+                pieces.append(value if type(value).__repr__ is Record.__repr__ else repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(parts)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)

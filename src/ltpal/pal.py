@@ -142,7 +142,11 @@ def _run(code: list, contexts: int, model: PALModel) -> frozenset:
             value = empty.union(*(block for block in m.partition(b) if block <= inner))
         elif op == _DIST:
             inner = slots[a]
-            value = frozenset(w.id for w in m.worlds if group_block(m, b, w.id) <= inner)
+            of = [_block_of(m, agent) for agent in b] if m.worlds else ()
+            value = frozenset(
+                w.id for w in m.worlds
+                if frozenset.intersection(*(blocks[w.id] for blocks in of)) <= inner
+            )
         elif op == _ENTER:
             value = None
             if slots[a]:
@@ -161,6 +165,11 @@ def announce_update(model: PALModel, announced: PalFormula) -> PALModel:
     set.  The result may have no worlds at all.
     """
     return model.restricted(extension(model, announced))
+
+
+def _block_of(model: PALModel, agent: str) -> dict:
+    """World id -> the block of `agent`'s partition that holds it."""
+    return {wid: block for block in model.partition(agent) for wid in block}
 
 
 def group_block(model: PALModel, group, world_id: str) -> frozenset:

@@ -211,27 +211,29 @@ def test_enrich_model_closes_every_world():
 
 def test_random_models_expose_consistent_blocks():
     rng = random.Random(7)
+    pick = random.Random(11)
+
+    def rename(wid):
+        return f"r_{wid}"
+
     for _ in range(100):
         model, pairs = random_model_with_pairs(rng)
         ids = [w.id for w in model.worlds]
+        keep = frozenset(pick.sample(ids, pick.randint(0, len(ids))))
+        variants = [
+            (model, lambda block: block),
+            (model.restricted(keep), lambda block: block & keep),
+            (model.renamed(rename), lambda block: frozenset(map(rename, block))),
+        ]
         for agent, raw_pairs in pairs.items():
-            expected = {fs for fs in bfs_partition(raw_pairs, ids)}
-            assert set(model.partition(agent)) == expected
-            for wid in ids:
-                assert wid in model.block(agent, wid)
-
-
-def test_block_is_the_block_of_the_partition_that_holds_the_world():
-    rng = random.Random(11)
-    for _ in range(100):
-        model = random_model_with_pairs(rng)[0]
-        keep = rng.sample([w.id for w in model.worlds], rng.randint(0, len(model.worlds)))
-        for variant in (model, model.restricted(keep), model.renamed(lambda wid: f"r_{wid}")):
-            for agent in variant.agents:
+            blocks = bfs_partition(raw_pairs, ids)
+            for variant, image in variants:
                 part = variant.partition(agent)
-                for world in variant.worlds:
-                    [expected] = [block for block in part if world.id in block]
-                    assert variant.block(agent, world.id) is expected
+                assert set(part) == {image(b) for b in blocks} - {frozenset()}
+                for wid in variant.world_ids:
+                    block = variant.block(agent, wid)
+                    assert wid in block
+                    assert any(block is b for b in part)
 
 
 # The value records: field-wise equality, frozen fields, dataclass reprs.
