@@ -16,21 +16,43 @@ import os
 import sys
 from itertools import islice
 
-from .classify import DEFAULT_PATH_CAP, quantify_paths, verdict
 from .errors import ConfigurationError, IngestionError, LtpalError
-from .formulas import Template, expand_groups
-from .mppe import ExternalScorer, most_probable_path, project_stream, score_edges
-from .serialize import (
-    build_from_files,
-    ingest,
-    load_candidates,
-    load_scores,
-    load_ts,
-    save_ts,
-)
-from .syntax import parse_formula, parse_pal_formula, parse_template, pretty
-from .temporal import tems
+from .serialize import ingest, load_candidates, load_scores, load_ts, save_ts
 from .transition import build_ts, enumerate_total_paths, path_at, total_path_count
+
+# Names each command binds here on first use (`_bind`), so that a command
+# compiles only the modules it runs: `build`, `paths` and `mppe` never
+# parse a formula, and only `mppe` and `--mppe-only` extract a path.
+_LAZY = {
+    "classify": ("DEFAULT_PATH_CAP", "quantify_paths", "verdict"),
+    "formulas": ("Template", "expand_groups"),
+    "syntax": ("parse_formula", "parse_pal_formula", "parse_template", "pretty"),
+    "temporal": ("tems",),
+    "mppe": ("ExternalScorer", "most_probable_path", "project_stream", "score_edges"),
+}
+_FORMULAS = ("classify", "formulas", "syntax", "temporal")
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Bind the names of `modules` here, keeping any name already bound,
+    such as one a tool has wrapped."""
+    bound = globals()
+    for module in modules:
+        names = _LAZY[module]
+        source = __import__(f"{__package__}.{module}", fromlist=names)
+        for name in names:
+            bound.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    """A name of `_LAZY`, bound on first read, such as by a tool that wraps it."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -136,6 +158,7 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _bind(*_FORMULAS)
     ts, embedded = load_ts(args.ts)
     formula = expand_groups(parse_formula(args.formula), ts.groups)
     if args.scores is not None and not args.mppe_only:
@@ -159,6 +182,7 @@ def _cmd_check(args) -> int:
         return EXIT_TRUE if value else EXIT_FALSE
 
     if args.mppe_only:
+        _bind("mppe")
         table = _mppe_table(ts, embedded, args.scores)
         scored = most_probable_path(ts, table)
         path = scored.path
@@ -201,6 +225,7 @@ _CLASSIFY_MODES = {
 
 
 def _cmd_classify(args) -> int:
+    _bind(*_FORMULAS)
     ts, embedded = load_ts(args.ts)
     groups = ts.groups
     template = parse_template(args.template)
@@ -223,6 +248,7 @@ def _cmd_classify(args) -> int:
     path_cap = _resolve_cap(args.cap)
     paths = None
     if args.mppe_only:
+        _bind("mppe")
         paths = [most_probable_path(ts, _mppe_table(ts, embedded, args.scores)).path]
     candidates = None
     if missing:
@@ -240,6 +266,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_mppe(args) -> int:
+    _bind("mppe")
     ts, embedded = load_ts(args.ts)
     if args.scorer_cmd is not None:
         import shlex  # only --scorer-cmd needs it

@@ -320,7 +320,10 @@ class ExternalScorer:
             raise ConfigurationError(
                 f"external scorer score is not a number: {value!r}"
             )
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range: infinite, like 1e400
+            return math.inf if value > 0 else -math.inf
 
     def close(self) -> None:
         if self._proc.stdin:

@@ -8,14 +8,16 @@ document node (for example "frames[0].worlds[1].atoms[2]").
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .errors import IngestionError, ParseError
 from .model import Atom, PALModel, Record, RuleSet, World, check_roster, equivalence_closure, rule_closure
 from .model import enrich_model  # noqa: F401  (kept importable for tools that wrap it)
-from .mppe import ScoreTable, score_range_message
-from .syntax import parse_pal_formula
 from .transition import TransitionSystem, build_ts
+
+# `mppe` and `syntax` are imported where scores and candidates are read, so
+# that loading frames or an unscored system compiles neither.
 
 
 def _load_json(source):
@@ -28,7 +30,7 @@ def _load_json(source):
         raise IngestionError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise IngestionError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -336,10 +338,14 @@ def _edge(entry, i: int) -> tuple:
 
 
 def _score(value, i: int) -> float:
-    """The score of edges[i] as a float."""
+    """The score of edges[i] as a float; an integer beyond the float range
+    is an infinity of its sign, and so out of range like one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise IngestionError(f"edges[{i}].score must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def load_ts(source):
@@ -399,7 +405,7 @@ def load_ts(source):
         if "score" in entry:
             score = row[v] = _score(entry["score"], i)
             if not 0.0 < score <= 1.0 and out_of_range is None:
-                out_of_range = score_range_message(u, v, score)
+                out_of_range = u, v, score
             scored += 1
         else:
             row[v] = None
@@ -419,8 +425,10 @@ def load_ts(source):
         raise IngestionError(
             "either every edge must carry a score or none may"
         )
+    from .mppe import ScoreTable, score_range_message
+
     if out_of_range is not None:
-        raise IngestionError(f"edges: {out_of_range}")
+        raise IngestionError(f"edges: {score_range_message(*out_of_range)}")
     return ts, ScoreTable.from_checked(rows)
 
 
@@ -430,6 +438,8 @@ def load_scores(source, ts: TransitionSystem) -> ScoreTable:
     Every edge of the system must be covered exactly once, and every score
     must lie in (0, 1].
     """
+    from .mppe import ScoreTable, score_range_message
+
     doc = _as_dict(_load_json(source), "scores document")
     entries = _as_list(_get(doc, "edges", "scores document"), "edges")
     layer_of = ts.layer_of
@@ -477,14 +487,26 @@ def load_candidates(source) -> list:
     entries = _as_list(_get(doc, "candidates", "candidates document"), "candidates")
     if not entries:
         raise IngestionError("candidates must not be empty")
+    parse = __getattr__("parse_pal_formula")
     candidates = []
     for i, text in enumerate(entries):
         text = _as_str(text, f"candidates[{i}]")
         try:
-            candidates.append(parse_pal_formula(text))
+            candidates.append(parse(text))
         except ParseError as exc:
             raise IngestionError(f"candidates[{i}]: {exc}") from None
     return candidates
+
+
+def __getattr__(name: str):
+    """`parse_pal_formula`, bound here on first use: of all documents only
+    candidates need the formula parser.  A binding already made, such as a
+    tool's wrapper, is kept."""
+    if name != "parse_pal_formula":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .syntax import parse_pal_formula
+
+    return globals().setdefault(name, parse_pal_formula)
 
 
 def build_from_files(frames_source, rules_source=None) -> TransitionSystem:

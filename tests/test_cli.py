@@ -15,6 +15,7 @@ import pytest
 
 from ltpal import cli
 from ltpal.cli import _build_parser, main
+from ltpal.serialize import dump_ts, load_scores, load_ts
 
 from generators import ATOM_POOL
 
@@ -496,6 +497,67 @@ def test_mppe_with_external_scorer(ts_file, capsys):
     assert payload["score"] == pytest.approx(0.5, rel=1e-9)
 
 
+@pytest.mark.parametrize("reply", ["1e400", "9" * 400], ids=["inf", "long-int"])
+def test_mppe_clamps_an_external_score_beyond_the_float_range(ts_file, capsys, reply):
+    scorer = f"import sys\nfor line in sys.stdin:\n    print('{{\"score\": {reply}}}', flush=True)\n"
+    code, payload, err = _run(capsys, [
+        "mppe", "--ts", ts_file, "--scorer-cmd", shlex.join([sys.executable, "-c", scorer]),
+    ])
+    assert (code, err) == (0, "")
+    assert payload["path"] == ["w00", "w10", "w20", "w30"]
+    assert payload["score"] == 1.0
+
+
+_HUGE = 10 ** 400  # an integer beyond the float range
+
+
+def test_mppe_reports_a_score_beyond_the_float_range_in_a_scores_file(ts_file, tmp_path, capsys):
+    doc = json.loads((DATA / "demo_scores.json").read_text())
+    doc["edges"][0]["score"] = _HUGE
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps(doc))
+    code, payload, err = _run(capsys, ["mppe", "--ts", ts_file, "--scores", str(scores)])
+    assert (code, payload) == (2, None)
+    assert err == ("error: scores document: score for edge 'w00' -> 'w10' "
+                   "must be in (0, 1], got inf\n")
+
+
+def test_a_score_beyond_the_float_range_in_a_system_file_is_out_of_range(ts_file, tmp_path, capsys):
+    ts, _ = load_ts(ts_file)
+    doc = dump_ts(ts, load_scores(DATA / "demo_scores.json", ts))
+    doc["edges"][0]["score"] = _HUGE
+    system = tmp_path / "scored.json"
+    system.write_text(json.dumps(doc))
+    code, payload, err = _run(capsys, ["check", "--ts", str(system), "--formula", "true"])
+    assert (code, payload) == (2, None)
+    assert err == "error: edges: score for edge 'w00' -> 'w10' must be in (0, 1], got inf\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python reads integers of any length")
+@pytest.mark.parametrize("document", ["frames", "system", "scores", "candidates"])
+def test_an_integer_too_long_to_read_makes_a_document_invalid_json(ts_file, tmp_path, capsys,
+                                                                   document):
+    sources = {"frames": DATA / "demo_frames.json", "system": Path(ts_file),
+               "scores": DATA / "demo_scores.json"}
+    text = (sources[document].read_text() if document in sources
+            else json.dumps({"candidates": ["v1:Cat"]}))
+    bad = tmp_path / f"{document}.json"
+    bad.write_text(text.rstrip()[:-1] + ', "junk": ' + "1" * 5000 + "}")
+    argv = {
+        "frames": ["build", "--frames", str(bad), "--output", str(tmp_path / "out.json")],
+        "system": ["check", "--ts", str(bad), "--formula", "true"],
+        "scores": ["mppe", "--ts", ts_file, "--scores", str(bad)],
+        "candidates": ["classify", "--ts", ts_file, "--mode", "missing-verified",
+                       "--template", "X ?1", "--atoms", "v1:Cat", "--group", "both",
+                       "--candidates", str(bad)],
+    }[document]
+    code, payload, err = _run(capsys, argv)
+    assert (code, payload) == (2, None)
+    assert err.startswith(f"error: {bad} is not valid JSON: ") and err.count("\n") == 1
+    assert "internal error" not in err
+
+
 def test_mppe_external_scorer_timeout_is_a_usage_error(ts_file, capsys, monkeypatch):
     import sys
     from ltpal import mppe
@@ -574,11 +636,15 @@ def _readme_sh_block(marker: str) -> list:
     return after.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
 
 
-def test_readme_describes_the_shipped_cli(tmp_path, capsys, monkeypatch):
-    subparsers = next(
+def _subparsers() -> dict:
+    return next(
         action for action in _build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ).choices
+
+
+def test_readme_describes_the_shipped_cli(tmp_path, capsys, monkeypatch):
+    subparsers = _subparsers()
     command = None
     for line in _readme_sh_block("## Command line"):
         if line.startswith("ltpal "):
@@ -601,6 +667,20 @@ def test_readme_describes_the_shipped_cli(tmp_path, capsys, monkeypatch):
     assert mppe_code == 0
     assert mppe["path"] == ["w00", "w10", "w20", "w30"]
     assert mppe["score"] == pytest.approx(0.032, abs=1e-9)
+
+
+def test_readme_synopsis_lists_every_option():
+    listed: dict = {}
+    command = None
+    for line in _readme_sh_block("## Command line"):
+        if line.startswith("ltpal "):
+            command = line.split()[1]
+        listed.setdefault(command, set()).update(re.findall(r"(?<![\w-])--[a-z][a-z-]*", line))
+    for command, subparser in _subparsers().items():
+        options = {
+            option for action in subparser._actions for option in action.option_strings
+        } - {"-h", "--help"}
+        assert options - listed.get(command, set()) == set(), command
 
 
 def test_readme_python_quick_start_runs(monkeypatch, capsys):
