@@ -212,30 +212,31 @@ def equivalence_closure(pairs, worlds) -> tuple:
     smallest member so the result is deterministic.
     """
     ids = set(worlds)
-    parent = {w: w for w in ids}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
+    block_of: dict = {}  # id -> the set of its block, for ids some pair names
     for a, b in pairs:
         for w in (a, b):
             if w not in ids:
                 raise IngestionError(
                     f"relation pair ({a!r}, {b!r}) references unknown world id {w!r}"
                 )
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    blocks: dict[str, set] = {}
-    for w in ids:
-        blocks.setdefault(find(w), set()).add(w)
-    return tuple(sorted((frozenset(b) for b in blocks.values()), key=min))
+        x = block_of.get(a) or block_of.setdefault(a, {a})
+        y = block_of.get(b) or block_of.setdefault(b, {b})
+        if x is not y:  # merge the smaller block into the larger
+            if len(x) < len(y):
+                x, y = y, x
+            x |= y
+            for w in y:
+                block_of[w] = x
+    # A block is emitted at its smallest member, then emptied as a mark.
+    blocks = []
+    for w in sorted(ids):
+        block = block_of.get(w)
+        if block is None:
+            blocks.append(frozenset((w,)))
+        elif block:
+            blocks.append(frozenset(block))
+            block.clear()
+    return tuple(blocks)
 
 
 def check_roster(agents: tuple) -> None:

@@ -131,6 +131,8 @@ def _checked_score(raw, u: str, v: str) -> float:
     """A scorer result clamped into [SCORE_FLOOR, 1.0]; the error names edge u -> v."""
     try:
         raw = float(raw)
+    except OverflowError:  # an integer beyond the float range: infinite, like 1e400
+        raw = math.inf if raw > 0 else -math.inf
     except (TypeError, ValueError):
         raise ConfigurationError(
             f"scorer returned a non-number for edge {u!r} -> {v!r}: {raw!r}"
@@ -296,7 +298,7 @@ class ExternalScorer:
         line, _, self._pending = self._pending.partition(b"\n")
         return line + b"\n"
 
-    def __call__(self, a: frozenset, b: frozenset) -> float:
+    def __call__(self, a: frozenset, b: frozenset) -> int | float:
         request = json.dumps({"a": sorted(a), "b": sorted(b)})
         try:
             self._send((request + "\n").encode())
@@ -320,10 +322,7 @@ class ExternalScorer:
             raise ConfigurationError(
                 f"external scorer score is not a number: {value!r}"
             )
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range: infinite, like 1e400
-            return math.inf if value > 0 else -math.inf
+        return value
 
     def close(self) -> None:
         if self._proc.stdin:

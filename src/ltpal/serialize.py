@@ -25,12 +25,10 @@ def _load_json(source):
         return source
     path = Path(source)
     try:
-        text = path.read_text()
+        return json.loads(path.read_text())
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from None
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except ValueError as exc:  # not UTF-8, JSONDecodeError, or an integer too long to convert
         raise IngestionError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -101,7 +99,7 @@ def _atom_set(value, atom_sets: dict, where: str, j: int, close) -> frozenset:
 
 
 def _pairs(value, where: str) -> list:
-    pairs = []
+    """`value`, once each entry is checked to be a pair of world-id strings."""
     for k, entry in enumerate(_as_list(value, where)):
         if not isinstance(entry, list):
             raise _wrong_type(entry, "an array", f"{where}[{k}]")
@@ -112,8 +110,7 @@ def _pairs(value, where: str) -> list:
             raise _wrong_type(a, "a string", f"{where}[{k}][0]")
         if not isinstance(b, str):
             raise _wrong_type(b, "a string", f"{where}[{k}][1]")
-        pairs.append((a, b))
-    return pairs
+    return value
 
 
 def load_rules(source) -> RuleSet:
@@ -284,10 +281,12 @@ def ingest(frames_source, rules_source=None) -> FramesDocument:
 
 
 def _relation_pairs(model: PALModel, agent: str) -> list:
+    """Each block of two or more worlds as a chain of its sorted members."""
     pairs = []
     for block in model.partition(agent):
-        members = sorted(block)
-        pairs.extend([a, b] for a, b in zip(members, members[1:]))
+        if len(block) > 1:
+            members = sorted(block)
+            pairs.extend([a, b] for a, b in zip(members, members[1:]))
     return pairs
 
 
@@ -323,9 +322,10 @@ def save_ts(ts: TransitionSystem, path, scores: ScoreTable | None = None) -> Non
 
     An unscored system is written without an edge list.  No indentation,
     because `json.dumps` with `indent` falls back to its pure-Python
-    encoder; `load_ts` reads indented files all the same.
+    encoder; `load_ts` reads indented files all the same.  The document is
+    acyclic (shared atom lists are no cycle), so nothing checks for cycles.
     """
-    Path(path).write_text(json.dumps(dump_ts(ts, scores)) + "\n")
+    Path(path).write_text(json.dumps(dump_ts(ts, scores), check_circular=False) + "\n")
 
 
 def _edge(entry, i: int) -> tuple:

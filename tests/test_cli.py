@@ -533,29 +533,54 @@ def test_a_score_beyond_the_float_range_in_a_system_file_is_out_of_range(ts_file
     assert err == "error: edges: score for edge 'w00' -> 'w10' must be in (0, 1], got inf\n"
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="this Python reads integers of any length")
-@pytest.mark.parametrize("document", ["frames", "system", "scores", "candidates"])
-def test_an_integer_too_long_to_read_makes_a_document_invalid_json(ts_file, tmp_path, capsys,
-                                                                   document):
+def _document_text(document: str, ts_file: str) -> str:
+    """A valid document of the kind `document`, as text."""
     sources = {"frames": DATA / "demo_frames.json", "system": Path(ts_file),
                "scores": DATA / "demo_scores.json"}
-    text = (sources[document].read_text() if document in sources
-            else json.dumps({"candidates": ["v1:Cat"]}))
-    bad = tmp_path / f"{document}.json"
-    bad.write_text(text.rstrip()[:-1] + ', "junk": ' + "1" * 5000 + "}")
-    argv = {
+    if document in sources:
+        return sources[document].read_text()
+    if document == "rules":
+        return json.dumps({"rules": [{"class": "Cat", "implies": ["Animal"]}]})
+    return json.dumps({"candidates": ["v1:Cat"]})
+
+
+def _argv_reading(document: str, bad: Path, ts_file: str, tmp_path) -> list:
+    """A command that reads `bad` as its `document` input."""
+    return {
         "frames": ["build", "--frames", str(bad), "--output", str(tmp_path / "out.json")],
+        "rules": ["build", "--frames", str(DATA / "demo_frames.json"), "--rules", str(bad),
+                  "--output", str(tmp_path / "out.json")],
         "system": ["check", "--ts", str(bad), "--formula", "true"],
         "scores": ["mppe", "--ts", ts_file, "--scores", str(bad)],
         "candidates": ["classify", "--ts", ts_file, "--mode", "missing-verified",
                        "--template", "X ?1", "--atoms", "v1:Cat", "--group", "both",
                        "--candidates", str(bad)],
     }[document]
+
+
+def _assert_invalid_json(capsys, argv, bad: Path) -> None:
     code, payload, err = _run(capsys, argv)
     assert (code, payload) == (2, None)
     assert err.startswith(f"error: {bad} is not valid JSON: ") and err.count("\n") == 1
     assert "internal error" not in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python reads integers of any length")
+@pytest.mark.parametrize("document", ["frames", "system", "scores", "candidates"])
+def test_an_integer_too_long_to_read_makes_a_document_invalid_json(ts_file, tmp_path, capsys,
+                                                                   document):
+    text = _document_text(document, ts_file)
+    bad = tmp_path / f"{document}.json"
+    bad.write_text(text.rstrip()[:-1] + ', "junk": ' + "1" * 5000 + "}")
+    _assert_invalid_json(capsys, _argv_reading(document, bad, ts_file, tmp_path), bad)
+
+
+@pytest.mark.parametrize("document", ["frames", "rules", "system", "scores", "candidates"])
+def test_a_document_that_is_not_utf8_is_invalid_json(ts_file, tmp_path, capsys, document):
+    bad = tmp_path / f"{document}.json"
+    bad.write_bytes(b"\xff\xfe" + _document_text(document, ts_file).encode())
+    _assert_invalid_json(capsys, _argv_reading(document, bad, ts_file, tmp_path), bad)
 
 
 def test_mppe_external_scorer_timeout_is_a_usage_error(ts_file, capsys, monkeypatch):

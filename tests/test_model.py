@@ -90,19 +90,52 @@ def test_rule_closure_matches_fixpoint_oracle():
         assert rule_closure(atoms, rules) == closure_fixpoint(atoms, rules.items())
 
 
+def _hard_pairs(rng, ids) -> list:
+    """Random pairs plus self-pairs, repeats, shuffled chains and pairs that
+    join blocks of different sizes, in shuffled order."""
+    pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 8))]
+    pairs += [(w, w) for w in rng.sample(ids, rng.randint(0, min(3, len(ids))))]
+    chain = rng.sample(ids, rng.randint(1, len(ids)))
+    pairs += [(a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(chain, chain[1:])]
+    rng.shuffle(pairs)
+    # Join a small block to a larger one, in either direction, after the rest.
+    small, large = rng.choice(ids), rng.choice(chain)
+    pairs.append((small, large) if rng.random() < 0.5 else (large, small))
+    pairs += rng.sample(pairs, rng.randint(0, len(pairs)))  # repeats
+    return pairs
+
+
 def test_equivalence_closure_matches_bfs_oracle():
     rng = random.Random(99)
-    for _ in range(200):
-        ids = [f"w{k}" for k in range(rng.randint(1, 7))]
-        pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 8))]
-        blocks = equivalence_closure(pairs, ids)
-        assert sorted(blocks, key=min) == sorted(bfs_partition(pairs, ids), key=min)
-        assert list(blocks) == sorted(blocks, key=min)
+    for trial in range(600):
+        ids = [f"w{k}" for k in range(rng.randint(1, 7 if trial < 200 else 30))]
+        rng.shuffle(ids)  # string order ("w10" < "w9") differs from list order
+        if trial >= 200:
+            pairs = _hard_pairs(rng, ids)
+        else:
+            pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 8))]
+        worlds = ids + rng.sample(ids, rng.randint(0, len(ids))) if trial % 3 == 0 else ids
+        blocks = equivalence_closure(pairs, worlds)
+        # Blocks come ordered by their smallest member.
+        assert blocks == tuple(sorted(bfs_partition(pairs, ids), key=min))
+        assert [min(b) for b in blocks] == sorted(min(b) for b in blocks)
 
 
 def test_equivalence_closure_rejects_unknown_worlds():
     with pytest.raises(IngestionError, match="unknown world id"):
         equivalence_closure([("w0", "nope")], ["w0"])
+    # The first pair naming an unknown id is reported, at `a` when both are unknown.
+    for pairs, message in [
+        ([("w0", "w1"), ("w1", "x"), ("y", "w0")],
+         "relation pair ('w1', 'x') references unknown world id 'x'"),
+        ([("w0", "w0"), ("y", "w1"), ("w1", "x")],
+         "relation pair ('y', 'w1') references unknown world id 'y'"),
+        ([("w0", "w1"), ("y", "x")],
+         "relation pair ('y', 'x') references unknown world id 'y'"),
+    ]:
+        with pytest.raises(IngestionError) as info:
+            equivalence_closure(pairs, ["w0", "w1"])
+        assert str(info.value) == message
 
 
 def _two_worlds():

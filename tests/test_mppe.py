@@ -85,6 +85,8 @@ def test_score_edges_applies_floor_and_ceiling():
     assert floor[("w10", "w20")] == SCORE_FLOOR
     ceil = score_edges(ts, lambda a, b: 7.5)
     assert ceil[("w10", "w20")] == 1.0
+    # An integer beyond the float range is an infinity, and clamps like one.
+    assert score_edges(ts, lambda a, b: 10 ** 400) == score_edges(ts, lambda a, b: math.inf) == ceil
 
 
 def test_score_edges_rejects_nan_and_negatives():
@@ -180,6 +182,8 @@ def test_score_edges_shares_one_row_per_label_set():
     (float("nan"), "scorer returned NaN for edge 'b1' -> 'c1'"),
     (-1.0, "scorer returned a negative score for edge 'b1' -> 'c1': -1.0"),
     (None, "scorer returned a non-number for edge 'b1' -> 'c1': None"),
+    pytest.param(-10 ** 400, "scorer returned a negative score for edge 'b1' -> 'c1': -inf",
+                 id="negative-integer-beyond-the-float-range"),
 ])
 def test_score_edges_error_names_the_first_edge_with_the_bad_pair(bad, message):
     ts = _repeated_labels_ts()

@@ -23,7 +23,7 @@ from ltpal.serialize import (
 )
 from ltpal.transition import TransitionSystem, build_ts, total_path_count
 
-from generators import random_frames_document
+from generators import random_frames_document, random_ts
 
 DATA = Path(__file__).parent / "data"
 FRAMES_DOC = {
@@ -810,6 +810,33 @@ def test_save_ts_bytes_match_the_reference_layout(tmp_path):
             loaded, _ = load_ts(str(target))
             save_ts(loaded, target, scores)
             assert target.read_bytes() == (json.dumps(_reference_dump(ts, scores)) + "\n").encode()
+
+
+def _singleton_ts():
+    """A system in which every agent tells every world apart."""
+    frames = [PALModel([World(f"s{i}x{k}", [Atom("v", "Cat")]) for k in range(3)], ["a", "b"])
+              for i in range(2)]
+    return build_ts(frames)
+
+
+@pytest.mark.parametrize("scored", [False, True], ids=["unscored", "scored"])
+def test_save_ts_writes_the_compact_dump_and_nothing_for_singletons(tmp_path, scored):
+    rng = random.Random(4321)
+    target = tmp_path / "ts.json"
+    for ts in [_singleton_ts()] + [random_ts(rng, max_frames=5, max_worlds=5) for _ in range(40)]:
+        scores = score_edges(ts) if scored else None
+        save_ts(ts, target, scores)
+        written = target.read_bytes()
+        assert written == (json.dumps(dump_ts(ts, scores)) + "\n").encode()
+        relations = [layer["relations"] for layer in json.loads(written)["layers"]]
+        for model, listed in zip(ts.layers, relations):
+            for agent in ts.agents:
+                if all(len(block) == 1 for block in model.partition(agent)):
+                    assert listed[agent] == []
+        loaded, embedded = load_ts(str(target))
+        assert (loaded, embedded) == (ts, scores)
+        save_ts(loaded, target, embedded)
+        assert target.read_bytes() == written
 
 
 def test_ingest_reports_frame_errors_before_rule_errors(tmp_path):
