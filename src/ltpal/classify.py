@@ -36,13 +36,12 @@ from .formulas import (
     Knows,
     PNot,
     PalFormula,
-    Prop,
     Template,
     TemporalFormula,
-    placeholder_indices,
+    _pal_arguments,
     substitute,
 )
-from .model import Atom, Record
+from .model import Record
 from .syntax import pretty
 from .temporal import decide, tems
 from .transition import (  # noqa: F401  (enumerate_total_paths kept importable for tools that wrap it)
@@ -135,19 +134,6 @@ def quantify_paths(
     return (universal if path is None else not universal), path, checked, False
 
 
-def _normalize_args(atoms) -> list:
-    args = []
-    for pos, value in enumerate(list(atoms), 1):
-        if isinstance(value, Atom):
-            value = Prop(value)
-        if not isinstance(value, PalFormula):
-            raise ValueError(f"query argument {pos} is not a PAL formula: {value!r}")
-        if placeholder_indices(value):
-            raise ValueError(f"query argument {pos} still contains placeholders")
-        args.append(value)
-    return args
-
-
 def _require_agents(ts: TransitionSystem, agents: Iterable[str]) -> None:
     roster = set(ts.agents)
     for agent in agents:
@@ -204,7 +190,7 @@ def verdict(
         _require_agents(ts, [agent])
         modality = partial(Knows, agent)
     wrap = (lambda a: PNot(modality(PNot(a)))) if possible else modality
-    args = _normalize_args(atoms)
+    args = _pal_arguments(atoms)
 
     restricted = paths is not None
     if restricted and candidates is not None:

@@ -164,36 +164,23 @@ def _cmd_check(args) -> int:
     if args.scores is not None and not args.mppe_only:
         raise ConfigurationError("--scores is only used together with --mppe-only")
 
-    if args.path_index is not None:
-        path = path_at(ts, args.path_index)
-        if path is None:
-            raise ConfigurationError(
-                f"--path-index {args.path_index} is out of range "
-                f"(the system has {total_path_count(ts)} total paths)"
-            )
+    if args.path_index is not None or args.mppe_only:  # one path; --path-index first
+        if args.path_index is not None:
+            path = path_at(ts, args.path_index)
+            if path is None:
+                raise ConfigurationError(
+                    f"--path-index {args.path_index} is out of range "
+                    f"(the system has {total_path_count(ts)} total paths)"
+                )
+            mode, before, after = "path", {"path_index": args.path_index}, {}
+        else:
+            _bind("mppe")
+            scored = most_probable_path(ts, _mppe_table(ts, embedded, args.scores))
+            path = scored.path
+            mode, before, after = "mppe-only", {}, {"score": scored.score}
         value = tems(ts, path.suffix(1) if args.skip_dummies else path, formula)
-        _emit({
-            "mode": "path",
-            "formula": pretty(formula),
-            "path_index": args.path_index,
-            "path": list(path.worlds),
-            "result": value,
-        })
-        return EXIT_TRUE if value else EXIT_FALSE
-
-    if args.mppe_only:
-        _bind("mppe")
-        table = _mppe_table(ts, embedded, args.scores)
-        scored = most_probable_path(ts, table)
-        path = scored.path
-        value = tems(ts, path.suffix(1) if args.skip_dummies else path, formula)
-        _emit({
-            "mode": "mppe-only",
-            "formula": pretty(formula),
-            "path": list(path.worlds),
-            "score": scored.score,
-            "result": value,
-        })
+        _emit({"mode": mode, "formula": pretty(formula), **before,
+               "path": list(path.worlds), **after, "result": value})
         return EXIT_TRUE if value else EXIT_FALSE
 
     cap = _resolve_cap(args.cap)

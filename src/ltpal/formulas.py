@@ -362,18 +362,32 @@ class Template(Record):
         return cls(skeleton, arity)
 
 
-def substitute(template: Template, args: Sequence[PalFormula]) -> TemporalFormula:
-    """Fill every ?k slot of the template with args[k-1]."""
-    args = [Prop(a) if isinstance(a, Atom) else a for a in args]
-    if len(args) != template.arity:
-        raise ArityError(
-            f"template needs {template.arity} argument(s), got {len(args)}"
-        )
+def _pal_arguments(args: Iterable) -> list:
+    """Template arguments as PAL formulas, an Atom read as its `Prop`.
+
+    Each must be a PAL formula without placeholders; the error names the
+    1-based position of the first that is not.
+    """
+    checked = []
     for pos, arg in enumerate(args, 1):
+        if isinstance(arg, Atom):
+            arg = Prop(arg)
         if not isinstance(arg, PalFormula):
             raise ValueError(f"argument {pos} is not a PAL formula: {arg!r}")
         if placeholder_indices(arg):
             raise ValueError(f"argument {pos} still contains placeholders")
+        checked.append(arg)
+    return checked
+
+
+def substitute(template: Template, args: Sequence[PalFormula]) -> TemporalFormula:
+    """Fill every ?k slot of the template with args[k-1]."""
+    args = list(args)
+    if len(args) != template.arity:
+        raise ArityError(
+            f"template needs {template.arity} argument(s), got {len(args)}"
+        )
+    args = _pal_arguments(args)
 
     def fill(node):
         return args[node.index - 1] if isinstance(node, Placeholder) else node

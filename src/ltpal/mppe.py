@@ -55,6 +55,15 @@ def score_range_message(u: str, v: str, value) -> str:
     return f"score for edge {u!r} -> {v!r} must be in (0, 1], got {value!r}"
 
 
+def float_score(value) -> float:
+    """`float(value)`, except that an integer beyond the float range is an
+    infinity of its sign, like 1e400, rather than an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 class ScoreTable:
     """Immutable edge-to-score mapping with validated score range.
 
@@ -70,7 +79,7 @@ class ScoreTable:
         rows: dict = {}
         for edge, value in scores.items():
             u, v = edge
-            score = float(value)
+            score = float_score(value)
             if not 0.0 < score <= 1.0:  # also false for NaN
                 raise IngestionError(score_range_message(u, v, value))
             u = str(u)
@@ -130,9 +139,7 @@ class ScoreTable:
 def _checked_score(raw, u: str, v: str) -> float:
     """A scorer result clamped into [SCORE_FLOOR, 1.0]; the error names edge u -> v."""
     try:
-        raw = float(raw)
-    except OverflowError:  # an integer beyond the float range: infinite, like 1e400
-        raw = math.inf if raw > 0 else -math.inf
+        raw = float_score(raw)
     except (TypeError, ValueError):
         raise ConfigurationError(
             f"scorer returned a non-number for edge {u!r} -> {v!r}: {raw!r}"

@@ -170,18 +170,3 @@ def announce_update(model: PALModel, announced: PalFormula) -> PALModel:
 def _block_of(model: PALModel, agent: str) -> dict:
     """World id -> the block of `agent`'s partition that holds it."""
     return {wid: block for block in model.partition(agent) for wid in block}
-
-
-def group_block(model: PALModel, group, world_id: str) -> frozenset:
-    """Worlds no member of `group` can rule out at `world_id`.
-
-    The intersection of the members' blocks; it always contains `world_id`
-    itself because every block does.
-    """
-    agents = sorted(frozenset(group))
-    if not agents:
-        raise EvaluationError("group must contain at least one agent")
-    block = model.block(agents[0], world_id)
-    for agent in agents[1:]:
-        block = block & model.block(agent, world_id)
-    return block

@@ -8,7 +8,6 @@ document node (for example "frames[0].worlds[1].atoms[2]").
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from .errors import IngestionError, ParseError
@@ -25,7 +24,7 @@ def _load_json(source):
         return source
     path = Path(source)
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # not UTF-8, JSONDecodeError, or an integer too long to convert
@@ -214,12 +213,28 @@ def load_frames(source) -> FramesDocument:
     checked once per document, and worlds with equal atom lists share one
     atom set.
     """
-    return _load_frames(source, None)
+    return ingest(source)
 
 
-def _load_frames(source, close) -> FramesDocument:
-    """`load_frames`, with each distinct atom set passed through `close`."""
-    doc = _as_dict(_load_json(source), "frames document")
+def ingest(frames_source, rules_source=None) -> FramesDocument:
+    """`load_frames`, with ontology rules applied to every world's atom set.
+
+    Each distinct atom list is closed under the rules once, and each frame's
+    model is built once, already closed.  For that the rules are loaded first,
+    but an error in them is raised only after the frames document has
+    passed every check, as though the frames were loaded first.
+    """
+    close = error = None
+    if rules_source is not None:
+        try:
+            rules = load_rules(rules_source)
+        except Exception as exc:  # any failure, so that the frames' errors come first
+            error = exc
+        else:
+            if rules:
+                close = lambda atoms: rule_closure(atoms, rules)
+
+    doc = _as_dict(_load_json(frames_source), "frames document")
     agents_value = _as_list(_get(doc, "agents", "frames document"), "agents")
     if not agents_value:
         raise IngestionError("agents must not be empty")
@@ -254,30 +269,9 @@ def _load_frames(source, close) -> FramesDocument:
         _load_model(_as_dict(entry, f"frames[{i}]"), agents, f"frames[{i}]", atom_sets, close)
         for i, entry in enumerate(frames_value)
     ]
-    return FramesDocument(agents=agents, frames=frames, groups=groups)
-
-
-def ingest(frames_source, rules_source=None) -> FramesDocument:
-    """Load frames and apply ontology rules to every world's atom set.
-
-    Each distinct atom list is closed under the rules once, and each frame's
-    model is built once, already closed.  For that the rules are loaded first,
-    but an error in them is raised only after the frames document has
-    passed every check, as though the frames were loaded first.
-    """
-    close = error = None
-    if rules_source is not None:
-        try:
-            rules = load_rules(rules_source)
-        except Exception as exc:  # any failure, so that the frames' errors come first
-            error = exc
-        else:
-            if rules:
-                close = lambda atoms: rule_closure(atoms, rules)
-    doc = _load_frames(frames_source, close)
     if error is not None:
         raise error
-    return doc
+    return FramesDocument(agents=agents, frames=frames, groups=groups)
 
 
 def _relation_pairs(model: PALModel, agent: str) -> list:
@@ -338,14 +332,12 @@ def _edge(entry, i: int) -> tuple:
 
 
 def _score(value, i: int) -> float:
-    """The score of edges[i] as a float; an integer beyond the float range
-    is an infinity of its sign, and so out of range like one."""
+    """The score of edges[i] as a float (`mppe.float_score`)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise IngestionError(f"edges[{i}].score must be a number")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+    from .mppe import float_score
+
+    return float_score(value)
 
 
 def load_ts(source):

@@ -11,16 +11,19 @@ from ltpal.classify import (
     check_robust_agent,
     check_verified_group,
     quantify_paths,
+    verdict,
 )
 from ltpal.errors import EvaluationError
 from ltpal.formulas import (
     Announce,
     Dist,
     Knows,
+    PAnd,
     Placeholder,
     PNot,
     Prop,
     bottom,
+    lift,
     p_or,
     substitute,
     top,
@@ -270,6 +273,22 @@ def test_argument_validation():
         check_robust_agent(ts, template, [Placeholder(1)], "a")
     with pytest.raises(ValueError, match="not a PAL formula"):
         check_robust_agent(ts, template, ["v1:Cat"], "a")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lift(V1CAT), "argument 2 is not a PAL formula: "),
+    ("v1:Cat", "argument 2 is not a PAL formula: 'v1:Cat'"),
+    (PAnd(V1CAT, Placeholder(1)), "argument 2 still contains placeholders"),
+])
+def test_verdict_and_substitute_name_the_bad_argument_alike(bad, message):
+    ts = _demo_ts()
+    template = parse_template("G (?1 -> X ?2)")
+    for call in (lambda: verdict(ts, template, [V1CAT, bad], group=("a",)),
+                 lambda: verdict(ts, template, [Atom("v1", "Cat"), bad], agent="a", possible=True),
+                 lambda: substitute(template, [V1CAT, bad])):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(message)
 
 
 def test_restricted_path_set():

@@ -583,6 +583,33 @@ def test_a_document_that_is_not_utf8_is_invalid_json(ts_file, tmp_path, capsys, 
     _assert_invalid_json(capsys, _argv_reading(document, bad, ts_file, tmp_path), bad)
 
 
+def test_documents_are_read_as_utf8_under_any_locale(tmp_path):
+    """Under the C locale without UTF-8 mode, a UTF-8 document still loads,
+    and one that is not UTF-8 is still invalid JSON."""
+    doc = json.loads((DATA / "demo_frames.json").read_text())
+    doc["frames"][0]["worlds"][0]["atoms"] = [["v1", "Katze\u00e9"]]
+    (tmp_path / "f.json").write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe" + json.dumps(doc).encode())
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+
+    def run(*argv):
+        return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    encoding = run("-c", "import locale; print(locale.getpreferredencoding(False))").stdout
+    assert "utf" not in encoding.lower().replace("-", "")
+    built = run("-m", "ltpal.cli", "build", "--frames", "f.json", "--output", "ts.json")
+    assert (built.returncode, built.stderr) == (0, "")
+    assert json.loads(built.stdout)["states"] == 7
+    layers = json.loads((tmp_path / "ts.json").read_text())["layers"]
+    assert layers[1]["worlds"][0]["atoms"] == [["v1", "Katze\u00e9"]]
+    bad = run("-m", "ltpal.cli", "build", "--frames", "bad.json", "--output", "x.json")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr == ("error: bad.json is not valid JSON: 'utf-8' codec can't decode "
+                          "byte 0xff in position 0: invalid start byte\n")
+
+
 def test_mppe_external_scorer_timeout_is_a_usage_error(ts_file, capsys, monkeypatch):
     import sys
     from ltpal import mppe

@@ -205,6 +205,13 @@ def test_score_table_validates_range():
     assert ("v", "u") not in table
 
 
+@pytest.mark.parametrize("huge", [10 ** 400, -10 ** 400], ids=["positive", "negative"])
+def test_score_table_reports_an_integer_beyond_the_float_range_as_out_of_range(huge):
+    with pytest.raises(IngestionError) as info:
+        ScoreTable({("u", "v"): 0.5, ("v", "w"): huge})
+    assert str(info.value) == f"score for edge 'v' -> 'w' must be in (0, 1], got {huge!r}"
+
+
 def test_score_table_rejects_what_is_not_an_edge():
     for table in (ScoreTable({("a", "b"): 0.5, ("x", "y"): 0.5}), score_edges(_demo_ts())):
         assert "x" not in table

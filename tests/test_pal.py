@@ -1,4 +1,4 @@
-"""Tests for PAL satisfaction, announcements and group blocks."""
+"""Tests for PAL satisfaction, announcements and distributed knowledge."""
 
 import random
 
@@ -19,7 +19,7 @@ from ltpal.formulas import (
     top,
 )
 from ltpal.model import Atom, PALModel, World
-from ltpal.pal import announce_update, group_block, pal_sat
+from ltpal.pal import announce_update, pal_sat
 
 from generators import random_model_with_pairs, random_pal_formula
 from oracles import oracle_pal_sat, pairs_to_relation
@@ -127,14 +127,24 @@ def test_unknown_world_raises():
         pal_sat(_model(), "zz", CAT)
 
 
-def test_group_block_intersection():
+def test_distributed_knowledge_reads_the_intersection_of_the_blocks():
+    # At w1 agent a's block is {w0, w1} and b's is {w1, w2}; together they
+    # leave only {w1}, smaller than either block.
     model = _model()
-    assert group_block(model, {"a"}, "w1") == frozenset({"w0", "w1"})
-    assert group_block(model, {"a", "b"}, "w1") == frozenset({"w1"})
-    with pytest.raises(EvaluationError):
-        group_block(model, set(), "w1")
-    with pytest.raises(EvaluationError):
-        group_block(model, {"zz"}, "w1")
+    both = PAnd(CAT, DOG)
+    assert pal_sat(model, "w1", Dist({"a"}, CAT))
+    assert not pal_sat(model, "w1", Dist({"a"}, DOG))
+    assert not pal_sat(model, "w1", Dist({"a"}, both))
+    assert not pal_sat(model, "w1", Dist({"b"}, both))
+    assert pal_sat(model, "w1", Dist({"a", "b"}, both))
+    # At w0 the intersection is {w0}: b alone already tells w0 apart.
+    assert not pal_sat(model, "w0", Dist({"a"}, PNot(DOG)))
+    assert pal_sat(model, "w0", Dist({"a", "b"}, PNot(DOG)))
+    assert pal_sat(model, "w0", Dist({"b"}, PNot(DOG)))
+    with pytest.raises(ValueError, match="non-empty agent set"):
+        Dist(set(), CAT)
+    with pytest.raises(EvaluationError, match="unknown agent 'zz'"):
+        pal_sat(model, "w1", Dist({"zz"}, CAT))
 
 
 def test_random_formulas_match_oracle():
