@@ -322,6 +322,9 @@ def _demo_session() -> dict:
 # ------------------------------------------------------- corrupted documents
 
 
+_DELETE = object()
+
+
 def _set(path, value):
     """A mutation that sets the node at `path` (keys and indices) to `value`,
     or deletes it when `value` is `_DELETE`."""
@@ -334,9 +337,6 @@ def _set(path, value):
         else:
             node[path[-1]] = copy.deepcopy(value)
     return mutate
-
-
-_DELETE = object()
 
 
 def _model_corruptions(key: str) -> dict:
