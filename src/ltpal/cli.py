@@ -5,11 +5,14 @@ one JSON object; notes and errors go to stderr.  Exit codes: 0 for true or
 plain success, 1 for a false verdict, 2 for usage, input or parse errors
 and for internal errors (one `error: internal error: ...` line, no
 traceback), 3 for undecided (path cap reached before a decision).
+`main` returns the exit code; `run`, the entry point of `python -m
+ltpal.cli` and of the `ltpal` script, also ends the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import os
@@ -390,5 +393,37 @@ def _run(argv) -> int:
         return EXIT_USAGE
 
 
+def run(argv=None) -> int:
+    """The process entry point: run `main(argv)` and end the process.
+
+    Once the exit handlers have run and stdout and stderr are flushed, the
+    process ends with `os._exit`, skipping the interpreter's teardown of
+    every loaded module and its exit-time garbage collection, about 10 ms per
+    command.  While a tracer, profiler or debugger watches (coverage,
+    cProfile, trace, pdb), or when a flush fails, the code is returned for
+    the ordinary exit, which reports such a failure as Python always does:
+    a broken pipe is an `Exception ignored` line and status 120.
+    """
+    code = main(argv)
+    if _watched():
+        return code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a closed pipe, a full disk, a closed or missing stream:
+        return code    # the ordinary exit meets and reports it again
+    os._exit(code)
+
+
+def _watched() -> bool:
+    """Whether a trace or profile function is set, or (Python 3.12 and later,
+    where cProfile and coverage may use it) a `sys.monitoring` tool."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

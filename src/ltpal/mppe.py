@@ -51,7 +51,7 @@ def overlap_score(a: frozenset, b: frozenset) -> float:
 
 
 def score_range_message(u: str, v: str, value) -> str:
-    """What is wrong with a score of edge u -> v outside (0, 1]; `value` as given."""
+    """What is wrong with a score of edge u -> v outside (0, 1]; `value` as a float."""
     return f"score for edge {u!r} -> {v!r} must be in (0, 1], got {value!r}"
 
 
@@ -81,7 +81,7 @@ class ScoreTable:
             u, v = edge
             score = float_score(value)
             if not 0.0 < score <= 1.0:  # also false for NaN
-                raise IngestionError(score_range_message(u, v, value))
+                raise IngestionError(score_range_message(u, v, score))
             u = str(u)
             row = rows.get(u)
             if row is None:
