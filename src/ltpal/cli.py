@@ -422,7 +422,8 @@ def _watched() -> bool:
     if sys.gettrace() is not None or sys.getprofile() is not None:
         return True
     monitoring = getattr(sys, "monitoring", None)
-    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6))  # tool ids are 0 to 5
 
 
 if __name__ == "__main__":

@@ -50,9 +50,9 @@ def overlap_score(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(union)
 
 
-def score_range_message(u: str, v: str, value) -> str:
-    """What is wrong with a score of edge u -> v outside (0, 1]; `value` as a float."""
-    return f"score for edge {u!r} -> {v!r} must be in (0, 1], got {value!r}"
+def score_range_message(u: str, v: str, score: float) -> str:
+    """What is wrong with a score of edge u -> v outside (0, 1]."""
+    return f"score for edge {u!r} -> {v!r} must be in (0, 1], got {score!r}"
 
 
 def float_score(value) -> float:

@@ -205,8 +205,9 @@ def test_score_table_validates_range():
     assert ("v", "u") not in table
 
 
-@pytest.mark.parametrize("huge, shown", [(10 ** 400, "inf"), (-10 ** 400, "-inf"), (10 ** 5000, "inf")],
-                         ids=["positive", "negative", "too-long-to-print"])
+@pytest.mark.parametrize("huge, shown", [
+    (10 ** 400, "inf"), (-10 ** 400, "-inf"), (10 ** 5000, "inf"),
+], ids=["positive", "negative", "too-long-to-print"])
 def test_score_table_reports_an_integer_beyond_the_float_range_as_out_of_range(huge, shown):
     with pytest.raises(IngestionError) as info:
         ScoreTable({("u", "v"): 0.5, ("v", "w"): huge})

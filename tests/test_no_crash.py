@@ -58,6 +58,7 @@ COMMANDS = {
     ],
 }
 ARGVS = [argv for commands in COMMANDS.values() for argv in commands]
+# Every option but `--help` and `--scorer-cmd`, which would start a drawn command.
 FLAGS = ["--frames", "--rules", "--output", "--ts", "--max", "--formula", "--path-index",
          "--mppe-only", "--scores", "--cap", "--skip-dummies", "--mode", "--template",
          "--atoms", "--group", "--agent", "--candidates", "--scorer", "--emit-corrected"]
@@ -87,9 +88,9 @@ ARG_TEXT = st.one_of(
 def _paths(doc, path=()):
     """Every location in `doc`, the root first."""
     yield path
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
-    for key, value in items:
-        yield from _paths(value, (*path, key))
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(value, (*path, key))
 
 
 def _mutate(data, doc):
