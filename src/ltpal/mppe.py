@@ -129,12 +129,6 @@ class ScoreTable:
             return NotImplemented
         return self._rows == other._rows
 
-    def validate_covers(self, ts: TransitionSystem) -> None:
-        """Require a score for every edge of the system."""
-        for u, v in ts.edges():
-            if (u, v) not in self:
-                raise IngestionError(f"no score for edge {u!r} -> {v!r}")
-
 
 def _checked_score(raw, u: str, v: str) -> float:
     """A scorer result clamped into [SCORE_FLOOR, 1.0]; the error names edge u -> v."""

@@ -340,17 +340,64 @@ def _score(value, i: int) -> float:
     return float_score(value)
 
 
+def _edge_rows(entries: list, ts: TransitionSystem) -> tuple:
+    """Check an edge list against `ts`: every edge once, in any order.
+
+    Each entry in turn: its shape, that it is an edge of `ts`, that it is
+    not listed twice, and its score if it has one.  Returns (rows, unscored,
+    out_of_range): `{u: {v: score or None}}`, the indices of the entries
+    without a "score" field, and (u, v, score) of the first score outside
+    (0, 1] or None.  What a missing or out-of-range score means is the
+    caller's rule.
+    """
+    layer_of = ts.layer_of
+    rows: dict = {}
+    unscored = []
+    out_of_range = None
+    for i, entry in enumerate(entries):
+        # A well-formed entry as JSON decodes it skips `_edge`, which makes
+        # the same checks and names what is wrong with any other.
+        if not (
+            entry.__class__ is dict
+            and (u := entry.get("from")).__class__ is str
+            and (v := entry.get("to")).__class__ is str
+        ):
+            u, v = _edge(entry, i)
+        # An edge joins adjacent layers; the defaults never match for unknown ids.
+        if layer_of.get(v, -1) != layer_of.get(u, -3) + 1:
+            raise IngestionError(f"edges[{i}]: {u!r} -> {v!r} is not an edge of the system")
+        row = rows.get(u)
+        if row is None:
+            row = rows[u] = {}
+        elif v in row:
+            raise IngestionError(f"edges[{i}] duplicates edge {u!r} -> {v!r}")
+        if (score := entry.get("score")).__class__ is not float:
+            if "score" not in entry:
+                row[v] = None
+                unscored.append(i)
+                continue
+            score = _score(score, i)
+        row[v] = score
+        if not 0.0 < score <= 1.0 and out_of_range is None:  # also true for NaN
+            out_of_range = u, v, score
+    # Every entry is a distinct edge, so the entries cover the system when
+    # there are as many as it has edges.
+    if len(entries) != ts.edge_count:
+        for u, v in ts.edges():
+            if v not in rows.get(u, ()):
+                raise IngestionError(f"edges is missing {u!r} -> {v!r}")
+    return rows, unscored, out_of_range
+
+
 def load_ts(source):
     """Load a serialized system, compact or indented.
 
     Returns (system, scores).  A document without an "edges" key has every
     edge between adjacent layers and no scores.  A listed edge list, scored
-    or (as older versions wrote) not, must hold exactly the complete
-    bipartite edges between adjacent layers, each once, in any order;
-    scores is a ScoreTable when every entry carries a "score" field and
-    None when none does, and a mixture is an error.  Each distinct atom list
-    is checked once per document, and worlds with equal atom lists share
-    one atom set.
+    or (as older versions wrote) not, follows `_edge_rows`; scores is a
+    ScoreTable when every entry carries a "score" field and None when none
+    does, and a mixture is an error.  Each distinct atom list is checked
+    once per document, and worlds with equal atom lists share one atom set.
     """
     doc = _as_dict(_load_json(source), "system document")
     agents_value = _as_list(_get(doc, "agents", "system document"), "agents")
@@ -378,45 +425,12 @@ def load_ts(source):
 
     if "edges" not in doc:
         return ts, None
-    edges_value = _as_list(doc["edges"], "edges")
-    layer_of = ts.layer_of
-    rows: dict = {}  # u -> {v: score, or None when unscored}
-    scored = 0
-    extra = None  # the first entry that is no edge, reported after any missing edge
-    out_of_range = None  # the first, reported once the entries' shape is known good
-    for i, entry in enumerate(edges_value):
-        u, v = _edge(entry, i)
-        row = rows.get(u)
-        if row is None:
-            row = rows[u] = {}
-        elif v in row:
-            raise IngestionError(f"edges[{i}] duplicates edge {u!r} -> {v!r}")
-        # An edge joins adjacent layers; the defaults never match for unknown ids.
-        if extra is None and layer_of.get(v, -1) != layer_of.get(u, -3) + 1:
-            extra = u, v
-        if "score" in entry:
-            score = row[v] = _score(entry["score"], i)
-            if not 0.0 < score <= 1.0 and out_of_range is None:
-                out_of_range = u, v, score
-            scored += 1
-        else:
-            row[v] = None
-    # With no duplicates and no extra entry, every edge is listed exactly
-    # when the counts agree.
-    if extra is not None or len(edges_value) != ts.edge_count:
-        for u, v in ts.edges():
-            if v not in rows.get(u, ()):
-                raise IngestionError(f"edges is missing {u!r} -> {v!r}")
-        u, v = extra
-        raise IngestionError(
-            f"edges contains {u!r} -> {v!r}, which does not connect adjacent layers"
-        )
-    if scored == 0:
+    entries = _as_list(doc["edges"], "edges")
+    rows, unscored, out_of_range = _edge_rows(entries, ts)
+    if len(unscored) == len(entries):
         return ts, None
-    if scored != len(edges_value):
-        raise IngestionError(
-            "either every edge must carry a score or none may"
-        )
+    if unscored:
+        raise IngestionError("either every edge must carry a score or none may")
     from .mppe import ScoreTable, score_range_message
 
     if out_of_range is not None:
@@ -427,50 +441,19 @@ def load_ts(source):
 def load_scores(source, ts: TransitionSystem) -> ScoreTable:
     """Load a standalone scores file: {"edges": [{"from", "to", "score"}]}.
 
-    Every edge of the system must be covered exactly once, and every score
-    must lie in (0, 1].
+    The edge list follows `_edge_rows`, and every entry must carry a score
+    in (0, 1].
     """
-    from .mppe import ScoreTable, score_range_message
-
     doc = _as_dict(_load_json(source), "scores document")
     entries = _as_list(_get(doc, "edges", "scores document"), "edges")
-    layer_of = ts.layer_of
-    rows: dict = {}
-    out_of_range = None  # the first, reported once the entries' shape is known good
-    for i, entry in enumerate(entries):
-        # A well-formed entry as JSON decodes it skips `_edge` and `_score`,
-        # which make the same checks and name what is wrong with any other.
-        if not (
-            entry.__class__ is dict
-            and (u := entry.get("from")).__class__ is str
-            and (v := entry.get("to")).__class__ is str
-            and (score := entry.get("score")).__class__ is float
-        ):
-            u, v = _edge(entry, i)
-            score = None
-        # An edge joins adjacent layers; the defaults never match for unknown ids.
-        if layer_of.get(v, -1) != layer_of.get(u, -3) + 1:
-            raise IngestionError(f"edges[{i}]: {u!r} -> {v!r} is not an edge of the system")
-        row = rows.get(u)
-        if row is None:
-            row = rows[u] = {}
-        elif v in row:
-            raise IngestionError(f"edges[{i}] duplicates edge {u!r} -> {v!r}")
-        if score is None:
-            if "score" not in entry:
-                raise IngestionError(f"edges[{i}] is missing the 'score' field")
-            score = _score(entry["score"], i)
-        row[v] = score
-        if not 0.0 < score <= 1.0 and out_of_range is None:
-            out_of_range = score_range_message(u, v, score)
+    rows, unscored, out_of_range = _edge_rows(entries, ts)
+    if unscored:
+        raise _missing("score", f"edges[{unscored[0]}]")
+    from .mppe import ScoreTable, score_range_message
+
     if out_of_range is not None:
-        raise IngestionError(f"scores document: {out_of_range}")
-    scores = ScoreTable.from_checked(rows)
-    # Every entry is a distinct edge, so the entries cover the system when
-    # there are as many as it has edges.
-    if len(entries) != ts.edge_count:
-        scores.validate_covers(ts)
-    return scores
+        raise IngestionError(f"scores document: {score_range_message(*out_of_range)}")
+    return ScoreTable.from_checked(rows)
 
 
 def load_candidates(source) -> list:

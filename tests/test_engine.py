@@ -6,6 +6,9 @@ deciding path or at the cap, which is the definition the engine's report
 (result, witness, paths_checked, capped) must reproduce.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +17,7 @@ from ltpal.formulas import Next, Pal, PNot, Prop, TNot, future
 from ltpal.model import Atom, PALModel, World
 from ltpal.pal import pal_sat
 from ltpal.temporal import decide, tems
-from ltpal.transition import build_ts, enumerate_total_paths, path_at, path_rank
+from ltpal.transition import build_ts, enumerate_total_paths, path_at, path_rank, total_path_count
 
 from generators import random_temporal_formula, random_ts
 from oracles import enumerate_id_paths, oracle_path_check
@@ -111,3 +114,40 @@ def test_no_columns_is_the_empty_path():
     for formula in (Pal(Prop(Atom("x", "Cat"))), TNot(Pal(Prop(Atom("x", "Cat"))))):
         assert decide([], formula, True) is None
         assert decide([], formula, False) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reported_paths_are_confirmed_on_workload_sized_systems(seed):
+    """Witness validation where enumeration cannot referee: on systems of up
+    to 200 frames of 10 worlds, each path the engine reports is the one its
+    rank names, the oracle gives the reported verdict on that one path, and
+    it is the least such path at its first pick above 0.  When no path is
+    reported, the oracle gives the universal verdict on the first path."""
+    rng = random.Random(seed)
+    ts = random_ts(rng, max_frames=200, max_worlds=10)
+    columns = [(layer, [w.id for w in layer.worlds]) for layer in ts.layers]
+    found = 0
+    for _ in range(4):
+        formula = random_temporal_formula(rng, list(ts.agents))
+        for universal in (True, False):
+            result, path, checked, capped = quantify_paths(
+                ts, formula, universal=universal, path_cap=10**400,
+            )
+            assert not capped
+            if path is None:
+                assert (result, checked) == (universal, total_path_count(ts))
+                assert oracle_path_check(ts, path_at(ts, 0).worlds, formula) is universal
+                continue
+            found += 1
+            assert result is not universal
+            assert path_at(ts, checked - 1) == path
+            assert oracle_path_check(ts, path.worlds, formula) is result
+            # No path that agrees with this one before its first pick above
+            # 0 and takes a lower world there decides.
+            picks = [ids.index(w) for (_, ids), w in zip(columns, path.worlds)]
+            k = next((k for k, pos in enumerate(picks) if pos), None)
+            if k is not None:
+                lower = [(layer, [w]) for (layer, _), w in zip(columns[:k], path.worlds)]
+                lower += [(columns[k][0], columns[k][1][:picks[k]])] + columns[k + 1:]
+                assert decide(lower, formula, result) is None
+    assert found

@@ -23,6 +23,7 @@ from ltpal.mppe import (
     project_stream,
     score_edges,
 )
+from ltpal.serialize import load_scores
 from ltpal.transition import build_ts
 
 from generators import random_ts
@@ -229,9 +230,10 @@ def test_score_table_missing_edge_lookup():
     table = ScoreTable({("u", "v"): 0.5})
     with pytest.raises(IngestionError, match="no score for edge"):
         table[("q", "r")]
-    ts = _demo_ts()
-    with pytest.raises(IngestionError, match="no score for edge"):
-        table.validate_covers(ts)
+    # A scores file must cover every edge; the first edge it leaves out is named.
+    entries = [{"from": u, "to": v, "score": s} for (u, v), s in DEMO_SCORES.items() if u != "w11"]
+    with pytest.raises(IngestionError, match="edges is missing 'w11' -> 'w20'"):
+        load_scores({"edges": entries}, _demo_ts())
 
 
 def test_demo_most_probable_path():

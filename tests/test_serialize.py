@@ -156,11 +156,11 @@ def test_load_ts_requires_exact_edge_set():
     data = _listed_edges(ts)
     missing = json.loads(json.dumps(data))
     dropped = missing["edges"].pop(0)
-    with pytest.raises(IngestionError, match="missing"):
+    with pytest.raises(IngestionError, match=f"edges is missing '{dropped['from']}' -> '{dropped['to']}'"):
         load_ts(missing)
     extra = json.loads(json.dumps(data))
     extra["edges"].append({"from": "w10", "to": "w30"})
-    with pytest.raises(IngestionError, match="does not connect adjacent"):
+    with pytest.raises(IngestionError, match="is not an edge of the system"):
         load_ts(extra)
     doubled = json.loads(json.dumps(data))
     doubled["edges"].append(dict(doubled["edges"][0]))
@@ -192,7 +192,7 @@ def test_load_scores_strict_validation():
     ]
     table = load_scores({"edges": edges}, ts)
     assert len(table) == ts.edge_count
-    with pytest.raises(IngestionError, match="no score for edge"):
+    with pytest.raises(IngestionError, match="edges is missing 'w20' -> 'w30'"):
         load_scores({"edges": edges[:-1]}, ts)
     with pytest.raises(IngestionError, match="not an edge"):
         load_scores({"edges": edges + [{"from": "w10", "to": "w30", "score": 0.5}]}, ts)
@@ -247,116 +247,111 @@ def _mutated(doc, mutate):
     return doc
 
 
-@pytest.mark.parametrize(
-    "scored, mutate, message",
-    [
-        (False, lambda d: d["edges"].__setitem__(2, ["w10", "w20"]),
-         "edges[2] must be an object, got list"),
-        (False, lambda d: d["edges"][2].pop("from"),
-         "edges[2] is missing the 'from' field"),
-        (False, lambda d: d["edges"][2].__setitem__("to", 7),
-         "edges[2].to must be a string, got int"),
-        (True, lambda d: d["edges"][2].__setitem__("score", True),
-         "edges[2].score must be a number"),
-        (True, lambda d: d["edges"][2].__setitem__("score", "0.5"),
-         "edges[2].score must be a number"),
-        (False, lambda d: d["edges"].insert(3, dict(d["edges"][1])),
-         "edges[3] duplicates edge 'w00' -> 'w11'"),
-        (False, lambda d: d["edges"].pop(3),
-         "edges is missing 'w11' -> 'w20'"),
-        (False, lambda d: d["edges"].append({"from": "w10", "to": "w30"}),
-         "edges contains 'w10' -> 'w30', which does not connect adjacent layers"),
-        (True, lambda d: d["edges"][4].pop("score"),
-         "either every edge must carry a score or none may"),
-        (True, lambda d: d["edges"][4].__setitem__("score", 0),
-         "edges: score for edge 'w20' -> 'w30' must be in (0, 1], got 0.0"),
-        # Two faults: the message the checks' order gives.
-        (True, lambda d: (d["edges"][0].__setitem__("score", 0.0),
-                          d["edges"].append(dict(d["edges"][1]))),
-         "edges[5] duplicates edge 'w00' -> 'w11'"),
-        (True, lambda d: (d["edges"][1].__setitem__("score", 1.5),
-                          d["edges"][2].__setitem__("score", False)),
-         "edges[2].score must be a number"),
-        (True, lambda d: (d["edges"][1].__setitem__("score", 1),
-                          d["edges"][3].__setitem__("score", 0)),
-         "edges: score for edge 'w11' -> 'w20' must be in (0, 1], got 0.0"),
-        (True, lambda d: (d["edges"][0].__setitem__("from", 3),
-                          d["edges"].append({"from": "w10", "to": "w30", "score": 0.5})),
-         "edges[0].from must be a string, got int"),
-        (True, lambda d: (d["edges"][0].__setitem__("score", 2.0),
-                          d["edges"].append({"from": "w10", "to": "w30", "score": 0.5})),
-         "edges contains 'w10' -> 'w30', which does not connect adjacent layers"),
-        (True, lambda d: (d["edges"][0].pop("score"),
-                          d["edges"].append({"from": "w10", "to": "w30", "score": 0.5})),
-         "edges contains 'w10' -> 'w30', which does not connect adjacent layers"),
-        (True, lambda d: (d["edges"].pop(3),
-                          d["edges"].append({"from": "w10", "to": "w30", "score": 0.5})),
-         "edges is missing 'w11' -> 'w20'"),
-    ],
-    ids=["non-object", "missing-from", "non-string-to", "bool-score", "string-score",
-         "duplicate", "missing", "extra", "partial-scores", "zero-score",
-         "range-then-duplicate", "range-then-bool", "int-then-zero", "entries-0-and-5",
-         "range-0-and-extra-5", "unscored-0-and-extra-5", "missing-and-extra"],
-)
-def test_load_ts_names_each_malformed_edge_entry(scored, mutate, message):
-    ts = build_ts(ingest(FRAMES_DOC).frames)
+def _extra(e):
+    """Append the entry 'w10' -> 'w30', which skips a layer."""
+    e.append({"from": "w10", "to": "w30", "score": 0.5})
+
+
+# A system file's edge list and a scores file follow one rule and give one
+# message for each fault: (id, mutate, message), where `mutate` changes the
+# five entries 'w00' -> 'w10', 'w00' -> 'w11', 'w10' -> 'w20', 'w11' -> 'w20'
+# and 'w20' -> 'w30', each with score 0.5.
+_EDGE_LIST_FAULTS = [
+    ("non-object", lambda e: e.__setitem__(2, ["w10", "w20"]),
+     "edges[2] must be an object, got list"),
+    ("missing-from", lambda e: e[2].pop("from"), "edges[2] is missing the 'from' field"),
+    ("missing-to", lambda e: e[1].pop("to"), "edges[1] is missing the 'to' field"),
+    ("non-string-from", lambda e: e[1].__setitem__("from", None),
+     "edges[1].from must be a string, got NoneType"),
+    ("non-string-to", lambda e: e[2].__setitem__("to", 7), "edges[2].to must be a string, got int"),
+    ("bool-score", lambda e: e[2].__setitem__("score", True), "edges[2].score must be a number"),
+    ("string-score", lambda e: e[2].__setitem__("score", "0.5"), "edges[2].score must be a number"),
+    ("not-an-edge", lambda e: e.insert(1, {"from": "w00", "to": "w20", "score": 0.5}),
+     "edges[1]: 'w00' -> 'w20' is not an edge of the system"),
+    ("extra", _extra, "edges[5]: 'w10' -> 'w30' is not an edge of the system"),
+    ("backwards", lambda e: e.append({"from": "w20", "to": "w10", "score": 0.5}),
+     "edges[5]: 'w20' -> 'w10' is not an edge of the system"),
+    ("unknown-from", lambda e: e.insert(0, {"from": "zz", "to": "w10", "score": 0.5}),
+     "edges[0]: 'zz' -> 'w10' is not an edge of the system"),
+    ("unknown-to", lambda e: e.insert(0, {"from": "w10", "to": "zz", "score": 0.5}),
+     "edges[0]: 'w10' -> 'zz' is not an edge of the system"),
+    ("duplicate", lambda e: e.insert(3, dict(e[1])), "edges[3] duplicates edge 'w00' -> 'w11'"),
+    ("missing", lambda e: e.pop(3), "edges is missing 'w11' -> 'w20'"),
+    ("uncovered", lambda e: e.__delitem__(slice(0, 2)), "edges is missing 'w00' -> 'w10'"),
+    # Two faults: the message the checks' order gives.  Each entry is
+    # checked in full before the next; coverage comes after every entry,
+    # and the loaders' own score rules after coverage.
+    ("range-then-duplicate", lambda e: (e[0].__setitem__("score", 0.0), e.append(dict(e[1]))),
+     "edges[5] duplicates edge 'w00' -> 'w11'"),
+    ("range-then-bool", lambda e: (e[1].__setitem__("score", 1.5), e[2].__setitem__("score", False)),
+     "edges[2].score must be a number"),
+    ("entries-0-and-5", lambda e: (e[0].__setitem__("from", 3), _extra(e)),
+     "edges[0].from must be a string, got int"),
+    ("range-0-and-extra-5", lambda e: (e[0].__setitem__("score", 2.0), _extra(e)),
+     "edges[5]: 'w10' -> 'w30' is not an edge of the system"),
+    ("unscored-0-and-extra-5", lambda e: (e[0].pop("score"), _extra(e)),
+     "edges[5]: 'w10' -> 'w30' is not an edge of the system"),
+    ("range-0-and-duplicate-5", lambda e: (e[0].__setitem__("score", 2), e.append(dict(e[2], score="x"))),
+     "edges[5] duplicates edge 'w10' -> 'w20'"),
+    ("missing-and-extra", lambda e: (e.pop(3), _extra(e)),
+     "edges[4]: 'w10' -> 'w30' is not an edge of the system"),
+    ("int-then-uncovered", lambda e: (e[1].__setitem__("score", 1), e.pop(3)),
+     "edges is missing 'w11' -> 'w20'"),
+    ("range-then-missing", lambda e: (e[0].__setitem__("score", 0.0), e.pop(3)),
+     "edges is missing 'w11' -> 'w20'"),
+    ("unscored-then-missing", lambda e: (e[0].pop("score"), e.pop(3)),
+     "edges is missing 'w11' -> 'w20'"),
+]
+
+# What only a system file's edge list has: scores are all there or none,
+# and a range error starts "edges:".
+_SYSTEM_EDGE_FAULTS = [
+    ("partial-scores", lambda e: e[4].pop("score"), "either every edge must carry a score or none may"),
+    ("zero-score", lambda e: e[4].__setitem__("score", 0),
+     "edges: score for edge 'w20' -> 'w30' must be in (0, 1], got 0.0"),
+    ("int-then-zero", lambda e: (e[1].__setitem__("score", 1), e[3].__setitem__("score", 0)),
+     "edges: score for edge 'w11' -> 'w20' must be in (0, 1], got 0.0"),
+    ("unscored-and-zero", lambda e: (e[0].pop("score"), e[1].__setitem__("score", 0)),
+     "either every edge must carry a score or none may"),
+]
+
+# What only a scores file has: every entry needs a score, and a range error
+# starts "scores document:".
+_SCORES_FILE_FAULTS = [
+    ("missing-score", lambda e: e[1].pop("score"), "edges[1] is missing the 'score' field"),
+    ("nan", lambda e: e[1].__setitem__("score", float("nan")),
+     "scores document: score for edge 'w00' -> 'w11' must be in (0, 1], got nan"),
+    ("int-then-zero", lambda e: (e[1].__setitem__("score", 1), e[3].__setitem__("score", 0)),
+     "scores document: score for edge 'w11' -> 'w20' must be in (0, 1], got 0.0"),
+    ("unscored-and-zero", lambda e: (e[3].pop("score"), e[1].__setitem__("score", 0)),
+     "edges[3] is missing the 'score' field"),
+]
+
+
+def _faults(rows):
+    return [pytest.param(mutate, message, id=name) for name, mutate, message in rows]
+
+
+def _entries(ts):
+    """The edge list of `ts` in order, each entry with score 0.5."""
     assert list(ts.edges()) == [("w00", "w10"), ("w00", "w11"), ("w10", "w20"),
                                 ("w11", "w20"), ("w20", "w30")]
-    data = dump_ts(ts, score_edges(ts)) if scored else _listed_edges(ts)
+    return [{"from": u, "to": v, "score": 0.5} for u, v in ts.edges()]
+
+
+@pytest.mark.parametrize("mutate, message", _faults(_EDGE_LIST_FAULTS + _SYSTEM_EDGE_FAULTS))
+def test_load_ts_names_each_malformed_edge_entry(mutate, message):
+    ts = build_ts(ingest(FRAMES_DOC).frames)
     with pytest.raises(IngestionError) as info:
-        load_ts(_mutated(data, mutate))
+        load_ts({**dump_ts(ts), "edges": _mutated(_entries(ts), mutate)})
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (lambda e: e.__setitem__(1, 3), "edges[1] must be an object, got int"),
-        (lambda e: e[1].pop("to"), "edges[1] is missing the 'to' field"),
-        (lambda e: e[1].__setitem__("from", None),
-         "edges[1].from must be a string, got NoneType"),
-        (lambda e: e.append({"from": "w10", "to": "w30"}),
-         "edges[5]: 'w10' -> 'w30' is not an edge of the system"),
-        (lambda e: e.append({"from": "w20", "to": "w10"}),
-         "edges[5]: 'w20' -> 'w10' is not an edge of the system"),
-        (lambda e: e.insert(0, {"from": "zz", "to": "w10"}),
-         "edges[0]: 'zz' -> 'w10' is not an edge of the system"),
-        (lambda e: e.insert(0, {"from": "w10", "to": "zz"}),
-         "edges[0]: 'w10' -> 'zz' is not an edge of the system"),
-        (lambda e: e.insert(2, dict(e[0])), "edges[2] duplicates edge 'w00' -> 'w10'"),
-        (lambda e: e[1].pop("score"), "edges[1] is missing the 'score' field"),
-        (lambda e: e[1].__setitem__("score", "x"), "edges[1].score must be a number"),
-        (lambda e: e[1].__setitem__("score", float("nan")),
-         "scores document: score for edge 'w00' -> 'w11' must be in (0, 1], got nan"),
-        (lambda e: e.pop(3), "no score for edge 'w11' -> 'w20'"),
-        # Two faults: the message the checks' order gives.
-        (lambda e: (e[0].__setitem__("score", 0.0), e.append(dict(e[1]))),
-         "edges[5] duplicates edge 'w00' -> 'w11'"),
-        (lambda e: (e[1].__setitem__("score", 1.5), e[2].__setitem__("score", True)),
-         "edges[2].score must be a number"),
-        (lambda e: (e[1].__setitem__("score", 1), e[3].__setitem__("score", 0)),
-         "scores document: score for edge 'w11' -> 'w20' must be in (0, 1], got 0.0"),
-        (lambda e: (e[1].__setitem__("score", 1), e.pop(3)),
-         "no score for edge 'w11' -> 'w20'"),
-        (lambda e: (e[0].__setitem__("to", None), e.append({"from": "w10", "to": "w30"})),
-         "edges[0].to must be a string, got NoneType"),
-        (lambda e: (e[0].__setitem__("score", -1.0),
-                    e.append({"from": "w10", "to": "w30", "score": 0.5})),
-         "edges[5]: 'w10' -> 'w30' is not an edge of the system"),
-        (lambda e: (e[0].__setitem__("score", 2), e.append(dict(e[2], score="x"))),
-         "edges[5] duplicates edge 'w10' -> 'w20'"),
-    ],
-    ids=["non-object", "missing-to", "non-string-from", "not-an-edge", "backwards",
-         "unknown-from", "unknown-to", "duplicate",
-         "missing-score", "string-score", "nan", "uncovered",
-         "range-then-duplicate", "range-then-bool", "int-then-zero", "int-then-uncovered",
-         "entries-0-and-5", "range-0-and-extra-5", "range-0-and-duplicate-5"],
-)
+@pytest.mark.parametrize("mutate, message", _faults(_EDGE_LIST_FAULTS + _SCORES_FILE_FAULTS))
 def test_load_scores_names_each_malformed_entry(mutate, message):
     ts = build_ts(ingest(FRAMES_DOC).frames)
-    edges = [{"from": u, "to": v, "score": 0.5} for u, v in ts.edges()]
     with pytest.raises(IngestionError) as info:
-        load_scores({"edges": _mutated(edges, mutate)}, ts)
+        load_scores({"edges": _mutated(_entries(ts), mutate)}, ts)
     assert str(info.value) == message
 
 
@@ -368,6 +363,26 @@ def test_load_ts_accepts_a_permuted_edge_list():
     loaded, embedded = load_ts(data)
     assert loaded == ts
     assert embedded == table
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_both_edge_lists_load_alike_in_any_order(seed):
+    rng = random.Random(seed)
+    parsed = load_frames(random_frames_document(rng, max_frames=4, max_worlds=4))
+    ts = build_ts(parsed.frames, groups=parsed.groups or None)
+    table = score_edges(ts)
+    doc = dump_ts(ts, table)
+    in_order = doc["edges"]
+    assert load_ts(doc) == (ts, table)
+    assert load_scores({"edges": in_order}, ts) == table
+    shuffled = list(in_order)
+    rng.shuffle(shuffled)
+    for entries in (in_order[::-1], shuffled):
+        assert entries != in_order
+        loaded, embedded = load_ts({**doc, "edges": entries})
+        assert loaded == ts
+        assert embedded == table
+        assert load_scores({"edges": entries}, ts) == table
 
 
 def test_save_ts_writes_one_compact_line(tmp_path):
