@@ -75,9 +75,8 @@ def _atom(value, where: str) -> Atom:
         raise IngestionError(f"{where}: {exc}") from None
 
 
-def _atom_set(value, atom_sets: dict, where: str, j: int, close) -> frozenset:
-    """The atom set of the JSON atom list `value` at {where}.worlds[{j}].atoms,
-    passed through `close` (None leaves it as is).
+def _seen(value, atom_sets: dict):
+    """The set that `atom_sets` holds for the JSON atom list `value`, or None.
 
     `atom_sets` maps the key ((data_id, class_id), ...) of every list already
     checked in this document to its set, so each distinct list is checked
@@ -86,10 +85,15 @@ def _atom_set(value, atom_sets: dict, where: str, j: int, close) -> frozenset:
     """
     if value.__class__ is list:
         try:
-            return atom_sets[tuple([tuple(x) if x.__class__ is list else () for x in value])]
-        except (KeyError, TypeError):  # TypeError: an unhashable member
+            return atom_sets.get(tuple([tuple(x) if x.__class__ is list else () for x in value]))
+        except TypeError:  # an unhashable member
             pass
-    where = f"{where}.worlds[{j}].atoms"
+    return None
+
+
+def _atom_set(value, atom_sets: dict, where: str, close) -> frozenset:
+    """Check the JSON atom list `value` at `where` and keep its set, passed
+    through `close` (None leaves it as is), in `atom_sets` (see `_seen`)."""
     atoms = [_atom(pair, f"{where}[{k}]") for k, pair in enumerate(_as_list(value, where))]
     atom_set = atom_sets[tuple([(a.data_id, a.class_id) for a in atoms])] = (
         frozenset(atoms) if close is None else close(atoms)
@@ -132,14 +136,17 @@ def load_rules(source) -> RuleSet:
         raise IngestionError(f"rules document: {exc}") from None
 
 
-def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=None) -> PALModel:
+def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=None,
+                indexed=None) -> PALModel:
     """The model of a frame or layer entry at `where`.
 
     Every check of `PALModel(...)` that the entry could fail is made here,
     in the order that constructor makes it, so the model is built through
     `PALModel.from_checked`.  `World(...)` keeps the frozenset it is given,
-    so worlds with equal atom lists share one atom set.  Locations are
-    formatted only for the message of a failing check.
+    so worlds with equal atom lists share one atom set.  `indexed` is the
+    list of checked sets of a system document's "atom_sets", or None when
+    it has none; only then may a world's "atoms" be an index into it.
+    Locations are formatted only for the message of a failing check.
     """
     worlds_value = _as_list(_get(entry, "worlds", where), f"{where}.worlds")
     if not worlds_value:
@@ -155,8 +162,17 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
             raise _wrong_type(wid, "a string", f"{where}.worlds[{j}].id")
         if not wid:
             raise IngestionError(f"{where}.worlds[{j}].id must not be empty")
-        atoms = _atom_set(value.get("atoms", []), atom_sets, where, j, close)
-        worlds.append(World(wid, atoms))
+        atoms = value.get("atoms", [])
+        if atoms.__class__ is int and indexed is not None and 0 <= atoms < len(indexed):
+            atom_set = indexed[atoms]
+        elif (atom_set := _seen(atoms, atom_sets)) is None:
+            at = f"{where}.worlds[{j}].atoms"
+            if indexed is not None and isinstance(atoms, int):  # also a bool
+                raise IngestionError(
+                    f"{at} must be an index into atom_sets ({len(indexed)} entries), got {atoms!r}"
+                )
+            atom_set = _atom_set(atoms, atom_sets, at, close)
+        worlds.append(World(wid, atom_set))
     ids = [w.id for w in worlds]
     relations_value = _as_dict(entry.get("relations", {}), f"{where}.relations")
     partitions = {}
@@ -287,24 +303,27 @@ def _relation_pairs(model: PALModel, agent: str) -> list:
 def dump_ts(ts: TransitionSystem, scores: ScoreTable | None = None) -> dict:
     """Serialize a system (and optionally its edge scores) to a JSON dict.
 
+    "atom_sets" lists each distinct atom set once, as a sorted
+    [[data_id, class_id], ...] list, in order of first use, layer by layer
+    and world by world; each world's "atoms" is the index of its set there.
     The edges are listed, each with its score, only when `scores` is given;
     without scores there is no "edges" key, because the layers imply every
-    edge.  Worlds with equal atom sets share one "atoms" list object.
+    edge.
     """
     doc: dict = {"agents": list(ts.agents)}
     if ts.groups:
         doc["groups"] = {name: list(members) for name, members in ts.groups.items()}
-    listed: dict = {}  # atom set -> its sorted [[data_id, class_id], ...] list
-    for atoms in {w.atoms for model in ts.layers for w in model.worlds}:
-        listed[atoms] = [[a.data_id, a.class_id] for a in sorted(atoms)]
+    index: dict = {}  # atom set -> its position in "atom_sets"
     layers = []
     for model in ts.layers:
         layers.append({
-            "worlds": [{"id": w.id, "atoms": listed[w.atoms]} for w in model.worlds],
+            "worlds": [{"id": w.id, "atoms": index.setdefault(w.atoms, len(index))}
+                       for w in model.worlds],
             "relations": {
                 agent: _relation_pairs(model, agent) for agent in ts.agents
             },
         })
+    doc["atom_sets"] = [[[a.data_id, a.class_id] for a in sorted(atoms)] for atoms in index]
     doc["layers"] = layers
     if scores is not None:
         doc["edges"] = [{"from": u, "to": v, "score": scores[(u, v)]} for u, v in ts.edges()]
@@ -317,7 +336,7 @@ def save_ts(ts: TransitionSystem, path, scores: ScoreTable | None = None) -> Non
     An unscored system is written without an edge list.  No indentation,
     because `json.dumps` with `indent` falls back to its pure-Python
     encoder; `load_ts` reads indented files all the same.  The document is
-    acyclic (shared atom lists are no cycle), so nothing checks for cycles.
+    acyclic, so nothing checks for cycles.
     """
     Path(path).write_text(json.dumps(dump_ts(ts, scores), check_circular=False) + "\n")
 
@@ -396,17 +415,28 @@ def load_ts(source):
     edge between adjacent layers and no scores.  A listed edge list, scored
     or (as older versions wrote) not, follows `_edge_rows`; scores is a
     ScoreTable when every entry carries a "score" field and None when none
-    does, and a mixture is an error.  Each distinct atom list is checked
-    once per document, and worlds with equal atom lists share one atom set.
+    does, and a mixture is an error.
+
+    A world's "atoms" is an atom list, or, when the document has an
+    "atom_sets" array of atom lists (as `dump_ts` writes), an index into
+    it.  Each distinct atom list is checked once per document, and worlds
+    with equal atom lists share one atom set.
     """
     doc = _as_dict(_load_json(source), "system document")
     agents_value = _as_list(_get(doc, "agents", "system document"), "agents")
     agents = tuple(_as_str(a, f"agents[{i}]") for i, a in enumerate(agents_value))
 
-    layers_value = _as_list(_get(doc, "layers", "system document"), "layers")
     atom_sets: dict = {}
+    indexed = None
+    if "atom_sets" in doc:
+        indexed = [
+            _atom_set(value, atom_sets, f"atom_sets[{k}]", None)
+            for k, value in enumerate(_as_list(doc["atom_sets"], "atom_sets"))
+        ]
+    layers_value = _as_list(_get(doc, "layers", "system document"), "layers")
     layers = [
-        _load_model(_as_dict(entry, f"layers[{i}]"), agents, f"layers[{i}]", atom_sets)
+        _load_model(_as_dict(entry, f"layers[{i}]"), agents, f"layers[{i}]", atom_sets,
+                    indexed=indexed)
         for i, entry in enumerate(layers_value)
     ]
 

@@ -1,5 +1,6 @@
 """Seeded random builders for models, systems, formulas and documents."""
 
+import json
 import random
 
 from ltpal.formulas import (
@@ -168,3 +169,16 @@ def random_frames_document(rng: random.Random, max_frames=3, max_worlds=3):
         }
         doc["frames"].append({"worlds": worlds, "relations": relations})
     return doc
+
+
+def listed_atoms(doc: dict) -> dict:
+    """A copy of the system document `doc` without "atom_sets": each world's
+    "atoms" index is replaced by the atom list it names, as older versions
+    wrote it.  Nothing in the copy is shared, so a node can be mutated alone."""
+    doc = dict(doc)
+    atom_sets = doc.pop("atom_sets")
+    doc["layers"] = [
+        {**layer, "worlds": [{**world, "atoms": atom_sets[world["atoms"]]} for world in layer["worlds"]]}
+        for layer in doc["layers"]
+    ]
+    return json.loads(json.dumps(doc))

@@ -445,20 +445,39 @@ def _edge_corruptions() -> dict:
     }
 
 
+def _atom_set_corruptions() -> dict:
+    """Corruptions of a system document whose worlds index its "atom_sets"."""
+    return {
+        "index-bool": _set(["layers", 1, "worlds", 1, "atoms"], True),
+        "index-negative": _set(["layers", 2, "worlds", 0, "atoms"], -1),
+        "index-past-the-end": _set(["layers", 1, "worlds", 2, "atoms"], 5),
+        "index-float": _set(["layers", 1, "worlds", 0, "atoms"], 1.0),
+        "index-without-atom-sets": _set(["atom_sets"], _DELETE),
+        "atom-sets-object": _set(["atom_sets"], {}),
+        "atom-sets-entry-string": _set(["atom_sets", 1], "v1Cat"),
+        "atom-sets-entry-1-list-atom": _set(["atom_sets", 2, 0], ["v1"]),
+        "atom-sets-entry-space": _set(["atom_sets", 3, 0], ["v2", "C t"]),
+    }
+
+
 def _corrupted_session() -> dict:
+    from generators import listed_atoms
     from ltpal.mppe import score_edges
     from ltpal.serialize import build_from_files, dump_ts, load_scores
 
     frames = _demo("demo_frames.json")
     frames["agents"].append("c")  # a third agent, for the roster corruptions
     ts = build_from_files(DATA / "demo_frames.json")
-    system = json.loads(json.dumps(dump_ts(ts)))
+    # The corruptions of layers address each world's atom list, so they are
+    # made on the list layout; those of "atom_sets" on the written one.
+    indexed = json.loads(json.dumps(dump_ts(ts)))
+    system = listed_atoms(indexed)
     system["agents"].append("c")
     for layer in system["layers"]:
         layer["relations"]["c"] = []
     scores = _demo("demo_scores.json")
-    scored = json.loads(json.dumps(dump_ts(ts, load_scores(DATA / "demo_scores.json", ts))))
-    overlap = json.loads(json.dumps(dump_ts(ts, score_edges(ts))))
+    scored = listed_atoms(dump_ts(ts, load_scores(DATA / "demo_scores.json", ts)))
+    overlap = listed_atoms(dump_ts(ts, score_edges(ts)))
 
     files = {"frames.json": _text(_demo("demo_frames.json")),
              "scores.json": _text(scores),
@@ -478,6 +497,11 @@ def _corrupted_session() -> dict:
         doc = copy.deepcopy(system)
         mutate(doc)
         name = f"system-{corruption}.json"
+        add(name, doc, ["check", "--ts", name, "--formula", "true"])
+    for corruption, mutate in _atom_set_corruptions().items():
+        doc = copy.deepcopy(indexed)
+        mutate(doc)
+        name = f"indexed-system-{corruption}.json"
         add(name, doc, ["check", "--ts", name, "--formula", "true"])
     for base, label in ((scores, "scores"), (scored, "scored-system"),
                         (overlap, "overlap-system")):

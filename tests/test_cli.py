@@ -17,7 +17,7 @@ from ltpal import cli
 from ltpal.cli import _build_parser, main
 from ltpal.serialize import dump_ts, load_scores, load_ts
 
-from generators import ATOM_POOL
+from generators import ATOM_POOL, listed_atoms
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -88,7 +88,7 @@ def test_build_with_rules(tmp_path, capsys):
         "--rules", str(rules), "--output", str(out),
     ])
     assert code == 0
-    worlds = json.loads(out.read_text())["layers"][1]["worlds"]
+    worlds = listed_atoms(json.loads(out.read_text()))["layers"][1]["worlds"]
     assert ["v1", "Animal"] in worlds[0]["atoms"]
 
 
@@ -602,7 +602,7 @@ def test_documents_are_read_as_utf8_under_any_locale(tmp_path):
     built = run("-m", "ltpal.cli", "build", "--frames", "f.json", "--output", "ts.json")
     assert (built.returncode, built.stderr) == (0, "")
     assert json.loads(built.stdout)["states"] == 7
-    layers = json.loads((tmp_path / "ts.json").read_text())["layers"]
+    layers = listed_atoms(json.loads((tmp_path / "ts.json").read_text()))["layers"]
     assert layers[1]["worlds"][0]["atoms"] == [["v1", "Katze\u00e9"]]
     bad = run("-m", "ltpal.cli", "build", "--frames", "bad.json", "--output", "x.json")
     assert (bad.returncode, bad.stdout) == (2, "")

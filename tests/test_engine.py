@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltpal.classify import quantify_paths
-from ltpal.formulas import Next, Pal, PNot, Prop, TNot, future
+from ltpal.formulas import Next, Pal, PNot, Prop, TNot, Until, future, globally, lift, t_and, t_implies
 from ltpal.model import Atom, PALModel, World
 from ltpal.pal import pal_sat
+from ltpal.serialize import dump_ts, load_ts, save_ts
 from ltpal.temporal import decide, tems
 from ltpal.transition import build_ts, enumerate_total_paths, path_at, path_rank, total_path_count
 
-from generators import random_temporal_formula, random_ts
+from generators import random_pal_formula, random_temporal_formula, random_ts
 from oracles import enumerate_id_paths, oracle_path_check
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -151,3 +152,92 @@ def test_reported_paths_are_confirmed_on_workload_sized_systems(seed):
                 lower += [(columns[k][0], columns[k][1][:picks[k]])] + columns[k + 1:]
                 assert decide(lower, formula, result) is None
     assert found
+
+
+# Formulas whose verdict turns on Next, over two PAL leaves p and q.
+_NEXT_SHAPES = [
+    lambda p, q: Next(p),
+    lambda p, q: future(t_and(p, Next(q))),
+    lambda p, q: globally(t_implies(p, Next(q))),
+    lambda p, q: Until(p, Next(q)),
+    lambda p, q: future(t_and(Next(p), Next(Next(q)))),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_next_decides_deep_witnesses_as_enumeration_does(seed):
+    """On systems of 3 to 5 frames, formulas built around Next whose
+    enumeration-least deciding path is not the first path: the engine's
+    report equals the brute force one."""
+    rng = random.Random(seed)
+    deep = 0
+    while deep < 30:
+        ts = random_ts(rng, max_frames=5, max_worlds=3)
+        if len(ts.real_layers) < 3:
+            continue
+        leaf = lambda: lift(random_pal_formula(rng, list(ts.agents), 1))
+        formula = rng.choice(_NEXT_SHAPES)(leaf(), leaf())
+        id_paths = enumerate_id_paths(ts)
+        for universal in (True, False):
+            expected = _brute(ts, formula, universal, 10**9, False, id_paths)
+            result, path, checked, capped = quantify_paths(ts, formula, universal=universal)
+            assert (result, path.worlds if path else None, checked, capped) == expected
+            deep += expected[1] is not None and checked > 1
+
+
+def _workload_sized(seed):
+    """A system of up to 200 frames of 10 worlds, three drawn formulas and
+    two built around Next."""
+    rng = random.Random(seed)
+    ts = random_ts(rng, max_frames=200, max_worlds=10)
+    agents = list(ts.agents)
+    leaf = lambda: lift(random_pal_formula(rng, agents, 1))
+    return ts, [*(random_temporal_formula(rng, agents) for _ in range(3)),
+                *(rng.choice(_NEXT_SHAPES)(leaf(), leaf()) for _ in range(2))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_universal_and_negated_existential_checks_mirror_each_other(seed):
+    ts, formulas = _workload_sized(seed)
+    for formula in formulas:
+        result, path, checked, capped = quantify_paths(ts, formula, universal=True, path_cap=10**400)
+        mirrored = quantify_paths(ts, TNot(formula), universal=False, path_cap=10**400)
+        assert mirrored == (not result, path, checked, capped)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_skipping_the_dummies_equals_checking_next(seed):
+    ts, formulas = _workload_sized(seed)
+    for formula in formulas:
+        for universal in (True, False):
+            assert quantify_paths(ts, formula, universal=universal, path_cap=10**400,
+                                  skip_dummies=True) == \
+                quantify_paths(ts, Next(formula), universal=universal, path_cap=10**400)
+
+
+def _renamed(doc, rename):
+    """The system document `doc` with every world id passed through `rename`."""
+    for layer in doc["layers"]:
+        for world in layer["worlds"]:
+            world["id"] = rename(world["id"])
+        layer["relations"] = {agent: [[rename(a), rename(b)] for a, b in pairs]
+                              for agent, pairs in layer["relations"].items()}
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_an_order_preserving_rename_of_world_ids_changes_only_the_ids(seed, tmp_path):
+    ts, formulas = _workload_sized(seed)
+    rename = lambda wid: "r." + wid  # a common prefix keeps the ids' order
+    target = tmp_path / "ts.json"
+    save_ts(load_ts(_renamed(dump_ts(ts), rename))[0], target)
+    renamed, _ = load_ts(str(target))
+    assert [[w.id for w in layer.worlds] for layer in renamed.layers] == \
+        [[rename(w.id) for w in layer.worlds] for layer in ts.layers]
+    for formula in formulas:
+        for universal in (True, False):
+            result, path, checked, capped = quantify_paths(ts, formula, universal=universal,
+                                                           path_cap=10**400)
+            expected = (result, path and renamed.path(map(rename, path.worlds)), checked, capped)
+            assert quantify_paths(renamed, formula, universal=universal,
+                                  path_cap=10**400) == expected

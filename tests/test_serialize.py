@@ -23,7 +23,7 @@ from ltpal.serialize import (
 )
 from ltpal.transition import TransitionSystem, build_ts, total_path_count
 
-from generators import random_frames_document, random_ts
+from generators import listed_atoms, random_frames_document, random_ts
 
 DATA = Path(__file__).parent / "data"
 FRAMES_DOC = {
@@ -492,7 +492,7 @@ def _corpus_doc(key, seed):
     rng = random.Random(seed)
     doc = _corpus_frames_doc(rng)
     if key == "layers":
-        doc = json.loads(json.dumps(dump_ts(build_ts(load_frames(doc).frames))))
+        doc = listed_atoms(dump_ts(build_ts(load_frames(doc).frames)))
     return doc, rng
 
 
@@ -750,6 +750,78 @@ def test_corrupted_documents_keep_their_messages():
     assert found == _PINNED
 
 
+def _indexed_doc():
+    """The written system document of FRAMES_DOC, with atom_sets [[], [v1:Cat], [v1:Dog]]."""
+    return json.loads(json.dumps(dump_ts(build_ts(ingest(FRAMES_DOC).frames))))
+
+
+def _set_world_atoms(value):
+    return lambda doc: doc["layers"][1]["worlds"][1].__setitem__("atoms", value)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_world_atoms(True),
+     "layers[1].worlds[1].atoms must be an index into atom_sets (3 entries), got True"),
+    (_set_world_atoms(False),
+     "layers[1].worlds[1].atoms must be an index into atom_sets (3 entries), got False"),
+    (_set_world_atoms(-1),
+     "layers[1].worlds[1].atoms must be an index into atom_sets (3 entries), got -1"),
+    (_set_world_atoms(3),
+     "layers[1].worlds[1].atoms must be an index into atom_sets (3 entries), got 3"),
+    (_set_world_atoms(10 ** 30),
+     f"layers[1].worlds[1].atoms must be an index into atom_sets (3 entries), got {10 ** 30}"),
+    (_set_world_atoms(1.0), "layers[1].worlds[1].atoms must be an array, got float"),
+    (_set_world_atoms("1"), "layers[1].worlds[1].atoms must be an array, got str"),
+    (lambda doc: doc.pop("atom_sets"), "layers[0].worlds[0].atoms must be an array, got int"),
+    (lambda doc: doc.__setitem__("atom_sets", []),
+     "layers[0].worlds[0].atoms must be an index into atom_sets (0 entries), got 0"),
+    (lambda doc: doc.__setitem__("atom_sets", {"0": []}), "atom_sets must be an array, got dict"),
+    (lambda doc: doc["atom_sets"].__setitem__(1, "v1Cat"), "atom_sets[1] must be an array, got str"),
+    (lambda doc: doc["atom_sets"].__setitem__(1, 1), "atom_sets[1] must be an array, got int"),
+    (lambda doc: doc["atom_sets"][2].append(["v1"]),
+     "atom_sets[2][1] must be a [data_id, class_id] pair"),
+    (lambda doc: doc["atom_sets"][1].__setitem__(0, ["v1", 7]),
+     "atom_sets[1][0][1] must be a string, got int"),
+    (lambda doc: doc["atom_sets"][1].__setitem__(0, ["v1", "C t"]),
+     "atom_sets[1][0]: atom class id 'C t' may not contain whitespace, unprintable characters "
+     "or any of : , ( ) [ ] { }"),
+    # An entry no world uses is checked all the same.
+    (lambda doc: doc["atom_sets"].append([{"v1": "Cat"}]), "atom_sets[3][0] must be an array, got dict"),
+], ids=["bool", "false", "negative", "past-the-end", "huge", "float", "string",
+        "index-without-atom-sets", "empty-atom-sets", "atom-sets-object", "entry-string",
+        "entry-int", "entry-1-list-atom", "entry-int-member", "entry-bad-class", "unused-entry"])
+def test_atom_set_indices_and_entries_are_checked(mutate, message):
+    doc = _indexed_doc()
+    mutate(doc)
+    with pytest.raises(IngestionError) as info:
+        load_ts(doc)
+    assert str(info.value) == message
+
+
+def test_indexed_listed_and_mixed_atoms_load_to_equal_systems():
+    ts = build_ts(ingest(FRAMES_DOC).frames)
+    indexed = _indexed_doc()
+    listed = listed_atoms(indexed)
+    assert "atom_sets" not in listed
+    assert listed["layers"][1]["worlds"][1]["atoms"] == [["v1", "Dog"]]
+    mixed = json.loads(json.dumps(indexed))
+    mixed["layers"][1]["worlds"][0]["atoms"] = [["v1", "Cat"]]
+    mixed["layers"][2]["worlds"][0]["atoms"] = []
+    # Entries unused, repeated or out of order are allowed.
+    reordered = json.loads(json.dumps(indexed))
+    reordered["atom_sets"] = [[["v1", "Dog"]], [["v1", "Dog"]], [], [["v1", "Cat"]], [["x", "Fox"]]]
+    for world, index in zip((w for layer in reordered["layers"] for w in layer["worlds"]),
+                            (2, 3, 1, 2, 2)):
+        world["atoms"] = index
+    for doc in (indexed, listed, mixed, reordered):
+        loaded, scores = load_ts(doc)
+        assert (loaded, scores) == (ts, None)
+        assert dump_ts(loaded) == indexed
+    # A listed world shares the set of the equal atom_sets entry.
+    loaded, _ = load_ts(mixed)
+    assert loaded.layers[2].worlds[0].atoms is loaded.layers[0].worlds[0].atoms
+
+
 def _public_model(entry, agents, close=frozenset):
     """The model of a frame or layer entry, built through the checking constructors."""
     worlds = [World(w["id"], close([Atom(*pair) for pair in w.get("atoms", [])]))
@@ -771,12 +843,14 @@ def test_loaded_documents_share_atom_sets_and_equal_the_checked_build(seed):
     rng = random.Random(seed)
     frames = random_frames_document(rng, max_frames=4) if seed % 2 else _corpus_doc("frames", seed)[0]
     agents = tuple(frames["agents"])
-    system = json.loads(json.dumps(dump_ts(build_ts(load_frames(frames).frames))))
+    indexed = json.loads(json.dumps(dump_ts(build_ts(load_frames(frames).frames))))
+    system = listed_atoms(indexed)
 
-    ts, _ = load_ts(system)
     layers = [_public_model(entry, agents) for entry in system["layers"]]
-    assert ts == TransitionSystem(layers)
-    assert all(len(ids) == 1 for ids in _atom_sets_by_list(ts.layers, system["layers"]).values())
+    for doc in (system, indexed):
+        ts, _ = load_ts(doc)
+        assert ts == TransitionSystem(layers)
+        assert all(len(ids) == 1 for ids in _atom_sets_by_list(ts.layers, system["layers"]).values())
 
     rules_doc = {"rules": [{"class": "Cat", "implies": ["Animal"]}, {"class": "C", "implies": ["Cat"]},
                            {"class": "Dog", "implies": ["Animal", "Pet"]}]}
@@ -793,6 +867,7 @@ def _reference_dump(ts, scores=None):
     doc = {"agents": list(ts.agents)}
     if ts.groups:
         doc["groups"] = {name: list(members) for name, members in ts.groups.items()}
+    atom_sets = []
     layers = []
     for model in ts.layers:
         relations = {}
@@ -802,11 +877,14 @@ def _reference_dump(ts, scores=None):
                 members = sorted(block)
                 pairs.extend([a, b] for a, b in zip(members, members[1:]))
             relations[agent] = pairs
-        layers.append({
-            "worlds": [{"id": w.id, "atoms": [[a.data_id, a.class_id] for a in sorted(w.atoms)]}
-                       for w in model.worlds],
-            "relations": relations,
-        })
+        worlds = []
+        for w in model.worlds:
+            atoms = [[a.data_id, a.class_id] for a in sorted(w.atoms)]
+            if atoms not in atom_sets:
+                atom_sets.append(atoms)
+            worlds.append({"id": w.id, "atoms": atom_sets.index(atoms)})
+        layers.append({"worlds": worlds, "relations": relations})
+    doc["atom_sets"] = atom_sets
     doc["layers"] = layers
     if scores is not None:
         doc["edges"] = [{"from": u, "to": v, "score": scores[(u, v)]} for u, v in ts.edges()]
