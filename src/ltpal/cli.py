@@ -154,7 +154,8 @@ def _cmd_paths(args) -> int:
         raise ConfigurationError("--max must not be negative")
     ts, _ = load_ts(args.ts)
     total = total_path_count(ts)
-    limit = args.max if args.max is not None else 10_000
+    # islice takes no stop above sys.maxsize, and no system lists that many.
+    limit = min(args.max, sys.maxsize) if args.max is not None else 10_000
     paths = [list(p.worlds) for p in islice(enumerate_total_paths(ts), limit)]
     _emit({"count": total, "paths": paths, "truncated": total > len(paths)})
     return EXIT_TRUE
@@ -290,25 +291,20 @@ def _cmd_mppe(args) -> int:
     return EXIT_TRUE
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ltpal",
-        description="Epistemic-temporal model checking over classifier frame streams.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    build = sub.add_parser("build", help="assemble a transition system from frames")
+def _build_options(build) -> None:
     build.add_argument("--frames", required=True, help="frames JSON file")
     build.add_argument("--rules", help="ontology rules JSON file")
     build.add_argument("--output", required=True, help="where to write the system JSON")
     build.set_defaults(func=_cmd_build)
 
-    paths = sub.add_parser("paths", help="enumerate total paths in lexicographic order")
+
+def _paths_options(paths) -> None:
     paths.add_argument("--ts", required=True, help="system JSON file")
     paths.add_argument("--max", type=int, help="cap on listed paths (default 10000)")
     paths.set_defaults(func=_cmd_paths)
 
-    check = sub.add_parser("check", help="evaluate a temporal formula")
+
+def _check_options(check) -> None:
     check.add_argument("--ts", required=True, help="system JSON file")
     check.add_argument("--formula", required=True, help="temporal formula text")
     check.add_argument("--path-index", type=int,
@@ -321,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="evaluate from the first real frame")
     check.set_defaults(func=_cmd_check)
 
-    classify = sub.add_parser("classify", help="run a reliability verdict")
+
+def _classify_options(classify) -> None:
     classify.add_argument("--ts", required=True, help="system JSON file")
     classify.add_argument(
         "--mode", required=True,
@@ -344,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--scores", help="edge scores JSON (with --mppe-only)")
     classify.set_defaults(func=_cmd_classify)
 
-    mppe = sub.add_parser("mppe", help="extract the most probable path")
+
+def _mppe_options(mppe) -> None:
     mppe.add_argument("--ts", required=True, help="system JSON file")
     source = mppe.add_mutually_exclusive_group()
     source.add_argument("--scores", help="edge scores JSON file")
@@ -355,6 +353,29 @@ def _build_parser() -> argparse.ArgumentParser:
     mppe.add_argument("--emit-corrected", help="also write the corrected stream JSON here")
     mppe.set_defaults(func=_cmd_mppe)
 
+
+# Subcommand -> (help, function that adds its options and the command).
+_COMMANDS = {
+    "build": ("assemble a transition system from frames", _build_options),
+    "paths": ("enumerate total paths in lexicographic order", _paths_options),
+    "check": ("evaluate a temporal formula", _check_options),
+    "classify": ("run a reliability verdict", _classify_options),
+    "mppe": ("extract the most probable path", _mppe_options),
+}
+
+
+def _build_parser(with_options=_COMMANDS) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the options of those named in
+    `with_options` (by default all).  A command needs only its own."""
+    parser = argparse.ArgumentParser(
+        prog="ltpal",
+        description="Epistemic-temporal model checking over classifier frame streams.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if name in with_options:
+            add_options(command)
     return parser
 
 
@@ -378,8 +399,11 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The first token naming a subcommand is the one argparse runs: the
+    # top-level parser has no option that takes a value.
+    named = [token for token in argv if token in _COMMANDS][:1]
+    args = _build_parser(named).parse_args(argv)
     try:
         return args.func(args)
     except (LtpalError, OSError) as exc:

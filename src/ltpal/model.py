@@ -4,8 +4,10 @@ One frame of multi-classifier output becomes a small Kripke model: a set of
 possible worlds (candidate readings of the frame), a valuation assigning the
 detected (datum, class) atoms to each world, and one equivalence relation per
 classifier grouping the worlds that classifier cannot tell apart.  Relations
-are stored as partitions of the world set rather than pair lists, and the
-block of one world is found by a scan of its agent's partition.
+are read as partitions of the world set rather than pair lists, and the
+block of one world is found by a scan of its agent's partition.  A model
+built from checked pairs (a loaded system's layer) closes each agent's
+relation into its partition the first time that partition is read.
 """
 
 from __future__ import annotations
@@ -204,6 +206,21 @@ def rule_closure(atoms: Iterable[Atom], rules: RuleSet) -> frozenset:
     return frozenset(closed)
 
 
+def check_pair_ids(pairs, ids) -> None:
+    """Require every id that `pairs` names to be in `ids` (a set, or a
+    dict keyed by id).
+
+    Raises IngestionError for the first pair naming an unknown id, at its
+    left id when both are unknown.
+    """
+    for a, b in pairs:
+        for w in (a, b):
+            if w not in ids:
+                raise IngestionError(
+                    f"relation pair ({a!r}, {b!r}) references unknown world id {w!r}"
+                )
+
+
 def equivalence_closure(pairs, worlds) -> tuple:
     """Finest partition of `worlds` whose blocks join every listed pair.
 
@@ -211,14 +228,17 @@ def equivalence_closure(pairs, worlds) -> tuple:
     completions are implicit.  Returns blocks as frozensets, ordered by their
     smallest member so the result is deterministic.
     """
+    pairs = tuple(pairs)
     ids = set(worlds)
+    check_pair_ids(pairs, ids)
+    return _merge(pairs, ids)
+
+
+def _merge(pairs, ids) -> tuple:
+    """`equivalence_closure` of `pairs` over the ids `ids` (any iterable
+    of distinct ids), once `check_pair_ids` has passed."""
     block_of: dict = {}  # id -> the set of its block, for ids some pair names
     for a, b in pairs:
-        for w in (a, b):
-            if w not in ids:
-                raise IngestionError(
-                    f"relation pair ({a!r}, {b!r}) references unknown world id {w!r}"
-                )
         x = block_of.get(a) or block_of.setdefault(a, {a})
         y = block_of.get(b) or block_of.setdefault(b, {b})
         if x is not y:  # merge the smaller block into the larger
@@ -308,26 +328,28 @@ class PALModel:
                     )
                 part = tuple(sorted(raw, key=min))
             partitions[agent] = part
-        self._assign(worlds, by_id, agents, partitions)
+        self._assign(worlds, by_id, agents, partitions, {})
 
     @classmethod
-    def from_checked(cls, worlds: tuple, by_id: dict, agents: tuple, partitions: dict) -> "PALModel":
-        """A model that takes its parts without checking them again.
+    def from_checked_pairs(cls, worlds: tuple, by_id: dict, agents: tuple, pairs: dict) -> "PALModel":
+        """A model that takes its parts without checking them again, and
+        closes each agent's relation when its partition is first read.
 
         For callers that have checked them: `worlds` a tuple of Worlds with
         distinct ids, `by_id` maps each id to its world, `agents` passes
-        `check_roster`, and `partitions` maps every agent, in roster order,
-        to a partition of the ids into frozensets ordered by smallest member.
+        `check_roster`, and `pairs` maps every agent, in roster order, to a
+        tuple of (id, id) tuples that passes `check_pair_ids` over `by_id`.
         """
         model = object.__new__(cls)
-        model._assign(worlds, by_id, agents, partitions)
+        model._assign(worlds, by_id, agents, {}, pairs)
         return model
 
-    def _assign(self, worlds, by_id, agents, partitions) -> None:
+    def _assign(self, worlds, by_id, agents, partitions, pairs) -> None:
         self._worlds = worlds
         self._by_id = by_id
         self._agents = agents
-        self._partitions = partitions
+        self._partitions = partitions  # agent -> partition, for each one closed
+        self._pairs = pairs  # agent -> checked pairs, when built from pairs
 
     @classmethod
     def from_pairs(cls, worlds, agents, pairs_by_agent=None):
@@ -366,10 +388,16 @@ class PALModel:
         return self.world(world_id).atoms
 
     def partition(self, agent: str) -> tuple:
-        try:
-            return self._partitions[agent]
-        except KeyError:
-            raise EvaluationError(f"unknown agent {agent!r}") from None
+        """The blocks of worlds `agent` cannot tell apart, ordered by their
+        smallest member.  A relation given as pairs is closed on first read;
+        threads that race to close it store equal partitions."""
+        part = self._partitions.get(agent)
+        if part is None:
+            pairs = self._pairs.get(agent)
+            if pairs is None:
+                raise EvaluationError(f"unknown agent {agent!r}")
+            part = self._partitions[agent] = _merge(pairs, self._by_id)
+        return part
 
     def block(self, agent: str, world_id: str) -> frozenset:
         """Worlds `agent` cannot distinguish from `world_id` (incl. itself)."""
@@ -386,8 +414,9 @@ class PALModel:
             raise EvaluationError(f"unknown world id {sorted(unknown)[0]!r}")
         worlds = tuple(w for w in self._worlds if w.id in keep)
         partitions = {
-            agent: tuple(sorted((block & keep for block in part if block & keep), key=min))
-            for agent, part in self._partitions.items()
+            agent: tuple(sorted((block & keep for block in self.partition(agent) if block & keep),
+                                key=min))
+            for agent in self._agents
         }
         return PALModel(worlds, self._agents, partitions)
 
@@ -395,8 +424,8 @@ class PALModel:
         """Copy of the model with every world id passed through `rename`."""
         worlds = tuple(World(rename(w.id), w.atoms) for w in self._worlds)
         partitions = {
-            agent: tuple(frozenset(rename(wid) for wid in block) for block in part)
-            for agent, part in self._partitions.items()
+            agent: tuple(frozenset(rename(wid) for wid in block) for block in self.partition(agent))
+            for agent in self._agents
         }
         return PALModel(worlds, self._agents, partitions)
 
@@ -405,7 +434,7 @@ class PALModel:
             isinstance(other, PALModel)
             and self._worlds == other._worlds
             and self._agents == other._agents
-            and self._partitions == other._partitions
+            and all(self.partition(agent) == other.partition(agent) for agent in self._agents)
         )
 
     def __repr__(self):

@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 from .errors import IngestionError, ParseError
-from .model import Atom, PALModel, Record, RuleSet, World, check_roster, equivalence_closure, rule_closure
+from .model import Atom, PALModel, Record, RuleSet, World, check_pair_ids, check_roster, rule_closure
 from .model import enrich_model  # noqa: F401  (kept importable for tools that wrap it)
 from .transition import TransitionSystem, build_ts
 
@@ -101,8 +101,10 @@ def _atom_set(value, atom_sets: dict, where: str, close) -> frozenset:
     return atom_set
 
 
-def _pairs(value, where: str) -> list:
-    """`value`, once each entry is checked to be a pair of world-id strings."""
+def _pairs(value, where: str) -> tuple:
+    """The entries of `value`, each checked to be a pair of world-id
+    strings, copied into a tuple of tuples."""
+    pairs = []
     for k, entry in enumerate(_as_list(value, where)):
         if not isinstance(entry, list):
             raise _wrong_type(entry, "an array", f"{where}[{k}]")
@@ -113,7 +115,8 @@ def _pairs(value, where: str) -> list:
             raise _wrong_type(a, "a string", f"{where}[{k}][0]")
         if not isinstance(b, str):
             raise _wrong_type(b, "a string", f"{where}[{k}][1]")
-    return value
+        pairs.append((a, b))
+    return tuple(pairs)
 
 
 def load_rules(source) -> RuleSet:
@@ -142,7 +145,8 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
 
     Every check of `PALModel(...)` that the entry could fail is made here,
     in the order that constructor makes it, so the model is built through
-    `PALModel.from_checked`.  `World(...)` keeps the frozenset it is given,
+    `PALModel.from_checked_pairs`, which closes each agent's relation when
+    its partition is first read.  `World(...)` keeps the frozenset it is given,
     so worlds with equal atom lists share one atom set.  `indexed` is the
     list of checked sets of a system document's "atom_sets", or None when
     it has none; only then may a world's "atoms" be an index into it.
@@ -174,30 +178,27 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
             atom_set = _atom_set(atoms, atom_sets, at, close)
         worlds.append(World(wid, atom_set))
     ids = [w.id for w in worlds]
+    by_id = dict(zip(ids, worlds))
     relations_value = _as_dict(entry.get("relations", {}), f"{where}.relations")
-    partitions = {}
+    listed = {}
     for agent, pairs_value in relations_value.items():
         if agent not in agents:
             raise IngestionError(
                 f"{where}.relations names unknown agent {agent!r}"
             )
-        pairs = _pairs(pairs_value, f"{where}.relations[{agent!r}]")
+        listed[agent] = _pairs(pairs_value, f"{where}.relations[{agent!r}]")
         try:
-            partitions[agent] = equivalence_closure(pairs, ids)
+            check_pair_ids(listed[agent], by_id)
         except IngestionError as exc:
             raise IngestionError(f"{where}.relations[{agent!r}]: {exc}") from None
-    by_id = dict(zip(ids, worlds))
     try:
         if len(by_id) != len(worlds):
             PALModel(worlds, agents)  # raises on the first duplicate world id
         check_roster(agents)
     except IngestionError as exc:
         raise IngestionError(f"{where}: {exc}") from None
-    partitions = {
-        agent: partitions[agent] if agent in partitions else equivalence_closure((), ids)
-        for agent in agents
-    }
-    return PALModel.from_checked(tuple(worlds), by_id, agents, partitions)
+    pairs = {agent: listed.get(agent, ()) for agent in agents}  # roster order
+    return PALModel.from_checked_pairs(tuple(worlds), by_id, agents, pairs)
 
 
 class FramesDocument(Record):
@@ -281,10 +282,13 @@ def ingest(frames_source, rules_source=None) -> FramesDocument:
     if not frames_value:
         raise IngestionError("frames must not be empty")
     atom_sets: dict = {}
-    frames = [
-        _load_model(_as_dict(entry, f"frames[{i}]"), agents, f"frames[{i}]", atom_sets, close)
-        for i, entry in enumerate(frames_value)
-    ]
+    frames = []
+    for i, entry in enumerate(frames_value):
+        frame = _load_model(_as_dict(entry, f"frames[{i}]"), agents, f"frames[{i}]", atom_sets, close)
+        # Closed as it is read: `build_ts` reads every partition of every frame.
+        for agent in agents:
+            frame.partition(agent)
+        frames.append(frame)
     if error is not None:
         raise error
     return FramesDocument(agents=agents, frames=frames, groups=groups)
@@ -421,6 +425,11 @@ def load_ts(source):
     "atom_sets" array of atom lists (as `dump_ts` writes), an index into
     it.  Each distinct atom list is checked once per document, and worlds
     with equal atom lists share one atom set.
+
+    Every relation is checked here, but a layer closes an agent's pairs
+    into its partition only when that partition is first read, so a command
+    that reads none (such as `mppe`) closes none.  The layers keep their
+    own copies of the pairs, so changing `source` later changes no layer.
     """
     doc = _as_dict(_load_json(source), "system document")
     agents_value = _as_list(_get(doc, "agents", "system document"), "agents")

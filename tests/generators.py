@@ -182,3 +182,15 @@ def listed_atoms(doc: dict) -> dict:
         for layer in doc["layers"]
     ]
     return json.loads(json.dumps(doc))
+
+
+def stream_frames_document(rng: random.Random, frames=1000, width=10):
+    """A stream-shaped frames document: `frames` frames of `width` worlds with
+    one atom each, and three random pairs for each of the agents a and b."""
+    doc = []
+    for i in range(1, frames + 1):
+        ids = [f"w{i}_{j}" for j in range(width)]
+        worlds = [{"id": w, "atoms": [["v", rng.choice(["Cat", "Dog", "Fox"])]]} for w in ids]
+        relations = {agent: [rng.sample(ids, 2) for _ in range(3)] for agent in ("a", "b")}
+        doc.append({"worlds": worlds, "relations": relations})
+    return {"agents": ["a", "b"], "frames": doc}

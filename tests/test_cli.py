@@ -126,6 +126,10 @@ def test_paths_max_zero_and_negative(ts_file, capsys):
     assert code == 2
     assert payload is None
     assert err == "error: --max must not be negative\n"
+    for cap in ("6", "7", str(sys.maxsize), str(sys.maxsize + 1), "99999999999999999999"):
+        code, payload, _ = _run(capsys, ["paths", "--ts", ts_file, "--max", cap])
+        assert code == 0
+        assert len(payload["paths"]) == 6 and payload["truncated"] is False
 
 
 def test_check_all_paths_exit_codes(ts_file, capsys):

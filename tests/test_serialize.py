@@ -2,13 +2,17 @@
 
 import json
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from ltpal import model as model_module
+from ltpal.cli import main
 from ltpal.errors import IngestionError
 from ltpal.formulas import PAnd, PNot, Prop
-from ltpal.model import Atom, PALModel, RuleSet, World, rule_closure
+from ltpal.model import Atom, PALModel, RuleSet, World, equivalence_closure, rule_closure
 from ltpal.mppe import ScoreTable, score_edges
 from ltpal.serialize import (
     build_from_files,
@@ -23,7 +27,7 @@ from ltpal.serialize import (
 )
 from ltpal.transition import TransitionSystem, build_ts, total_path_count
 
-from generators import listed_atoms, random_frames_document, random_ts
+from generators import listed_atoms, random_frames_document, random_ts, stream_frames_document
 
 DATA = Path(__file__).parent / "data"
 FRAMES_DOC = {
@@ -944,3 +948,139 @@ def test_ingest_reports_frame_errors_before_rule_errors(tmp_path):
     with pytest.raises(IngestionError) as info:
         ingest(FRAMES_DOC, bad_rules)
     assert str(info.value) == "rules[0].implies[0] must be a string, got int"
+
+
+# A loaded system checks every relation, but closes an agent's relation into
+# its partition only when that partition is first read.
+
+
+def _system_of(frames_doc):
+    """A system document whose real layers are the frames of `frames_doc`,
+    so that its relations are listed as written, not as `dump_ts` writes them."""
+    ends = [{"worlds": [{"id": "start"}]}, {"worlds": [{"id": "end"}]}]
+    doc = {"agents": frames_doc["agents"], "layers": [ends[0], *frames_doc["frames"], ends[1]]}
+    if "groups" in frames_doc:
+        doc["groups"] = frames_doc["groups"]
+    return json.loads(json.dumps(doc))
+
+
+def _closed_relations(monkeypatch) -> list:
+    """The smallest world id of each relation closed from here on, in order."""
+    closed = []
+    merge = model_module._merge
+
+    def counting(pairs, ids):
+        closed.append(min(ids))
+        return merge(pairs, ids)
+
+    monkeypatch.setattr(model_module, "_merge", counting)
+    return closed
+
+
+def _deferral_cases():
+    for seed in range(40):
+        rng = random.Random(seed)
+        yield f"random_ts-{seed}", json.loads(json.dumps(dump_ts(random_ts(rng, max_frames=4, max_worlds=5))))
+        yield f"frames-{seed}", _system_of(random_frames_document(rng, max_frames=4, max_worlds=5))
+    yield "stream-1000x10", _system_of(stream_frames_document(random.Random(101)))
+
+
+_DEFERRAL_CASES = list(_deferral_cases())
+
+
+@pytest.mark.parametrize("doc", [doc for _, doc in _DEFERRAL_CASES],
+                         ids=[name for name, _ in _DEFERRAL_CASES])
+def test_a_loaded_system_reads_as_the_closure_of_its_pairs(doc):
+    agents = tuple(doc["agents"])
+    closed_layers = []
+    for model, entry in zip(load_ts(doc)[0].layers, doc["layers"]):
+        ids = [w["id"] for w in entry["worlds"]]
+        relations = entry.get("relations", {})
+        partitions = {agent: equivalence_closure([tuple(p) for p in relations.get(agent, [])], ids)
+                      for agent in agents}
+        for agent in agents:
+            assert model.partition(agent) == partitions[agent]
+        closed_layers.append(PALModel(model.worlds, agents, partitions))
+    closed = TransitionSystem(closed_layers, groups=doc.get("groups"))
+
+    # Each of these reads a freshly loaded system, whose partitions are all unread.
+    assert load_ts(doc)[0] == closed and closed == load_ts(doc)[0]
+    assert json.dumps(dump_ts(load_ts(doc)[0])) == json.dumps(dump_ts(closed))
+    rng = random.Random(len(closed_layers))
+    keeps = [rng.sample([w.id for w in model.worlds], rng.randint(1, len(model.worlds)))
+             for model in closed_layers]
+    assert [m.restricted(keep) for m, keep in zip(load_ts(doc)[0].layers, keeps)] == [
+        m.restricted(keep) for m, keep in zip(closed_layers, keeps)]
+    rename = "r_{}".format
+    assert [m.renamed(rename) for m in load_ts(doc)[0].layers] == [m.renamed(rename) for m in closed_layers]
+
+
+def test_load_ts_closes_each_relation_once_when_it_is_first_read(monkeypatch):
+    frames = stream_frames_document(random.Random(7), frames=50, width=6)
+    closed = _closed_relations(monkeypatch)
+    ts, _ = load_ts(_system_of(frames))
+    assert closed == []
+    layer = ts.layers[7]
+    first = layer.partition("b")
+    assert closed == ["w7_0"]
+    assert layer.partition("b") is first
+    assert any(layer.block("b", "w7_3") is block for block in first)
+    assert closed == ["w7_0"]
+    # A frames document is closed as it is read: `build_ts` reads every partition.
+    closed.clear()
+    load_frames(frames)
+    assert sorted(closed) == sorted(f"w{i}_0" for i in range(1, 51) for _ in "ab")
+
+
+def test_mppe_closes_no_relation_and_a_universal_check_only_the_announced_layers(
+        tmp_path, monkeypatch):
+    frames = stream_frames_document(random.Random(11), frames=30, width=4)
+    frames["frames"][-1]["worlds"][1]["atoms"].append(["z", "Mark"])
+    source, target = tmp_path / "frames.json", str(tmp_path / "ts.json")
+    source.write_text(json.dumps(frames))
+    assert main(["build", "--frames", str(source), "--output", target]) == 0
+    closed = _closed_relations(monkeypatch)
+    assert main(["mppe", "--ts", target]) == 0
+    assert closed == []
+    assert main(["check", "--ts", target, "--formula", "F (z:Mark & [z:Mark] K{a} z:Mark)"]) == 1
+    assert closed and set(closed) == {"w30_0"}
+
+
+def test_changing_the_source_after_load_ts_changes_no_partition():
+    doc = _system_of(stream_frames_document(random.Random(4), frames=20, width=4))
+    untouched = json.loads(json.dumps(doc))
+    ts, _ = load_ts(doc)
+    for layer in doc["layers"][1:-1]:
+        ids = [w["id"] for w in layer["worlds"]]
+        layer["relations"]["a"][0][:] = [ids[0], ids[1]]
+        layer["relations"]["a"].append([ids[2], ids[3]])
+        layer["relations"]["b"].clear()
+    assert ts == load_ts(untouched)[0]
+    assert ts != load_ts(doc)[0]
+
+
+def test_threads_reading_one_loaded_system_see_every_partition():
+    doc = _system_of(stream_frames_document(random.Random(5), frames=200, width=6))
+    closed = load_ts(doc)[0]
+    expected = [[layer.partition(agent) for agent in closed.agents] for layer in closed.layers]
+    ts, _ = load_ts(doc)
+    workers = 4
+    results = [None] * workers
+    start = threading.Barrier(workers)
+
+    def read(k):
+        start.wait()
+        results[k] = [[layer.partition(agent) for agent in ts.agents] for layer in ts.layers]
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * workers
