@@ -15,10 +15,7 @@ __version__ = "0.1.0"
 
 # Submodule -> the names it exports here.
 _EXPORTS = {
-    "classify": (
-        "DEFAULT_PATH_CAP", "VerdictReport", "check_missing_info", "check_possible_agent",
-        "check_possible_group", "check_robust_agent", "check_verified_group", "quantify_paths",
-    ),
+    "classify": ("DEFAULT_PATH_CAP", "VerdictReport", "quantify_paths", "verdict"),
     "errors": (
         "ArityError", "ConfigurationError", "EpistemicScopeError", "EvaluationError",
         "IngestionError", "LtpalError", "ParseError",
@@ -37,7 +34,7 @@ _EXPORTS = {
     "pal": ("announce_update", "pal_sat"),
     "serialize": (
         "FramesDocument", "build_from_files", "dump_ts", "ingest", "load_candidates",
-        "load_frames", "load_rules", "load_scores", "load_ts", "save_ts",
+        "load_rules", "load_scores", "load_ts", "save_ts",
     ),
     "syntax": ("parse_formula", "parse_pal_formula", "parse_template", "pretty"),
     "temporal": ("tems",),

@@ -12,8 +12,7 @@ execution path.  Every verdict is one cell of a 2x2 table, run by `verdict`:
 The missing-information variants ask whether announcing one of the supplied
 candidate formulas would repair a query that currently fails: the base check
 must fail in the required way, and the announcement-wrapped template must
-then pass with the required quantifier.  The `check_*` functions name the
-cells of the table.
+then pass with the required quantifier.
 
 Quantification does not enumerate paths: `temporal.decide` finds the
 enumeration-least deciding path over the whole layered system at once.  The
@@ -231,44 +230,4 @@ def verdict(
         paths_checked=checked,
         capped=hit_cap,
         qualifying=tuple(qualifying),
-    )
-
-
-def check_verified_group(ts, template: Template, atoms, group, **kwargs) -> VerdictReport:
-    """All paths must satisfy the template with D_group around each slot."""
-    return verdict(ts, template, atoms, group=group, **kwargs)
-
-
-def check_possible_group(ts, template: Template, atoms, group, **kwargs) -> VerdictReport:
-    """Some path must satisfy the template with "group cannot rule out" slots."""
-    return verdict(ts, template, atoms, group=group, possible=True, **kwargs)
-
-
-def check_robust_agent(ts, template: Template, atoms, agent: str, **kwargs) -> VerdictReport:
-    """All paths must satisfy the template with K_agent around each slot."""
-    return verdict(ts, template, atoms, agent=agent, **kwargs)
-
-
-def check_possible_agent(ts, template: Template, atoms, agent: str, **kwargs) -> VerdictReport:
-    """Some path must satisfy the template with "agent cannot rule out" slots."""
-    return verdict(ts, template, atoms, agent=agent, possible=True, **kwargs)
-
-
-def check_missing_info(
-    ts, template: Template, atoms, candidates: Sequence[PalFormula], *,
-    kind: str = "verified", **kwargs,
-) -> VerdictReport:
-    """Which candidate announcements would repair the failing query?
-
-    For kind="verified" the base check (D/K wrapped, universal) must have
-    some failing path, and announcing a qualifying candidate must make the
-    announcement-wrapped template hold on every path.  For kind="possible"
-    the base check (cannot-rule-out wrapped, existential) must fail on all
-    paths, and a qualifying announcement must recover some satisfying path.
-    Pass exactly one of `group` or `agent`.
-    """
-    if kind not in ("verified", "possible"):
-        raise ValueError(f"kind must be 'verified' or 'possible', got {kind!r}")
-    return verdict(
-        ts, template, atoms, possible=kind == "possible", candidates=candidates, **kwargs
     )

@@ -320,11 +320,7 @@ def _check_options(check) -> None:
 
 def _classify_options(classify) -> None:
     classify.add_argument("--ts", required=True, help="system JSON file")
-    classify.add_argument(
-        "--mode", required=True,
-        choices=["verified", "possible", "robust", "possible-agent",
-                 "missing-verified", "missing-possible"],
-    )
+    classify.add_argument("--mode", required=True, choices=list(_CLASSIFY_MODES))
     classify.add_argument("--template", required=True,
                           help="temporal template with ?1, ?2, ... slots")
     classify.add_argument("--atoms", required=True,

@@ -351,17 +351,6 @@ class PALModel:
         self._partitions = partitions  # agent -> partition, for each one closed
         self._pairs = pairs  # agent -> checked pairs, when built from pairs
 
-    @classmethod
-    def from_pairs(cls, worlds, agents, pairs_by_agent=None):
-        """Build a model from relation pair lists instead of partitions."""
-        worlds = tuple(worlds)
-        ids = [w.id for w in worlds]
-        partitions = {
-            agent: equivalence_closure(pairs, ids)
-            for agent, pairs in dict(pairs_by_agent or {}).items()
-        }
-        return cls(worlds, agents, partitions)
-
     @property
     def worlds(self) -> tuple:
         return self._worlds

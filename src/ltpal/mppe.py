@@ -33,15 +33,6 @@ _SELECT_ON_PIPES = os.name == "posix"
 Scorer = Callable[[frozenset, frozenset], float]
 
 
-def class_labels(ts: TransitionSystem, world_id: str) -> frozenset:
-    """Class ids asserted at a world, ignoring which stream they came from."""
-    return _class_set(ts.label(world_id))
-
-
-def _class_set(atoms) -> frozenset:
-    return frozenset(atom.class_id for atom in atoms)
-
-
 def overlap_score(a: frozenset, b: frozenset) -> float:
     """Jaccard overlap of two class-id sets; two empty sets count as equal."""
     union = a | b
@@ -108,9 +99,6 @@ class ScoreTable:
         except KeyError:
             raise IngestionError(f"no score for edge {u!r} -> {v!r}") from None
 
-    def get(self, u: str, v: str) -> float:
-        return self[(u, v)]
-
     def items(self) -> list:
         """((u, v), score) pairs, row by row in the order the rows were made."""
         return [((u, v), score) for u, row in self._rows.items() for v, score in row.items()]
@@ -161,7 +149,9 @@ def score_edges(ts: TransitionSystem, scorer: Scorer = overlap_score) -> ScoreTa
     """
     layers = ts.layers
     rows = {ts.s0: dict.fromkeys([v.id for v in layers[1].worlds], 1.0)}
-    classes = {atoms: _class_set(atoms) for atoms in {w.atoms for layer in layers for w in layer.worlds}}
+    # Class ids asserted at a world, ignoring which stream they came from.
+    classes = {atoms: frozenset(atom.class_id for atom in atoms)
+               for atoms in {w.atoms for layer in layers for w in layer.worlds}}
     labelled = [[(w.id, classes[w.atoms]) for w in layer.worlds] for layer in ts.real_layers]
     memo: dict = {}
     for below, above in zip(labelled, labelled[1:]):

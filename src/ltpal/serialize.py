@@ -218,8 +218,9 @@ class FramesDocument(Record):
         self.groups = {} if groups is None else groups
 
 
-def load_frames(source) -> FramesDocument:
-    """Load a frames document:
+def ingest(frames_source, rules_source=None) -> FramesDocument:
+    """Load a frames document, with the ontology rules of `rules_source`,
+    when given, applied to every world's atom set:
 
     {"agents": [...], "groups": {name: [...]}, "frames": [frame, ...]}
     where each frame is {"worlds": [{"id": w, "atoms": [[d, c], ...]}, ...],
@@ -227,19 +228,11 @@ def load_frames(source) -> FramesDocument:
 
     Missing agents in "relations" (or empty pair lists) mean the agent
     distinguishes all worlds of that frame.  Each distinct atom list is
-    checked once per document, and worlds with equal atom lists share one
-    atom set.
-    """
-    return ingest(source)
-
-
-def ingest(frames_source, rules_source=None) -> FramesDocument:
-    """`load_frames`, with ontology rules applied to every world's atom set.
-
-    Each distinct atom list is closed under the rules once, and each frame's
-    model is built once, already closed.  For that the rules are loaded first,
-    but an error in them is raised only after the frames document has
-    passed every check, as though the frames were loaded first.
+    checked and closed under the rules once per document, worlds with equal
+    atom lists share one atom set, and each frame's model is built once,
+    already closed.  For that the rules are loaded first, but an error in
+    them is raised only after the frames document has passed every check,
+    as though the frames were loaded first.
     """
     close = error = None
     if rules_source is not None:

@@ -161,18 +161,6 @@ class ExecPath(Record):
     def __len__(self):
         return len(self.worlds)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.worlds
-
-    @property
-    def is_total(self) -> bool:
-        return (
-            bool(self.worlds)
-            and self.worlds[0] == self.ts.s0
-            and self.worlds[-1] == self.ts.s_minus1
-        )
-
     def suffix(self, k: int) -> "ExecPath":
         """Drop the first k worlds; k == len(self) gives the empty path."""
         if not 0 <= k <= len(self.worlds):

@@ -26,12 +26,23 @@ from ltpal.formulas import (
     top,
     weak_until,
 )
-from ltpal.model import Atom, PALModel, World
+from ltpal.model import Atom, PALModel, World, equivalence_closure
 from ltpal.transition import build_ts
 
 DATA_IDS = ["x", "y", "z"]
 CLASS_IDS = ["Cat", "Dog", "Fox", "Warm"]
 ATOM_POOL = [Atom(d, c) for d in DATA_IDS for c in CLASS_IDS]
+
+
+def model_from_pairs(worlds, agents, pairs_by_agent=None):
+    """A model whose relations are given as pair lists instead of partitions."""
+    worlds = tuple(worlds)
+    ids = [w.id for w in worlds]
+    partitions = {
+        agent: equivalence_closure(pairs, ids)
+        for agent, pairs in dict(pairs_by_agent or {}).items()
+    }
+    return PALModel(worlds, agents, partitions)
 
 
 def random_pairs(rng: random.Random, ids, count):
@@ -49,7 +60,7 @@ def random_model_with_pairs(rng: random.Random, max_worlds=5, max_agents=3):
     pairs_by_agent = {
         agent: random_pairs(rng, ids, rng.randint(0, n)) for agent in agents
     }
-    model = PALModel.from_pairs(worlds, agents, pairs_by_agent)
+    model = model_from_pairs(worlds, agents, pairs_by_agent)
     return model, pairs_by_agent
 
 
@@ -135,7 +146,7 @@ def random_frames(rng: random.Random, agents, max_frames=4, max_worlds=3):
         pairs_by_agent = {
             agent: random_pairs(rng, ids, rng.randint(0, n)) for agent in agents
         }
-        frames.append(PALModel.from_pairs(worlds, agents, pairs_by_agent))
+        frames.append(model_from_pairs(worlds, agents, pairs_by_agent))
     return frames
 
 

@@ -20,7 +20,6 @@ from ltpal import (
     Atom,
     Dist,
     Knows,
-    PALModel,
     PAnd,
     PNot,
     Prop,
@@ -51,12 +50,14 @@ from ltpal import (
     t_or,
     tems,
     total_path_count,
+    verdict,
     weak_until,
 )
 from ltpal.cli import main
 from ltpal.serialize import build_from_files
 
 from generators import (
+    model_from_pairs,
     random_frames_document,
     random_model_with_pairs,
     random_pal_formula,
@@ -159,7 +160,7 @@ def test_criterion_4_subfeature_knowledge_with_rules():
         World("u1", [Atom("x", "Chair"), Atom("x", "Cat")]),
         World("u2", [Atom("x", "Chair"), Atom("x", "Dog")]),
     ]
-    model = PALModel.from_pairs(worlds, ["a1"], {"a1": [("u1", "u2")]})
+    model = model_from_pairs(worlds, ["a1"], {"a1": [("u1", "u2")]})
     rules = RuleSet({"Cat": ["Animal"], "Dog": ["Animal"]})
     enriched = enrich_model(model, rules)
     knows_shared = Knows(
@@ -242,14 +243,6 @@ def test_criterion_5_clean_room_scenario(tmp_path, capsys):
 
 def test_criterion_6_verdicts_match_brute_force():
     """Base verdicts and missing-information modes agree with brute force."""
-    from ltpal import (
-        check_missing_info,
-        check_possible_agent,
-        check_possible_group,
-        check_robust_agent,
-        check_verified_group,
-    )
-
     rng = random.Random(303)
     skeletons = ["F ?1", "G ?1", "X ?1", "(?1 U ?2)", "G (?1 -> X ?2)"]
     for _ in range(200):
@@ -263,13 +256,13 @@ def test_criterion_6_verdicts_match_brute_force():
         id_paths = enumerate_id_paths(ts)
 
         checks = [
-            (check_verified_group(ts, template, atoms, group), all,
+            (verdict(ts, template, atoms, group=group), all,
              [Dist(members, a) for a in atoms]),
-            (check_possible_group(ts, template, atoms, group), any,
+            (verdict(ts, template, atoms, group=group, possible=True), any,
              [PNot(Dist(members, PNot(a))) for a in atoms]),
-            (check_robust_agent(ts, template, atoms, agent), all,
+            (verdict(ts, template, atoms, agent=agent), all,
              [Knows(agent, a) for a in atoms]),
-            (check_possible_agent(ts, template, atoms, agent), any,
+            (verdict(ts, template, atoms, agent=agent, possible=True), any,
              [PNot(Knows(agent, PNot(a))) for a in atoms]),
         ]
         for report, quantifier, wrapped_args in checks:
@@ -279,8 +272,8 @@ def test_criterion_6_verdicts_match_brute_force():
             )
             assert report.result == expected
 
-        singleton = check_verified_group(ts, template, atoms, (agent,))
-        robust = check_robust_agent(ts, template, atoms, agent)
+        singleton = verdict(ts, template, atoms, group=(agent,))
+        robust = verdict(ts, template, atoms, agent=agent)
         assert singleton.result == robust.result
         assert (singleton.path.worlds if singleton.path else None) == (
             robust.path.worlds if robust.path else None
@@ -309,8 +302,9 @@ def test_criterion_6_verdicts_match_brute_force():
                     )
                 )
                 expected_result = bool(expected_qualifying)
-            report = check_missing_info(
-                ts, template, atoms, candidates, group=group, kind=kind
+            report = verdict(
+                ts, template, atoms, candidates=candidates, group=group,
+                possible=kind == "possible",
             )
             assert report.result == expected_result
             assert report.qualifying == expected_qualifying

@@ -4,15 +4,7 @@ import random
 
 import pytest
 
-from ltpal.classify import (
-    check_missing_info,
-    check_possible_agent,
-    check_possible_group,
-    check_robust_agent,
-    check_verified_group,
-    quantify_paths,
-    verdict,
-)
+from ltpal.classify import quantify_paths, verdict
 from ltpal.errors import EvaluationError
 from ltpal.formulas import (
     Announce,
@@ -72,8 +64,8 @@ def _two_world_ts():
 
 def test_verified_group_finds_the_first_counterexample():
     ts = _demo_ts()
-    report = check_verified_group(
-        ts, parse_template("F ?1"), [V1CAT], ("a", "b"), skip_dummies=True
+    report = verdict(
+        ts, parse_template("F ?1"), [V1CAT], group=("a", "b"), skip_dummies=True
     )
     assert report.result is False
     assert report.path.worlds == ("w00", "w11", "w20", "w30")
@@ -86,7 +78,7 @@ def test_verified_group_finds_the_first_counterexample():
 def test_verified_group_true_case():
     ts = _demo_ts()
     atom = p_or(Prop(Atom("v2", "Cat")), Prop(Atom("v2", "Dog")))
-    report = check_verified_group(ts, parse_template("F ?1"), [atom], ("a", "b"))
+    report = verdict(ts, parse_template("F ?1"), [atom], group=("a", "b"))
     assert report.result is True
     assert report.path is None
     assert report.paths_checked == 6
@@ -94,8 +86,8 @@ def test_verified_group_true_case():
 
 def test_possible_group_finds_the_first_witness():
     ts = _demo_ts()
-    report = check_possible_group(
-        ts, parse_template("F ?1"), [V1DOG], ("a", "b"), skip_dummies=True
+    report = verdict(
+        ts, parse_template("F ?1"), [V1DOG], group=("a", "b"), possible=True, skip_dummies=True
     )
     assert report.result is True
     assert report.path.worlds == ("w00", "w11", "w20", "w30")
@@ -106,10 +98,10 @@ def test_possible_group_finds_the_first_witness():
 def test_robust_agent_depends_on_the_relation():
     ts = _demo_ts()
     template = parse_template("F ?1")
-    fine = check_robust_agent(ts, template, [V1CAT], "b", skip_dummies=True)
+    fine = verdict(ts, template, [V1CAT], agent="b", skip_dummies=True)
     assert fine.result is False
     assert fine.path.worlds == ("w00", "w11", "w20", "w30")
-    coarse = check_robust_agent(ts, template, [V1CAT], "a", skip_dummies=True)
+    coarse = verdict(ts, template, [V1CAT], agent="a", skip_dummies=True)
     assert coarse.result is False
     assert coarse.path.worlds == ("w00", "w10", "w20", "w30")
     assert coarse.paths_checked == 1
@@ -117,8 +109,8 @@ def test_robust_agent_depends_on_the_relation():
 
 def test_possible_agent_sees_through_coarse_relations():
     ts = _demo_ts()
-    report = check_possible_agent(
-        ts, parse_template("F ?1"), [V1DOG], "a", skip_dummies=True
+    report = verdict(
+        ts, parse_template("F ?1"), [V1DOG], agent="a", possible=True, skip_dummies=True
     )
     assert report.result is True
     assert report.paths_checked == 1
@@ -128,8 +120,9 @@ def test_possible_agent_sees_through_coarse_relations():
 
 def test_atoms_may_be_bare_atom_objects():
     ts = _demo_ts()
-    report = check_possible_group(
-        ts, parse_template("F ?1"), [Atom("v1", "Dog")], ("a",), skip_dummies=True
+    report = verdict(
+        ts, parse_template("F ?1"), [Atom("v1", "Dog")], group=("a",), possible=True,
+        skip_dummies=True,
     )
     assert report.result is True
 
@@ -140,13 +133,13 @@ def test_wrappers_match_hand_built_formulas():
     atom = V1CAT
     group = ("a", "b")
     pairs = [
-        (check_verified_group(ts, template, [atom], group),
+        (verdict(ts, template, [atom], group=group),
          substitute(template, [Dist(frozenset(group), atom)]), True),
-        (check_possible_group(ts, template, [atom], group),
+        (verdict(ts, template, [atom], group=group, possible=True),
          substitute(template, [PNot(Dist(frozenset(group), PNot(atom)))]), False),
-        (check_robust_agent(ts, template, [atom], "a"),
+        (verdict(ts, template, [atom], agent="a"),
          substitute(template, [Knows("a", atom)]), True),
-        (check_possible_agent(ts, template, [atom], "a"),
+        (verdict(ts, template, [atom], agent="a", possible=True),
          substitute(template, [PNot(Knows("a", PNot(atom)))]), False),
     ]
     for report, formula, universal in pairs:
@@ -164,15 +157,15 @@ def test_cap_yields_undecided_only_when_paths_remain():
     ts = _demo_ts()
     template = parse_template("F ?1")
     atom = p_or(Prop(Atom("v2", "Cat")), Prop(Atom("v2", "Dog")))
-    capped = check_verified_group(ts, template, [atom], ("a",), path_cap=3)
+    capped = verdict(ts, template, [atom], group=("a",), path_cap=3)
     assert capped.result is None
     assert capped.capped
     assert capped.paths_checked == 3
-    exact = check_verified_group(ts, template, [atom], ("a",), path_cap=6)
+    exact = verdict(ts, template, [atom], group=("a",), path_cap=6)
     assert exact.result is True
     assert not exact.capped
-    decisive = check_verified_group(
-        ts, template, [V1CAT], ("a", "b"), path_cap=3, skip_dummies=True
+    decisive = verdict(
+        ts, template, [V1CAT], group=("a", "b"), path_cap=3, skip_dummies=True
     )
     assert decisive.result is False  # counterexample arrives within the cap
 
@@ -188,9 +181,9 @@ def test_missing_verified_candidates():
     template = parse_template("?1")
     xcat = Prop(Atom("x", "Cat"))
     candidates = [top(), bottom(), xcat, Prop(Atom("x", "Dog"))]
-    report = check_missing_info(
-        ts, template, [xcat], candidates,
-        group=("a",), kind="verified", skip_dummies=True,
+    report = verdict(
+        ts, template, [xcat], candidates=candidates,
+        group=("a",), skip_dummies=True,
     )
     assert report.result is True
     assert report.qualifying == (bottom(), xcat, Prop(Atom("x", "Dog")))
@@ -204,9 +197,9 @@ def test_missing_verified_needs_a_failing_base():
     ts = _two_world_ts()
     template = parse_template("?1")
     tautology = p_or(Prop(Atom("x", "Cat")), PNot(Prop(Atom("x", "Cat"))))
-    report = check_missing_info(
-        ts, template, [tautology], [top(), bottom()],
-        group=("a",), kind="verified", skip_dummies=True,
+    report = verdict(
+        ts, template, [tautology], candidates=[top(), bottom()],
+        group=("a",), skip_dummies=True,
     )
     assert report.result is False
     assert report.qualifying == ()
@@ -217,9 +210,9 @@ def test_missing_possible_candidates():
     ts = _two_world_ts()
     template = parse_template("?1")
     xdog = Prop(Atom("x", "Dog"))
-    report = check_missing_info(
-        ts, template, [xdog], [top(), bottom(), Prop(Atom("x", "Cat"))],
-        group=("a",), kind="possible", skip_dummies=True,
+    report = verdict(
+        ts, template, [xdog], candidates=[top(), bottom(), Prop(Atom("x", "Cat"))],
+        group=("a",), possible=True, skip_dummies=True,
     )
     # No world can leave Dog open, so the base possible-check fails on all
     # paths; vacuously-true announcements then recover a passing path.
@@ -231,13 +224,13 @@ def test_missing_info_agent_mode_and_undecided():
     ts = _two_world_ts()
     template = parse_template("?1")
     xcat = Prop(Atom("x", "Cat"))
-    report = check_missing_info(
-        ts, template, [xcat], [xcat], agent="a", kind="verified", skip_dummies=True
+    report = verdict(
+        ts, template, [xcat], candidates=[xcat], agent="a", skip_dummies=True
     )
     assert report.result is True
     assert report.agent == "a"
-    capped = check_missing_info(
-        ts, template, [xcat], [xcat], agent="a", kind="verified",
+    capped = verdict(
+        ts, template, [xcat], candidates=[xcat], agent="a",
         skip_dummies=True, path_cap=1,
     )
     assert capped.result is None
@@ -249,30 +242,30 @@ def test_missing_info_argument_validation():
     template = parse_template("?1")
     xcat = Prop(Atom("x", "Cat"))
     with pytest.raises(ValueError, match="exactly one"):
-        check_missing_info(ts, template, [xcat], [xcat])
+        verdict(ts, template, [xcat], candidates=[xcat])
     with pytest.raises(ValueError, match="exactly one"):
-        check_missing_info(ts, template, [xcat], [xcat], group=("a",), agent="a")
-    with pytest.raises(ValueError, match="kind"):
-        check_missing_info(ts, template, [xcat], [xcat], agent="a", kind="oops")
+        verdict(ts, template, [xcat], candidates=[xcat], group=("a",), agent="a")
     with pytest.raises(ValueError, match="non-empty"):
-        check_missing_info(ts, template, [xcat], [], agent="a")
+        verdict(ts, template, [xcat], candidates=[], agent="a")
     with pytest.raises(ValueError, match="not a PAL formula"):
-        check_missing_info(ts, template, [xcat], ["x"], agent="a")
+        verdict(ts, template, [xcat], candidates=["x"], agent="a")
 
 
 def test_argument_validation():
     ts = _demo_ts()
     template = parse_template("F ?1")
     with pytest.raises(EvaluationError, match="unknown agent"):
-        check_verified_group(ts, template, [V1CAT], ("zz",))
+        verdict(ts, template, [V1CAT], group=("zz",))
     with pytest.raises(EvaluationError, match="at least one agent"):
-        check_verified_group(ts, template, [V1CAT], ())
+        verdict(ts, template, [V1CAT], group=())
     with pytest.raises(EvaluationError, match="unknown agent"):
-        check_robust_agent(ts, template, [V1CAT], "zz")
+        verdict(ts, template, [V1CAT], agent="zz")
     with pytest.raises(ValueError, match="placeholders"):
-        check_robust_agent(ts, template, [Placeholder(1)], "a")
+        verdict(ts, template, [Placeholder(1)], agent="a")
     with pytest.raises(ValueError, match="not a PAL formula"):
-        check_robust_agent(ts, template, ["v1:Cat"], "a")
+        verdict(ts, template, ["v1:Cat"], agent="a")
+    with pytest.raises(ValueError, match="^path cap must be at least 1$"):
+        quantify_paths(ts, parse_template("F ?1").skeleton, universal=True, path_cap=0)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -295,8 +288,8 @@ def test_restricted_path_set():
     ts = _demo_ts()
     template = parse_template("F ?1")
     best = next(enumerate_total_paths(ts))
-    report = check_verified_group(
-        ts, template, [V1CAT], ("a", "b"), paths=[best], skip_dummies=True
+    report = verdict(
+        ts, template, [V1CAT], group=("a", "b"), paths=[best], skip_dummies=True
     )
     assert report.result is True  # the chosen path does satisfy it
     assert report.restricted
@@ -306,8 +299,8 @@ def test_restricted_path_set():
 
 def test_report_json_shape():
     ts = _demo_ts()
-    report = check_verified_group(
-        ts, parse_template("F ?1"), [V1CAT], ("a", "b"), skip_dummies=True
+    report = verdict(
+        ts, parse_template("F ?1"), [V1CAT], group=("a", "b"), skip_dummies=True
     )
     data = report.to_json_dict()
     assert data == {
@@ -327,8 +320,8 @@ def test_singleton_group_equals_robust_agent():
         ts = random_ts(rng)
         agent = rng.choice(list(ts.agents))
         atom = random_pal_formula(rng, list(ts.agents), 2)
-        as_group = check_verified_group(ts, template, [atom], (agent,))
-        as_agent = check_robust_agent(ts, template, [atom], agent)
+        as_group = verdict(ts, template, [atom], group=(agent,))
+        as_agent = verdict(ts, template, [atom], agent=agent)
         assert as_group.result == as_agent.result
         assert (as_group.path.worlds if as_group.path else None) == (
             as_agent.path.worlds if as_agent.path else None
@@ -356,16 +349,16 @@ def test_random_verdicts_match_oracle_quantification():
             template, [PNot(Knows(agent, PNot(a))) for a in atoms]
         )
         id_paths = enumerate_id_paths(ts)
-        assert check_verified_group(ts, template, atoms, group).result == all(
+        assert verdict(ts, template, atoms, group=group).result == all(
             oracle_path_check(ts, ids, wrapped_verified) for ids in id_paths
         )
-        assert check_possible_group(ts, template, atoms, group).result == any(
+        assert verdict(ts, template, atoms, group=group, possible=True).result == any(
             oracle_path_check(ts, ids, wrapped_possible) for ids in id_paths
         )
-        assert check_robust_agent(ts, template, atoms, agent).result == all(
+        assert verdict(ts, template, atoms, agent=agent).result == all(
             oracle_path_check(ts, ids, wrapped_robust) for ids in id_paths
         )
-        assert check_possible_agent(ts, template, atoms, agent).result == any(
+        assert verdict(ts, template, atoms, agent=agent, possible=True).result == any(
             oracle_path_check(ts, ids, wrapped_possible_agent) for ids in id_paths
         )
 
@@ -405,8 +398,9 @@ def test_random_missing_info_matches_oracle():
                 )
             )
             expected_result = bool(expected_qualifying)
-        report = check_missing_info(
-            ts, template, [atom], candidates, group=group, kind=kind
+        report = verdict(
+            ts, template, [atom], candidates=candidates, group=group,
+            possible=kind == "possible",
         )
         assert report.result == expected_result
         assert report.qualifying == expected_qualifying

@@ -174,6 +174,8 @@ def test_model_validation_errors():
         PALModel(worlds, ["a"], {"a": [{"w0"}]})
     with pytest.raises(IngestionError, match="unknown world id"):
         PALModel(worlds, ["a"], {"a": [{"w0", "w1", "w9"}]})
+    with pytest.raises(ValueError, match="^expected World, got 'w'$"):
+        PALModel(["w"], ["a"])
 
 
 def test_model_unknown_lookups_raise():
@@ -188,12 +190,6 @@ def test_model_unknown_lookups_raise():
         model.block("zz", "zz")
     with pytest.raises(EvaluationError, match="unknown world id"):
         model.block("a", "zz")
-
-
-def test_from_pairs_closes_relations():
-    worlds = [World("w0"), World("w1"), World("w2")]
-    model = PALModel.from_pairs(worlds, ["a"], {"a": [("w0", "w1"), ("w1", "w2")]})
-    assert model.block("a", "w2") == frozenset({"w0", "w1", "w2"})
 
 
 def test_restricted_keeps_order_and_intersects():

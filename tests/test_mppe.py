@@ -16,7 +16,6 @@ from ltpal.mppe import (
     ExternalScorer,
     FrameChoice,
     ScoreTable,
-    class_labels,
     correct_stream,
     most_probable_path,
     overlap_score,
@@ -64,10 +63,15 @@ def test_overlap_score_is_jaccard_with_empty_special_case():
     assert overlap_score(frozenset(), frozenset({"Cat"})) == 0.0
 
 
+def _classes(ts, world_id):
+    return frozenset(atom.class_id for atom in ts.label(world_id))
+
+
 def test_class_labels_ignore_data_ids():
     ts = _demo_ts()
-    assert class_labels(ts, "w10") == frozenset({"Cat"})
-    assert class_labels(ts, "w00") == frozenset()
+    assert _classes(ts, "w10") == frozenset({"Cat"})
+    assert _classes(ts, "w00") == frozenset()
+    assert score_edges(ts)[("w10", "w20")] == 1.0  # v1:Cat and v2:Cat share the class Cat
 
 
 def test_score_edges_pins_dummy_edges_to_one():
@@ -126,19 +130,19 @@ def test_score_edges_calls_the_scorer_once_per_distinct_label_pair():
     for u, v in ts.edges():
         if ts.layer_index(u) > 0 and ts.layer_index(v) < len(ts.layers) - 1:
             assert table[(u, v)] == max(SCORE_FLOOR, overlap_score(
-                class_labels(ts, u), class_labels(ts, v)))
+                _classes(ts, u), _classes(ts, v)))
 
 
 def _per_edge_scores(ts, scorer):
     """Reference for `score_edges`: one pass over `ts.edges()`, labels from
-    `class_labels`; returns the table and the scorer calls in order."""
+    `_classes`; returns the table and the scorer calls in order."""
     last = len(ts.layers) - 1
     memo, calls, table = {}, [], {}
     for u, v in ts.edges():
         if ts.layer_index(u) == 0 or ts.layer_index(v) == last:
             table[(u, v)] = 1.0
             continue
-        pair = (class_labels(ts, u), class_labels(ts, v))
+        pair = (_classes(ts, u), _classes(ts, v))
         if pair not in memo:
             calls.append(pair)
             memo[pair] = min(1.0, max(SCORE_FLOOR, scorer(*pair)))

@@ -19,7 +19,6 @@ from ltpal.serialize import (
     dump_ts,
     ingest,
     load_candidates,
-    load_frames,
     load_rules,
     load_scores,
     load_ts,
@@ -27,7 +26,9 @@ from ltpal.serialize import (
 )
 from ltpal.transition import TransitionSystem, build_ts, total_path_count
 
-from generators import listed_atoms, random_frames_document, random_ts, stream_frames_document
+from generators import (
+    listed_atoms, model_from_pairs, random_frames_document, random_ts, stream_frames_document,
+)
 
 DATA = Path(__file__).parent / "data"
 FRAMES_DOC = {
@@ -49,7 +50,7 @@ FRAMES_DOC = {
 
 
 def test_load_frames_happy_path():
-    doc = load_frames(FRAMES_DOC)
+    doc = ingest(FRAMES_DOC)
     assert doc.agents == ("a", "b")
     assert doc.groups == {"both": ("a", "b")}
     assert len(doc.frames) == 2
@@ -90,7 +91,7 @@ def test_load_frames_reports_the_offending_node(mutate, message):
     doc = json.loads(json.dumps(FRAMES_DOC))
     mutate(doc)
     with pytest.raises(IngestionError, match=message):
-        load_frames(doc)
+        ingest(doc)
 
 
 def test_load_rules_merges_entries():
@@ -237,7 +238,7 @@ def test_random_documents_roundtrip():
     rng = random.Random(2468)
     for _ in range(50):
         doc = random_frames_document(rng)
-        parsed = load_frames(doc)
+        parsed = ingest(doc)
         ts = build_ts(parsed.frames, groups=parsed.groups or None)
         dumped = dump_ts(ts)
         loaded, _ = load_ts(dumped)
@@ -372,7 +373,7 @@ def test_load_ts_accepts_a_permuted_edge_list():
 @pytest.mark.parametrize("seed", range(4))
 def test_both_edge_lists_load_alike_in_any_order(seed):
     rng = random.Random(seed)
-    parsed = load_frames(random_frames_document(rng, max_frames=4, max_worlds=4))
+    parsed = ingest(random_frames_document(rng, max_frames=4, max_worlds=4))
     ts = build_ts(parsed.frames, groups=parsed.groups or None)
     table = score_edges(ts)
     doc = dump_ts(ts, table)
@@ -391,7 +392,7 @@ def test_both_edge_lists_load_alike_in_any_order(seed):
 
 def test_save_ts_writes_one_compact_line(tmp_path):
     doc = random_frames_document(random.Random(97))
-    parsed = load_frames(doc)
+    parsed = ingest(doc)
     ts = build_ts(parsed.frames, groups=parsed.groups or None)
     table = score_edges(ts)
     target = tmp_path / "ts.json"
@@ -420,20 +421,20 @@ def test_atoms_shared_across_worlds_are_checked_in_every_world():
     doc = json.loads(json.dumps(FRAMES_DOC))
     doc["frames"][1]["worlds"][0]["atoms"] = [["v1", "Cat"], ["v1", 7]]
     with pytest.raises(IngestionError) as info:
-        load_frames(doc)
+        ingest(doc)
     assert str(info.value) == "frames[1].worlds[0].atoms[1][1] must be a string, got int"
     doc["frames"][1]["worlds"][0]["atoms"] = ["v1Cat"]
     with pytest.raises(IngestionError, match=r"frames\[1\]\.worlds\[0\]\.atoms\[0\] must be an array"):
-        load_frames(doc)
+        ingest(doc)
     doc["frames"][1]["worlds"][0]["atoms"] = [["v1", "Cat"]]
-    parsed = load_frames(doc)
+    parsed = ingest(doc)
     assert parsed.frames[0].labels("w10") == parsed.frames[1].labels("w20")
 
 
 def test_unscored_dump_has_no_edge_list_and_round_trips(tmp_path):
     rng = random.Random(1357)
     for _ in range(20):
-        parsed = load_frames(random_frames_document(rng))
+        parsed = ingest(random_frames_document(rng))
         ts = build_ts(parsed.frames, groups=parsed.groups or None)
         data = dump_ts(ts)
         assert "edges" not in data
@@ -446,7 +447,7 @@ def test_unscored_dump_has_no_edge_list_and_round_trips(tmp_path):
 
 
 def test_scored_dump_lists_every_edge():
-    parsed = load_frames(random_frames_document(random.Random(2024), max_frames=4))
+    parsed = ingest(random_frames_document(random.Random(2024), max_frames=4))
     ts = build_ts(parsed.frames)
     table = score_edges(ts)
     edges = dump_ts(ts, table)["edges"]
@@ -464,7 +465,7 @@ def test_system_file_with_listed_edges_from_older_builds_loads():
     assert load_ts(dump_ts(ts)) == (ts, None)
 
 
-@pytest.mark.parametrize("loader, key", [(load_frames, "frames"), (load_ts, "layers")])
+@pytest.mark.parametrize("loader, key", [(ingest, "frames"), (load_ts, "layers")])
 def test_empty_world_id_is_reported_at_its_node(loader, key):
     doc = FRAMES_DOC if key == "frames" else dump_ts(build_ts(ingest(FRAMES_DOC).frames))
     doc = json.loads(json.dumps(doc))
@@ -496,7 +497,7 @@ def _corpus_doc(key, seed):
     rng = random.Random(seed)
     doc = _corpus_frames_doc(rng)
     if key == "layers":
-        doc = listed_atoms(dump_ts(build_ts(load_frames(doc).frames)))
+        doc = listed_atoms(dump_ts(build_ts(ingest(doc).frames)))
     return doc, rng
 
 
@@ -596,7 +597,7 @@ _CORRUPTIONS = {
 
 def _corrupted_documents():
     """(key, corruption, message or "ok") for each seeded corrupted document."""
-    for key, loader in (("layers", load_ts), ("frames", load_frames)):
+    for key, loader in (("layers", load_ts), ("frames", ingest)):
         for seed, (name, mutate) in enumerate(_CORRUPTIONS.items()):
             doc, rng = _corpus_doc(key, seed)
             mutate(doc, key, rng)
@@ -791,9 +792,16 @@ def _set_world_atoms(value):
      "or any of : , ( ) [ ] { }"),
     # An entry no world uses is checked all the same.
     (lambda doc: doc["atom_sets"].append([{"v1": "Cat"}]), "atom_sets[3][0] must be an array, got dict"),
+    (lambda doc: doc["layers"][0]["worlds"].append({"id": "w01", "atoms": 0}),
+     "system document: endpoint layer 0 must hold exactly one world with no atoms"),
+    (lambda doc: doc["layers"][3]["worlds"][0].__setitem__("atoms", 1),
+     "system document: endpoint layer 3 must hold exactly one world with no atoms"),
+    (lambda doc: doc["layers"][1]["relations"]["a"][0].__setitem__(0, 7),
+     "layers[1].relations['a'][0][0] must be a string, got int"),
 ], ids=["bool", "false", "negative", "past-the-end", "huge", "float", "string",
         "index-without-atom-sets", "empty-atom-sets", "atom-sets-object", "entry-string",
-        "entry-int", "entry-1-list-atom", "entry-int-member", "entry-bad-class", "unused-entry"])
+        "entry-int", "entry-1-list-atom", "entry-int-member", "entry-bad-class", "unused-entry",
+        "endpoint-second-world", "endpoint-atoms", "relation-int-left-member"])
 def test_atom_set_indices_and_entries_are_checked(mutate, message):
     doc = _indexed_doc()
     mutate(doc)
@@ -830,7 +838,7 @@ def _public_model(entry, agents, close=frozenset):
     """The model of a frame or layer entry, built through the checking constructors."""
     worlds = [World(w["id"], close([Atom(*pair) for pair in w.get("atoms", [])]))
               for w in entry["worlds"]]
-    return PALModel.from_pairs(worlds, agents, entry.get("relations", {}))
+    return model_from_pairs(worlds, agents, entry.get("relations", {}))
 
 
 def _atom_sets_by_list(worlds_by_entry, doc_entries):
@@ -847,7 +855,7 @@ def test_loaded_documents_share_atom_sets_and_equal_the_checked_build(seed):
     rng = random.Random(seed)
     frames = random_frames_document(rng, max_frames=4) if seed % 2 else _corpus_doc("frames", seed)[0]
     agents = tuple(frames["agents"])
-    indexed = json.loads(json.dumps(dump_ts(build_ts(load_frames(frames).frames))))
+    indexed = json.loads(json.dumps(dump_ts(build_ts(ingest(frames).frames))))
     system = listed_atoms(indexed)
 
     layers = [_public_model(entry, agents) for entry in system["layers"]]
@@ -899,7 +907,7 @@ def test_save_ts_bytes_match_the_reference_layout(tmp_path):
     rng = random.Random(8642)
     target = tmp_path / "ts.json"
     for k in range(30):
-        parsed = load_frames(random_frames_document(rng, max_frames=4) if k % 3 else _corpus_doc("frames", k)[0])
+        parsed = ingest(random_frames_document(rng, max_frames=4) if k % 3 else _corpus_doc("frames", k)[0])
         ts = build_ts(parsed.frames, groups=parsed.groups or None)
         for scores in (None, score_edges(ts)):
             save_ts(ts, target, scores)
@@ -1028,7 +1036,7 @@ def test_load_ts_closes_each_relation_once_when_it_is_first_read(monkeypatch):
     assert closed == ["w7_0"]
     # A frames document is closed as it is read: `build_ts` reads every partition.
     closed.clear()
-    load_frames(frames)
+    ingest(frames)
     assert sorted(closed) == sorted(f"w{i}_0" for i in range(1, 51) for _ in "ab")
 
 

@@ -21,8 +21,7 @@ SCORES = str(DATA / "demo_scores.json")
 
 # Every name the package exports, by the module that defines it.
 _EXPORTS = {
-    "classify": "DEFAULT_PATH_CAP VerdictReport check_missing_info check_possible_agent "
-                "check_possible_group check_robust_agent check_verified_group quantify_paths",
+    "classify": "DEFAULT_PATH_CAP VerdictReport quantify_paths verdict",
     "errors": "ArityError ConfigurationError EpistemicScopeError EvaluationError "
               "IngestionError LtpalError ParseError",
     "formulas": "Announce Dist Knows Next PAnd PNot Pal PalFormula Placeholder Prop TAnd TNot "
@@ -32,8 +31,8 @@ _EXPORTS = {
     "mppe": "ExternalScorer FrameChoice ScoredPath ScoreTable correct_stream most_probable_path "
             "overlap_score project_stream score_edges",
     "pal": "announce_update pal_sat",
-    "serialize": "FramesDocument build_from_files dump_ts ingest load_candidates load_frames "
-                 "load_rules load_scores load_ts save_ts",
+    "serialize": "FramesDocument build_from_files dump_ts ingest load_candidates load_rules "
+                 "load_scores load_ts save_ts",
     "syntax": "parse_formula parse_pal_formula parse_template pretty",
     "temporal": "tems",
     "transition": "ExecPath TransitionSystem build_ts enumerate_total_paths total_path_count",

@@ -427,6 +427,19 @@ def test_node_constructors_check_their_arguments():
         Dist((), A)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Template(Pal(Placeholder(3)), 2), ValueError,
+     "template of arity 2: missing ?1, ?2; unexpected ?3"),
+    (lambda: lift("p"), TypeError, "not a formula: 'p'"),
+    (lambda: pretty("p"), TypeError, "not a formula: 'p'"),
+    (lambda: expand_groups("p", {"g": ["a"]}), TypeError, "not a formula: 'p'"),
+], ids=["template-slots", "lift", "pretty", "expand-groups"])
+def test_front_end_functions_name_what_they_reject(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 # No front-end function recurses: each one runs on formulas 5,000 levels
 # deep under a recursion limit only 100 frames above the test's own depth.
 
