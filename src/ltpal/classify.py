@@ -14,8 +14,10 @@ candidate formulas would repair a query that currently fails: the base check
 must fail in the required way, and the announcement-wrapped template must
 then pass with the required quantifier.
 
-Quantification does not enumerate paths: `temporal.decide` finds the
-enumeration-least deciding path over the whole layered system at once.  The
+Every check is one `temporal.decide` call, which does not enumerate paths:
+it finds the enumeration-least deciding path over the whole layered system
+at once, or, for a verdict restricted to one given path (such as the most
+probable one), decides that path alone, with `paths_checked` 1.  The
 cap keeps its meaning as a cap on enumeration: `paths_checked` is the
 deciding path's rank in enumeration order plus one, or the total path count
 when no path decides, and when that exceeds the cap the report is undecided
@@ -42,7 +44,7 @@ from .formulas import (
 )
 from .model import Record
 from .syntax import pretty
-from .temporal import decide, tems
+from .temporal import decide
 from .transition import (  # noqa: F401  (enumerate_total_paths kept importable for tools that wrap it)
     ExecPath,
     TransitionSystem,
@@ -93,44 +95,38 @@ def quantify_paths(
     *,
     universal: bool,
     path_cap: int | None = None,
-    paths: Iterable[ExecPath] | None = None,
-    skip_dummies: bool = False,
+    path: ExecPath | None = None,
 ):
-    """Evaluate `formula` over paths until decided, exhausted or capped.
+    """Evaluate `formula` over the total paths until decided, exhausted or
+    capped, or on `path` alone when that is given.
 
     Returns (result, decisive_path, paths_checked, capped).  The decisive
     path is the first failing one (universal) or the first satisfying one
-    (existential) in the lexicographic total-path enumeration, or in
-    `paths` when that is supplied; `paths_checked` counts the paths up to
-    and including it, or all of them.  Hitting the cap first gives
-    (None, None, cap, True).  With `skip_dummies` each path is evaluated
-    from its second world, but the reported path is the original.
+    (existential) in the lexicographic total-path enumeration, or `path`
+    itself; `paths_checked` counts the paths up to and including it, or all
+    of them, and is 1 with `path`.  Hitting the cap first gives
+    (None, None, cap, True).
     """
     cap = DEFAULT_PATH_CAP if path_cap is None else int(path_cap)
     if cap < 1:
         raise ValueError("path cap must be at least 1")
-    if paths is not None:
-        checked = 0
-        for path in paths:
-            if checked >= cap:
-                return None, None, checked, True
-            checked += 1
-            if tems(ts, path.suffix(1) if skip_dummies else path, formula) != universal:
-                return not universal, path, checked, False
-        return universal, None, checked, False
-
-    start = 1 if skip_dummies else 0
-    columns = [(layer, [w.id for w in layer.worlds]) for layer in ts.layers[start:]]
-    picks = decide(columns, formula, not universal)
-    if picks is None:
-        checked, path = total_path_count(ts), None
+    if path is None:
+        columns = [(layer, [w.id for w in layer.worlds]) for layer in ts.layers]
     else:
-        picks = [0] * start + picks
+        columns = [(ts.model_of(w), (w,)) for w in path.worlds]
+    picks = decide(columns, formula, not universal)
+    if path is not None:
+        checked = 1
+    elif picks is None:
+        checked = total_path_count(ts)
+    else:
         checked = path_rank(ts, picks) + 1
         path = ts.path(layer.worlds[pos].id for layer, pos in zip(ts.layers, picks))
     if checked > cap:
         return None, None, cap, True
-    return (universal if path is None else not universal), path, checked, False
+    if picks is None:
+        return universal, None, checked, False
+    return not universal, path, checked, False
 
 
 def _require_agents(ts: TransitionSystem, agents: Iterable[str]) -> None:
@@ -158,17 +154,18 @@ def verdict(
     possible: bool = False,
     candidates: Sequence[PalFormula] | None = None,
     path_cap: int | None = None,
-    paths: Iterable[ExecPath] | None = None,
-    skip_dummies: bool = False,
+    path: ExecPath | None = None,
 ) -> VerdictReport:
     """Run one reliability verdict for a group (D) or a single agent (K).
 
     Each slot of `template` is wrapped in the modality, or in its
     "cannot rule out" dual when `possible`; the result must then hold on all
-    paths, or with `possible` on some path.  With `candidates` the verdict
-    is a missing-information check: the base query must fail, and the
-    report lists the candidates whose announcement, wrapped around each
-    slot, makes the query pass with the same quantifier.
+    paths, or with `possible` on some path.  Given `path`, the verdict looks
+    at that one path alone and the report is marked `restricted`.  With
+    `candidates` the verdict is a missing-information check: the base query
+    must fail, and the report lists the candidates whose announcement,
+    wrapped around each slot, makes the query pass with the same
+    quantifier.
     """
     if (group is None) == (agent is None):
         raise ValueError("exactly one of group or agent must be given")
@@ -191,25 +188,17 @@ def verdict(
     wrap = (lambda a: PNot(modality(PNot(a)))) if possible else modality
     args = _pal_arguments(atoms)
 
-    restricted = paths is not None
-    if restricted and candidates is not None:
-        paths = list(paths)  # walked once per candidate
-    report = partial(VerdictReport, group=group, agent=agent, restricted=restricted)
+    report = partial(VerdictReport, group=group, agent=agent, restricted=path is not None)
 
     def run(slots):
-        return quantify_paths(
-            ts,
-            substitute(template, slots),
-            universal=not possible,
-            path_cap=path_cap,
-            paths=paths,
-            skip_dummies=skip_dummies,
-        )
+        return quantify_paths(ts, substitute(template, slots), universal=not possible,
+                              path_cap=path_cap, path=path)
 
-    result, path, checked, capped = run([wrap(a) for a in args])
+    result, decisive, checked, capped = run([wrap(a) for a in args])
     if candidates is None:
         mode = _MODES["group" if group is not None else "agent", possible]
-        return report(mode=mode, result=result, path=path, paths_checked=checked, capped=capped)
+        return report(mode=mode, result=result, path=decisive, paths_checked=checked,
+                      capped=capped)
 
     # Candidates are tried only while the base query fails: a passing base
     # (no counterexample for verified, a witness for possible) leaves

@@ -28,7 +28,7 @@ from .transition import build_ts, enumerate_total_paths, path_at, total_path_cou
 # parse a formula, and only `mppe` and `--mppe-only` extract a path.
 _LAZY = {
     "classify": ("DEFAULT_PATH_CAP", "quantify_paths", "verdict"),
-    "formulas": ("Template", "expand_groups"),
+    "formulas": ("Next", "Template", "expand_groups"),
     "syntax": ("parse_formula", "parse_pal_formula", "parse_template", "pretty"),
     "temporal": ("tems",),
     "mppe": ("ExternalScorer", "most_probable_path", "project_stream", "score_edges"),
@@ -167,6 +167,10 @@ def _cmd_check(args) -> int:
     formula = expand_groups(parse_formula(args.formula), ts.groups)
     if args.scores is not None and not args.mppe_only:
         raise ConfigurationError("--scores is only used together with --mppe-only")
+    cap = _resolve_cap(args.cap)  # checked on every branch, used by the last
+    # φ from the first real frame is X φ from the start world, where every
+    # path begins.
+    query = Next(formula) if args.skip_dummies else formula
 
     if args.path_index is not None or args.mppe_only:  # one path; --path-index first
         if args.path_index is not None:
@@ -182,15 +186,12 @@ def _cmd_check(args) -> int:
             scored = most_probable_path(ts, _mppe_table(ts, embedded, args.scores))
             path = scored.path
             mode, before, after = "mppe-only", {}, {"score": scored.score}
-        value = tems(ts, path.suffix(1) if args.skip_dummies else path, formula)
+        value = tems(ts, path, query)
         _emit({"mode": mode, "formula": pretty(formula), **before,
                "path": list(path.worlds), **after, "result": value})
         return EXIT_TRUE if value else EXIT_FALSE
 
-    cap = _resolve_cap(args.cap)
-    result, witness, checked, capped = quantify_paths(
-        ts, formula, universal=True, path_cap=cap, skip_dummies=args.skip_dummies,
-    )
+    result, witness, checked, capped = quantify_paths(ts, query, universal=True, path_cap=cap)
     _emit({
         "mode": "all",
         "formula": pretty(formula),
@@ -220,7 +221,8 @@ def _cmd_classify(args) -> int:
     ts, embedded = load_ts(args.ts)
     groups = ts.groups
     template = parse_template(args.template)
-    template = Template(expand_groups(template.skeleton, groups), template.arity)
+    skeleton = expand_groups(template.skeleton, groups)
+    template = Template(Next(skeleton) if args.skip_dummies else skeleton, template.arity)
     atoms = [
         expand_groups(parse_pal_formula(text), groups)
         for text in _split_atoms(args.atoms)
@@ -237,18 +239,17 @@ def _cmd_classify(args) -> int:
     if who is not None and getattr(args, who) is None:
         raise ConfigurationError(f"mode {args.mode!r} needs --{who}")
     path_cap = _resolve_cap(args.cap)
-    paths = None
+    path = None
     if args.mppe_only:
         _bind("mppe")
-        paths = [most_probable_path(ts, _mppe_table(ts, embedded, args.scores)).path]
+        path = most_probable_path(ts, _mppe_table(ts, embedded, args.scores)).path
     candidates = None
     if missing:
         candidates = [expand_groups(c, groups) for c in load_candidates(args.candidates)]
 
     report = verdict(
         ts, template, atoms, group=group, agent=args.agent, possible=possible,
-        candidates=candidates, path_cap=path_cap, paths=paths,
-        skip_dummies=args.skip_dummies,
+        candidates=candidates, path_cap=path_cap, path=path,
     )
     _emit(report.to_json_dict())
     if report.result is None:

@@ -161,12 +161,6 @@ class ExecPath(Record):
     def __len__(self):
         return len(self.worlds)
 
-    def suffix(self, k: int) -> "ExecPath":
-        """Drop the first k worlds; k == len(self) gives the empty path."""
-        if not 0 <= k <= len(self.worlds):
-            raise ValueError(f"suffix index {k} out of range for path of length {len(self.worlds)}")
-        return ExecPath(self.ts, self.worlds[k:])
-
 
 def build_ts(frames: Iterable[PALModel], *, groups=None) -> TransitionSystem:
     """Assemble the layered system for a frame sequence.

@@ -129,7 +129,7 @@ def test_criterion_3_temporal_oracle_equivalence():
         formula = random_temporal_formula(rng, agents, depth=4)
         paths = list(enumerate_total_paths(ts))
         path = rng.choice(paths)
-        suffix = path.suffix(rng.randrange(0, len(path.worlds) + 1))
+        suffix = ts.path(path.worlds[rng.randrange(0, len(path.worlds) + 1):])
         sat = ts_sat_at(ts, suffix.worlds)
         n = len(suffix.worlds)
         assert tems(ts, suffix, formula) == oracle_tems(sat, n, 0, formula)

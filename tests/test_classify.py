@@ -21,7 +21,7 @@ from ltpal.formulas import (
     top,
 )
 from ltpal.model import Atom, PALModel, World
-from ltpal.syntax import parse_pal_formula, parse_template
+from ltpal.syntax import parse_template
 from ltpal.transition import build_ts, enumerate_total_paths
 
 from generators import random_pal_formula, random_ts
@@ -64,9 +64,7 @@ def _two_world_ts():
 
 def test_verified_group_finds_the_first_counterexample():
     ts = _demo_ts()
-    report = verdict(
-        ts, parse_template("F ?1"), [V1CAT], group=("a", "b"), skip_dummies=True
-    )
+    report = verdict(ts, parse_template("X (F ?1)"), [V1CAT], group=("a", "b"))
     assert report.result is False
     assert report.path.worlds == ("w00", "w11", "w20", "w30")
     assert report.paths_checked == 3
@@ -86,9 +84,7 @@ def test_verified_group_true_case():
 
 def test_possible_group_finds_the_first_witness():
     ts = _demo_ts()
-    report = verdict(
-        ts, parse_template("F ?1"), [V1DOG], group=("a", "b"), possible=True, skip_dummies=True
-    )
+    report = verdict(ts, parse_template("X (F ?1)"), [V1DOG], group=("a", "b"), possible=True)
     assert report.result is True
     assert report.path.worlds == ("w00", "w11", "w20", "w30")
     assert report.paths_checked == 3
@@ -97,11 +93,11 @@ def test_possible_group_finds_the_first_witness():
 
 def test_robust_agent_depends_on_the_relation():
     ts = _demo_ts()
-    template = parse_template("F ?1")
-    fine = verdict(ts, template, [V1CAT], agent="b", skip_dummies=True)
+    template = parse_template("X (F ?1)")
+    fine = verdict(ts, template, [V1CAT], agent="b")
     assert fine.result is False
     assert fine.path.worlds == ("w00", "w11", "w20", "w30")
-    coarse = verdict(ts, template, [V1CAT], agent="a", skip_dummies=True)
+    coarse = verdict(ts, template, [V1CAT], agent="a")
     assert coarse.result is False
     assert coarse.path.worlds == ("w00", "w10", "w20", "w30")
     assert coarse.paths_checked == 1
@@ -109,9 +105,7 @@ def test_robust_agent_depends_on_the_relation():
 
 def test_possible_agent_sees_through_coarse_relations():
     ts = _demo_ts()
-    report = verdict(
-        ts, parse_template("F ?1"), [V1DOG], agent="a", possible=True, skip_dummies=True
-    )
+    report = verdict(ts, parse_template("X (F ?1)"), [V1DOG], agent="a", possible=True)
     assert report.result is True
     assert report.paths_checked == 1
     assert report.mode == "possible_agent"
@@ -121,8 +115,7 @@ def test_possible_agent_sees_through_coarse_relations():
 def test_atoms_may_be_bare_atom_objects():
     ts = _demo_ts()
     report = verdict(
-        ts, parse_template("F ?1"), [Atom("v1", "Dog")], group=("a",), possible=True,
-        skip_dummies=True,
+        ts, parse_template("X (F ?1)"), [Atom("v1", "Dog")], group=("a",), possible=True,
     )
     assert report.result is True
 
@@ -165,7 +158,7 @@ def test_cap_yields_undecided_only_when_paths_remain():
     assert exact.result is True
     assert not exact.capped
     decisive = verdict(
-        ts, template, [V1CAT], group=("a", "b"), path_cap=3, skip_dummies=True
+        ts, parse_template("X (F ?1)"), [V1CAT], group=("a", "b"), path_cap=3
     )
     assert decisive.result is False  # counterexample arrives within the cap
 
@@ -178,13 +171,10 @@ def test_missing_verified_candidates():
     A tautological announcement never qualifies because it changes nothing.
     """
     ts = _two_world_ts()
-    template = parse_template("?1")
+    template = parse_template("X ?1")
     xcat = Prop(Atom("x", "Cat"))
     candidates = [top(), bottom(), xcat, Prop(Atom("x", "Dog"))]
-    report = verdict(
-        ts, template, [xcat], candidates=candidates,
-        group=("a",), skip_dummies=True,
-    )
+    report = verdict(ts, template, [xcat], candidates=candidates, group=("a",))
     assert report.result is True
     assert report.qualifying == (bottom(), xcat, Prop(Atom("x", "Dog")))
     assert report.mode == "missing_verified"
@@ -195,12 +185,9 @@ def test_missing_verified_candidates():
 
 def test_missing_verified_needs_a_failing_base():
     ts = _two_world_ts()
-    template = parse_template("?1")
+    template = parse_template("X ?1")
     tautology = p_or(Prop(Atom("x", "Cat")), PNot(Prop(Atom("x", "Cat"))))
-    report = verdict(
-        ts, template, [tautology], candidates=[top(), bottom()],
-        group=("a",), skip_dummies=True,
-    )
+    report = verdict(ts, template, [tautology], candidates=[top(), bottom()], group=("a",))
     assert report.result is False
     assert report.qualifying == ()
     assert report.paths_checked == 2  # candidates were never tried
@@ -208,11 +195,11 @@ def test_missing_verified_needs_a_failing_base():
 
 def test_missing_possible_candidates():
     ts = _two_world_ts()
-    template = parse_template("?1")
+    template = parse_template("X ?1")
     xdog = Prop(Atom("x", "Dog"))
     report = verdict(
         ts, template, [xdog], candidates=[top(), bottom(), Prop(Atom("x", "Cat"))],
-        group=("a",), possible=True, skip_dummies=True,
+        group=("a",), possible=True,
     )
     # No world can leave Dog open, so the base possible-check fails on all
     # paths; vacuously-true announcements then recover a passing path.
@@ -222,17 +209,12 @@ def test_missing_possible_candidates():
 
 def test_missing_info_agent_mode_and_undecided():
     ts = _two_world_ts()
-    template = parse_template("?1")
+    template = parse_template("X ?1")
     xcat = Prop(Atom("x", "Cat"))
-    report = verdict(
-        ts, template, [xcat], candidates=[xcat], agent="a", skip_dummies=True
-    )
+    report = verdict(ts, template, [xcat], candidates=[xcat], agent="a")
     assert report.result is True
     assert report.agent == "a"
-    capped = verdict(
-        ts, template, [xcat], candidates=[xcat], agent="a",
-        skip_dummies=True, path_cap=1,
-    )
+    capped = verdict(ts, template, [xcat], candidates=[xcat], agent="a", path_cap=1)
     assert capped.result is None
     assert capped.capped
 
@@ -286,22 +268,28 @@ def test_verdict_and_substitute_name_the_bad_argument_alike(bad, message):
 
 def test_restricted_path_set():
     ts = _demo_ts()
-    template = parse_template("F ?1")
+    template = parse_template("X (F ?1)")
     best = next(enumerate_total_paths(ts))
-    report = verdict(
-        ts, template, [V1CAT], group=("a", "b"), paths=[best], skip_dummies=True
-    )
+    report = verdict(ts, template, [V1CAT], group=("a", "b"), path=best)
     assert report.result is True  # the chosen path does satisfy it
     assert report.restricted
     assert report.paths_checked == 1
     assert report.to_json_dict()["restricted"] is True
 
+    # Every candidate is tried on the given path too: off it, the path
+    # through u2 would let x:Cat qualify.
+    ts = _two_world_ts()
+    through_u1 = ts.path(["w00", "u1", "w20"])
+    report = verdict(ts, parse_template("X ?1"), [Prop(Atom("x", "Dog"))], group=("a",),
+                     possible=True, candidates=[bottom(), Prop(Atom("x", "Cat"))],
+                     path=through_u1)
+    assert (report.result, report.qualifying, report.paths_checked) == (True, (bottom(),), 3)
+    assert report.restricted
+
 
 def test_report_json_shape():
     ts = _demo_ts()
-    report = verdict(
-        ts, parse_template("F ?1"), [V1CAT], group=("a", "b"), skip_dummies=True
-    )
+    report = verdict(ts, parse_template("X (F ?1)"), [V1CAT], group=("a", "b"))
     data = report.to_json_dict()
     assert data == {
         "mode": "verified_group",

@@ -15,9 +15,11 @@ import pytest
 
 from ltpal import cli
 from ltpal.cli import _build_parser, main
-from ltpal.serialize import dump_ts, load_scores, load_ts
+from ltpal.formulas import Next
+from ltpal.serialize import dump_ts, load_scores, load_ts, save_ts
+from ltpal.syntax import parse_formula
 
-from generators import ATOM_POOL, listed_atoms
+from generators import ATOM_POOL, listed_atoms, random_ts
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -324,6 +326,25 @@ def test_check_mppe_only(ts_file, capsys):
     assert "overlap scorer" in err
 
 
+@pytest.mark.parametrize("branch", [["--path-index", "0"], ["--mppe-only"]],
+                         ids=["path-index", "mppe-only"])
+@pytest.mark.parametrize("flag, env, message", [
+    (["--cap", "0"], None, "error: --cap must be at least 1\n"),
+    ([], "x", "error: LTPAL_PATH_CAP must be an integer, got 'x'\n"),
+    ([], "0", "error: LTPAL_PATH_CAP must be at least 1\n"),
+], ids=["flag-0", "env-x", "env-0"])
+def test_a_one_path_check_rejects_an_invalid_cap(ts_file, capsys, monkeypatch, branch, flag, env,
+                                                  message):
+    """The cap is checked as on the all-paths branch, though one path never
+    reaches it."""
+    if env is None:
+        monkeypatch.delenv("LTPAL_PATH_CAP", raising=False)
+    else:
+        monkeypatch.setenv("LTPAL_PATH_CAP", env)
+    argv = ["check", "--ts", ts_file, "--formula", "true", *branch, *flag]
+    assert _run(capsys, argv) == (2, None, message)
+
+
 def test_check_usage_errors(ts_file, capsys):
     code, _, err = _run(capsys, [
         "check", "--ts", ts_file, "--formula", "p & &",
@@ -411,6 +432,60 @@ def test_classify_mppe_only_restricts(ts_file, capsys):
     assert code == 0  # the most probable path does satisfy the template
     assert payload["restricted"] is True
     assert payload["paths_checked"] == 1
+
+
+@pytest.fixture(scope="module")
+def random_ts_file(tmp_path_factory):
+    target = tmp_path_factory.mktemp("cli") / "random-ts.json"
+    save_ts(random_ts(random.Random(5)), target)  # 3x3x2 worlds, agents a0, a1, a2
+    return str(target)
+
+
+# Per system: two formulas, two (template, atoms) pairs, --group and --agent.
+_SKIP_CASES = {
+    "demo": (["F v2:Cat", "G (D{both} v1:Cat -> X v2:Cat)"],
+             [("F ?1", "v1:Cat"), ("(?1 U ?2)", "v1:Cat | v1:Dog, v2:Cat")], "both", "a"),
+    "random": (["x:Cat | K{a0} y:Dog", "((x:Cat | y:Dog) U !K{a1} z:Fox)"],
+               [("?1", "x:Cat"), ("G (?1 -> X ?2)", "x:Cat, y:Dog")], "a0,a1", "a2"),
+}
+
+
+def _skip_dummies_pairs(system, ts, candidates):
+    """(argv with --skip-dummies, argv checking X of the same text) pairs."""
+    formulas, templates, group, agent = _SKIP_CASES[system]
+    for formula in formulas:
+        for branch in ([], ["--path-index", "1"], ["--mppe-only"]):
+            base = ["check", "--ts", ts, *branch, "--formula"]
+            yield [*base, formula, "--skip-dummies"], [*base, f"X ({formula})"]
+    for template, atoms in templates:
+        for mode, (who, _, missing) in cli._CLASSIFY_MODES.items():
+            for restrict in ([], ["--mppe-only"]):
+                base = ["classify", "--ts", ts, "--mode", mode, "--atoms", atoms, *restrict,
+                        f"--{who or 'group'}", agent if who == "agent" else group,
+                        *(["--candidates", candidates] if missing else []), "--template"]
+                yield [*base, template, "--skip-dummies"], [*base, f"X ({template})"]
+
+
+@pytest.mark.parametrize("system", ["demo", "random"])
+def test_skip_dummies_checks_next_on_the_full_paths(ts_file, random_ts_file, tmp_path, capsys,
+                                                    system):
+    """Every command gives the same stdout and exit code with --skip-dummies
+    as with its formula or template wrapped in X, apart from the formula
+    that `check` prints."""
+    candidates = tmp_path / "candidates.json"
+    candidates.write_text(json.dumps({"candidates": ["true", "false", "x:Cat", "v2:Dog"]}))
+    ts = ts_file if system == "demo" else random_ts_file
+    codes = set()
+    for skipping, wrapped in _skip_dummies_pairs(system, ts, str(candidates)):
+        code, payload, err = _run(capsys, skipping)
+        assert code in (0, 1), err
+        expected_code, expected, _ = _run(capsys, wrapped)
+        if skipping[0] == "check":  # which prints the formula without the X
+            printed = parse_formula(payload.pop("formula"))
+            assert parse_formula(expected.pop("formula")) == Next(printed)
+        assert (code, payload) == (expected_code, expected), skipping
+        codes.add(code)
+    assert codes == {0, 1}
 
 
 def test_classify_usage_errors(ts_file, tmp_path, capsys):

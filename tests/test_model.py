@@ -21,7 +21,7 @@ from ltpal.mppe import FrameChoice, ScoredPath
 from ltpal.serialize import FramesDocument
 from ltpal.transition import ExecPath, build_ts
 
-from generators import ATOM_POOL, random_model_with_pairs
+from generators import random_model_with_pairs
 from oracles import bfs_partition, closure_fixpoint
 
 

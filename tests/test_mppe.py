@@ -1,6 +1,5 @@
 """Tests for edge scoring, most-probable-path extraction and stream correction."""
 
-import json
 import math
 import random
 import sys

@@ -13,7 +13,7 @@ from ltpal.cli import main
 from ltpal.errors import IngestionError
 from ltpal.formulas import PAnd, PNot, Prop
 from ltpal.model import Atom, PALModel, RuleSet, World, equivalence_closure, rule_closure
-from ltpal.mppe import ScoreTable, score_edges
+from ltpal.mppe import score_edges
 from ltpal.serialize import (
     build_from_files,
     dump_ts,

@@ -7,13 +7,10 @@ from ltpal.formulas import (
     Pal,
     PNot,
     Prop,
-    TAnd,
     TNot,
     Until,
-    bottom,
     future,
     globally,
-    lift,
     release,
     t_and,
     t_not,
@@ -48,7 +45,7 @@ def _only_path(ts):
 def _trace(*atom_lists):
     """The single total path of a chain system, dummies trimmed."""
     ts = _chain_ts(*atom_lists)
-    return ts, _only_path(ts).suffix(1)
+    return ts, ts.path(_only_path(ts).worlds[1:])
 
 
 CAT = [Atom("x", "Cat")]
@@ -64,7 +61,7 @@ def test_pal_leaf_reads_current_position():
 
 def test_empty_path_falsifies_everything():
     ts, path = _trace(CAT)
-    empty = path.suffix(len(path))
+    empty = ts.path(path.worlds[len(path):])
     for formula in (P, t_not(P), TNot(Next(P)), t_and(P, P), Next(P),
                     Until(P, Q), future(P), globally(P), Pal(top())):
         assert not tems(ts, empty, formula)
@@ -112,8 +109,9 @@ def test_future_and_globally():
     # G over the trimmed path still sees the final dummy layer.
     ts3 = _chain_ts(CAT, CAT)
     full = _only_path(ts3)
-    assert not tems(ts3, full.suffix(1), globally(P))  # fails at the end dummy
-    assert tems(ts3, full.suffix(1), globally(t_or(P, Pal(PNot(Prop(Atom("x", "Cat")))))))
+    trimmed = ts3.path(full.worlds[1:])
+    assert not tems(ts3, trimmed, globally(P))  # fails at the end dummy
+    assert tems(ts3, trimmed, globally(t_or(P, Pal(PNot(Prop(Atom("x", "Cat")))))))
 
 
 def test_release_and_weak_until_hand_cases():
@@ -133,7 +131,7 @@ def test_suffix_evaluation_shifts_positions():
     ts = _chain_ts(CAT, DOG, CAT)
     full = _only_path(ts)
     for k in range(len(full) + 1):
-        assert tems(ts, full.suffix(k), P) == (
+        assert tems(ts, ts.path(full.worlds[k:]), P) == (
             k < len(full) and Atom("x", "Cat") in ts.label(full.worlds[k])
         )
 
@@ -179,7 +177,7 @@ def test_random_formulas_match_declarative_oracle():
         paths = list(enumerate_total_paths(ts))
         path = rng.choice(paths)
         start = rng.randrange(0, len(path.worlds) + 1)
-        suffix = path.suffix(start)
+        suffix = ts.path(path.worlds[start:])
         expected = oracle_tems(
             ts_sat_at(ts, suffix.worlds), len(suffix.worlds), 0, formula
         )

@@ -8,7 +8,6 @@ import pytest
 from ltpal.errors import EvaluationError, IngestionError
 from ltpal.model import Atom, PALModel, World
 from ltpal.transition import (
-    ExecPath,
     TransitionSystem,
     build_ts,
     enumerate_total_paths,
@@ -145,15 +144,11 @@ def test_exec_path_validation():
 def test_path_suffix_and_empty_path():
     ts = _demo_ts()
     path = ts.path(["w00", "w10", "w20", "w30"])
-    assert path.suffix(1).worlds == ("w10", "w20", "w30")
-    assert not _is_total(path.suffix(1))
-    empty = path.suffix(4)
+    assert ts.path(path.worlds[1:]).worlds == ("w10", "w20", "w30")
+    assert not _is_total(ts.path(path.worlds[1:]))
+    empty = ts.path(path.worlds[4:])
     assert empty.worlds == () and len(empty) == 0
-    assert path.suffix(2).worlds == ("w20", "w30")
-    with pytest.raises(ValueError):
-        path.suffix(5)
-    with pytest.raises(ValueError):
-        path.suffix(-1)
+    assert ts.path(path.worlds[2:]).worlds == ("w20", "w30")
 
 
 def test_partial_paths_allowed():
