@@ -30,10 +30,9 @@ _LAZY = {
     "classify": ("DEFAULT_PATH_CAP", "quantify_paths", "verdict"),
     "formulas": ("Next", "Template", "expand_groups"),
     "syntax": ("parse_formula", "parse_pal_formula", "parse_template", "pretty"),
-    "temporal": ("tems",),
     "mppe": ("ExternalScorer", "most_probable_path", "project_stream", "score_edges"),
 }
-_FORMULAS = ("classify", "formulas", "syntax", "temporal")
+_FORMULAS = ("classify", "formulas", "syntax")
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
@@ -186,7 +185,7 @@ def _cmd_check(args) -> int:
             scored = most_probable_path(ts, _mppe_table(ts, embedded, args.scores))
             path = scored.path
             mode, before, after = "mppe-only", {}, {"score": scored.score}
-        value = tems(ts, path, query)
+        value = quantify_paths(ts, query, universal=False, path=path)[0]
         _emit({"mode": mode, "formula": pretty(formula), **before,
                "path": list(path.worlds), **after, "result": value})
         return EXIT_TRUE if value else EXIT_FALSE

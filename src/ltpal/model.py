@@ -6,8 +6,9 @@ detected (datum, class) atoms to each world, and one equivalence relation per
 classifier grouping the worlds that classifier cannot tell apart.  Relations
 are read as partitions of the world set rather than pair lists, and the
 block of one world is found by a scan of its agent's partition.  A model
-built from checked pairs (a loaded system's layer) closes each agent's
-relation into its partition the first time that partition is read.
+built from parts already checked (`PALModel.from_checked`) takes them as
+they are; one given checked pairs (a loaded system's layer) closes each
+agent's relation into its partition the first time that partition is read.
 """
 
 from __future__ import annotations
@@ -328,28 +329,31 @@ class PALModel:
                     )
                 part = tuple(sorted(raw, key=min))
             partitions[agent] = part
-        self._assign(worlds, by_id, agents, partitions, {})
+        self._worlds, self._by_id, self._agents = worlds, by_id, agents
+        self._partitions = partitions  # agent -> partition, for each one closed
+        self._pairs = {}  # agent -> checked pairs, for each one not yet closed
 
     @classmethod
-    def from_checked_pairs(cls, worlds: tuple, by_id: dict, agents: tuple, pairs: dict) -> "PALModel":
-        """A model that takes its parts without checking them again, and
-        closes each agent's relation when its partition is first read.
+    def from_checked(cls, worlds: tuple, agents: tuple, partitions: dict, pairs: dict | None = None,
+                     by_id: dict | None = None) -> "PALModel":
+        """A model that takes its parts as they are, without checking them.
 
         For callers that have checked them: `worlds` a tuple of Worlds with
-        distinct ids, `by_id` maps each id to its world, `agents` passes
-        `check_roster`, and `pairs` maps every agent, in roster order, to a
-        tuple of (id, id) tuples that passes `check_pair_ids` over `by_id`.
+        distinct ids, `agents` passes `check_roster`, `partitions` maps
+        agents to partitions of the world ids with blocks ordered by their
+        smallest member (as `partition` returns them), and `pairs` maps each
+        other agent of the roster to a tuple of (id, id) tuples that passes
+        `check_pair_ids`; such a relation is closed when its partition is
+        first read.  `by_id` maps each id to its world, and is built when
+        not given.
         """
         model = object.__new__(cls)
-        model._assign(worlds, by_id, agents, {}, pairs)
+        model._worlds = worlds
+        model._by_id = {w.id: w for w in worlds} if by_id is None else by_id
+        model._agents = agents
+        model._partitions = partitions
+        model._pairs = {} if pairs is None else pairs
         return model
-
-    def _assign(self, worlds, by_id, agents, partitions, pairs) -> None:
-        self._worlds = worlds
-        self._by_id = by_id
-        self._agents = agents
-        self._partitions = partitions  # agent -> partition, for each one closed
-        self._pairs = pairs  # agent -> checked pairs, when built from pairs
 
     @property
     def worlds(self) -> tuple:
@@ -407,7 +411,7 @@ class PALModel:
                                 key=min))
             for agent in self._agents
         }
-        return PALModel(worlds, self._agents, partitions)
+        return PALModel.from_checked(worlds, self._agents, partitions)
 
     def renamed(self, rename) -> "PALModel":
         """Copy of the model with every world id passed through `rename`."""
@@ -434,4 +438,4 @@ def enrich_model(model: PALModel, rules: RuleSet) -> PALModel:
     """Apply rule closure to every world's atom set; structure is unchanged."""
     worlds = tuple(World(w.id, rule_closure(w.atoms, rules)) for w in model.worlds)
     partitions = {agent: model.partition(agent) for agent in model.agents}
-    return PALModel(worlds, model.agents, partitions)
+    return PALModel.from_checked(worlds, model.agents, partitions)

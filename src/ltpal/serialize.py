@@ -13,7 +13,7 @@ from pathlib import Path
 from .errors import IngestionError, ParseError
 from .model import Atom, PALModel, Record, RuleSet, World, check_pair_ids, check_roster, rule_closure
 from .model import enrich_model  # noqa: F401  (kept importable for tools that wrap it)
-from .transition import TransitionSystem, build_ts
+from .transition import TransitionSystem, build_ts, check_groups
 
 # `mppe` and `syntax` are imported where scores and candidates are read, so
 # that loading frames or an unscored system compiles neither.
@@ -139,14 +139,42 @@ def load_rules(source) -> RuleSet:
         raise IngestionError(f"rules document: {exc}") from None
 
 
+def _roster_and_groups(doc: dict, where: str) -> tuple:
+    """The "agents" and "groups" of the frames or system document `doc`,
+    which `where` names: a roster that is not empty and passes
+    `check_roster`, and groups (name -> tuple of members) that pass
+    `check_groups`.  Both documents follow these rules, with one message
+    for each fault."""
+    agents_value = _as_list(_get(doc, "agents", where), "agents")
+    if not agents_value:
+        raise IngestionError("agents must not be empty")
+    agents = tuple(_as_str(a, f"agents[{i}]") for i, a in enumerate(agents_value))
+    try:
+        check_roster(agents)
+    except IngestionError as exc:
+        raise IngestionError(f"agents: {exc}") from None
+    groups = {
+        name: tuple(_as_str(m, f"groups[{name!r}][{i}]")
+                    for i, m in enumerate(_as_list(members, f"groups[{name!r}]")))
+        for name, members in _as_dict(doc.get("groups", {}), "groups").items()
+    }
+    try:
+        check_groups(groups, agents)
+    except IngestionError as exc:
+        raise IngestionError(f"groups: {exc}") from None
+    return agents, groups
+
+
 def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=None,
                 indexed=None) -> PALModel:
-    """The model of a frame or layer entry at `where`.
+    """The model of a frame or layer entry at `where`, over the checked
+    roster `agents`.
 
-    Every check of `PALModel(...)` that the entry could fail is made here,
-    in the order that constructor makes it, so the model is built through
-    `PALModel.from_checked_pairs`, which closes each agent's relation when
-    its partition is first read.  `World(...)` keeps the frozenset it is given,
+    Each world is checked in full before the next, its id (that it is
+    distinct from those before it) before its atoms, and the relations
+    after the worlds; then the model is built through
+    `PALModel.from_checked`, which closes each agent's relation when its
+    partition is first read.  `World(...)` keeps the frozenset it is given,
     so worlds with equal atom lists share one atom set.  `indexed` is the
     list of checked sets of a system document's "atom_sets", or None when
     it has none; only then may a world's "atoms" be an index into it.
@@ -155,7 +183,7 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
     worlds_value = _as_list(_get(entry, "worlds", where), f"{where}.worlds")
     if not worlds_value:
         raise IngestionError(f"{where}.worlds must not be empty")
-    worlds = []
+    by_id = {}
     for j, value in enumerate(worlds_value):
         if not isinstance(value, dict):
             raise _wrong_type(value, "an object", f"{where}.worlds[{j}]")
@@ -166,6 +194,8 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
             raise _wrong_type(wid, "a string", f"{where}.worlds[{j}].id")
         if not wid:
             raise IngestionError(f"{where}.worlds[{j}].id must not be empty")
+        if wid in by_id:
+            raise IngestionError(f"{where}: duplicate world id {wid!r}")
         atoms = value.get("atoms", [])
         if atoms.__class__ is int and indexed is not None and 0 <= atoms < len(indexed):
             atom_set = indexed[atoms]
@@ -176,9 +206,7 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
                     f"{at} must be an index into atom_sets ({len(indexed)} entries), got {atoms!r}"
                 )
             atom_set = _atom_set(atoms, atom_sets, at, close)
-        worlds.append(World(wid, atom_set))
-    ids = [w.id for w in worlds]
-    by_id = dict(zip(ids, worlds))
+        by_id[wid] = World(wid, atom_set)
     relations_value = _as_dict(entry.get("relations", {}), f"{where}.relations")
     listed = {}
     for agent, pairs_value in relations_value.items():
@@ -191,14 +219,8 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
             check_pair_ids(listed[agent], by_id)
         except IngestionError as exc:
             raise IngestionError(f"{where}.relations[{agent!r}]: {exc}") from None
-    try:
-        if len(by_id) != len(worlds):
-            PALModel(worlds, agents)  # raises on the first duplicate world id
-        check_roster(agents)
-    except IngestionError as exc:
-        raise IngestionError(f"{where}: {exc}") from None
     pairs = {agent: listed.get(agent, ()) for agent in agents}  # roster order
-    return PALModel.from_checked_pairs(tuple(worlds), by_id, agents, pairs)
+    return PALModel.from_checked(tuple(by_id.values()), agents, {}, pairs, by_id)
 
 
 class FramesDocument(Record):
@@ -245,32 +267,7 @@ def ingest(frames_source, rules_source=None) -> FramesDocument:
                 close = lambda atoms: rule_closure(atoms, rules)
 
     doc = _as_dict(_load_json(frames_source), "frames document")
-    agents_value = _as_list(_get(doc, "agents", "frames document"), "agents")
-    if not agents_value:
-        raise IngestionError("agents must not be empty")
-    agents = tuple(_as_str(a, f"agents[{i}]") for i, a in enumerate(agents_value))
-    if len(set(agents)) != len(agents):
-        raise IngestionError("agents contains duplicate ids")
-
-    groups = {}
-    for name, members_value in _as_dict(doc.get("groups", {}), "groups").items():
-        members = [
-            _as_str(m, f"groups[{name!r}][{i}]")
-            for i, m in enumerate(_as_list(members_value, f"groups[{name!r}]"))
-        ]
-        if not members:
-            raise IngestionError(f"groups[{name!r}] must not be empty")
-        unknown = [m for m in members if m not in agents]
-        if unknown:
-            raise IngestionError(
-                f"groups[{name!r}] names unknown agent {unknown[0]!r}"
-            )
-        if name in agents:
-            raise IngestionError(
-                f"group name {name!r} collides with an agent id"
-            )
-        groups[name] = tuple(members)
-
+    agents, groups = _roster_and_groups(doc, "frames document")
     frames_value = _as_list(_get(doc, "frames", "frames document"), "frames")
     if not frames_value:
         raise IngestionError("frames must not be empty")
@@ -425,9 +422,7 @@ def load_ts(source):
     own copies of the pairs, so changing `source` later changes no layer.
     """
     doc = _as_dict(_load_json(source), "system document")
-    agents_value = _as_list(_get(doc, "agents", "system document"), "agents")
-    agents = tuple(_as_str(a, f"agents[{i}]") for i, a in enumerate(agents_value))
-
+    agents, groups = _roster_and_groups(doc, "system document")
     atom_sets: dict = {}
     indexed = None
     if "atom_sets" in doc:
@@ -441,15 +436,6 @@ def load_ts(source):
                     indexed=indexed)
         for i, entry in enumerate(layers_value)
     ]
-
-    groups = {}
-    for name, members_value in _as_dict(doc.get("groups", {}), "groups").items():
-        members = [
-            _as_str(m, f"groups[{name!r}][{i}]")
-            for i, m in enumerate(_as_list(members_value, f"groups[{name!r}]"))
-        ]
-        groups[name] = tuple(members)
-
     try:
         ts = TransitionSystem(layers, groups=groups or None)
     except IngestionError as exc:

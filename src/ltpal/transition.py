@@ -19,6 +19,20 @@ from .errors import EvaluationError, IngestionError
 from .model import PALModel, Record, World
 
 
+def check_groups(groups: Mapping[str, tuple], roster: tuple) -> None:
+    """Require each group of `groups` (name -> tuple of members) to have
+    members, all of them agents of `roster`, and a name that is not one."""
+    roster = set(roster)
+    for name, members in groups.items():
+        if not members:
+            raise IngestionError(f"group {name!r} must not be empty")
+        if name in roster:
+            raise IngestionError(f"group name {name!r} collides with an agent id")
+        for member in members:
+            if member not in roster:
+                raise IngestionError(f"group {name!r} lists unknown agent {member!r}")
+
+
 class TransitionSystem:
     """Immutable layered system; construct real instances via `build_ts`."""
 
@@ -48,18 +62,8 @@ class TransitionSystem:
                     raise IngestionError(f"world id {world.id!r} appears in two layers")
                 layer_of[world.id] = index
 
-        groups = dict(groups or {})
-        roster_set = set(roster)
-        for name, members in groups.items():
-            members = tuple(members)
-            if not members:
-                raise IngestionError(f"group {name!r} has no members")
-            if name in roster_set:
-                raise IngestionError(f"group name {name!r} collides with an agent id")
-            for member in members:
-                if member not in roster_set:
-                    raise IngestionError(f"group {name!r} lists unknown agent {member!r}")
-            groups[name] = members
+        groups = {name: tuple(members) for name, members in (groups or {}).items()}
+        check_groups(groups, roster)
 
         self._layers = layers
         self._groups = groups

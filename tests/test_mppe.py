@@ -262,14 +262,30 @@ def test_mppe_matches_bruteforce_on_random_systems():
         assert math.isclose(scored.score, best_score, rel_tol=1e-9)
 
 
+def _reversed_layers(ts):
+    """`ts` with the worlds of each frame stored in reverse order."""
+    return build_ts([
+        PALModel(layer.worlds[::-1], layer.agents, {a: layer.partition(a) for a in layer.agents})
+        for layer in ts.real_layers
+    ])
+
+
 def test_ties_break_to_the_lexicographically_least_path():
     rng = random.Random(607)
     for _ in range(40):
-        ts = random_ts(rng)
-        table = ScoreTable({(u, v): 0.5 for u, v in ts.edges()})
-        scored = most_probable_path(ts, table)
-        best_ids, _ = best_path_bruteforce(ts, lambda u, v: 0.5)
-        assert scored.path.worlds == best_ids
+        drawn = random_ts(rng)
+        # Stored in reverse, a layer's first world is not its least id.
+        for ts in (drawn, _reversed_layers(drawn)):
+            table = ScoreTable({(u, v): 0.5 for u, v in ts.edges()})
+            scored = most_probable_path(ts, table)
+            best_ids, _ = best_path_bruteforce(ts, lambda u, v: 0.5)
+            assert scored.path.worlds == best_ids
+
+
+def test_ties_go_to_the_smaller_id_not_the_first_stored():
+    ts = build_ts([_frame([("b", []), ("a", [])]), _frame([("c", [])])])
+    scored = most_probable_path(ts, ScoreTable({edge: 0.5 for edge in ts.edges()}))
+    assert scored.path.worlds == ("w00", "a", "c", "w30")
 
 
 def test_every_edge_is_looked_up_exactly_once():

@@ -280,6 +280,8 @@ _EDGE_LIST_FAULTS = [
      "edges[0]: 'zz' -> 'w10' is not an edge of the system"),
     ("unknown-to", lambda e: e.insert(0, {"from": "w10", "to": "zz", "score": 0.5}),
      "edges[0]: 'w10' -> 'zz' is not an edge of the system"),
+    ("unknown-both", lambda e: e.insert(0, {"from": "zz", "to": "yy", "score": 0.5}),
+     "edges[0]: 'zz' -> 'yy' is not an edge of the system"),
     ("duplicate", lambda e: e.insert(3, dict(e[1])), "edges[3] duplicates edge 'w00' -> 'w11'"),
     ("missing", lambda e: e.pop(3), "edges is missing 'w11' -> 'w20'"),
     ("uncovered", lambda e: e.__delitem__(slice(0, 2)), "edges is missing 'w00' -> 'w10'"),
@@ -592,6 +594,8 @@ _CORRUPTIONS = {
     "relation-not-list": _set_relation("b", lambda ids, rng: {"x": ids[0]}),
     "duplicate-agent": lambda doc, key, rng: doc["agents"].append("a"),
     "empty-agent": lambda doc, key, rng: doc["agents"].append(""),
+    "empty-roster": lambda doc, key, rng: doc.__setitem__("agents", []),
+    "group-unknown-member": lambda doc, key, rng: doc.__setitem__("groups", {"g": ["a", "zz"]}),
 }
 
 
@@ -676,9 +680,13 @@ _PINNED = {
     ("layers", "relation-not-list"):
         "layers[4].relations['b'] must be an array, got dict",
     ("layers", "duplicate-agent"):
-        "layers[0]: duplicate agent 'a' in roster",
+        "agents: duplicate agent 'a' in roster",
     ("layers", "empty-agent"):
-        "layers[0]: agent name must be a non-empty string, got ''",
+        "agents: agent name must be a non-empty string, got ''",
+    ("layers", "empty-roster"):
+        "agents must not be empty",
+    ("layers", "group-unknown-member"):
+        "groups: group 'g' lists unknown agent 'zz'",
     ("frames", "world-int"):
         "frames[2].worlds[0] must be an object, got int",
     ("frames", "world-string"):
@@ -744,15 +752,54 @@ _PINNED = {
     ("frames", "relation-not-list"):
         "frames[3].relations['b'] must be an array, got dict",
     ("frames", "duplicate-agent"):
-        "agents contains duplicate ids",
+        "agents: duplicate agent 'a' in roster",
     ("frames", "empty-agent"):
-        "frames[0]: agent name must be a non-empty string, got ''",
+        "agents: agent name must be a non-empty string, got ''",
+    ("frames", "empty-roster"):
+        "agents must not be empty",
+    ("frames", "group-unknown-member"):
+        "groups: group 'g' lists unknown agent 'zz'",
 }
 
 
 def test_corrupted_documents_keep_their_messages():
     found = {(key, name): message for key, name, message in _corrupted_documents()}
     assert found == _PINNED
+
+
+# Faults of the roster and the groups, which both documents share.
+_HEADER_FAULTS = [
+    ("agents-empty", lambda doc: doc.__setitem__("agents", []), "agents must not be empty"),
+    ("agent-int", lambda doc: doc["agents"].__setitem__(1, 3), "agents[1] must be a string, got int"),
+    ("agent-empty", lambda doc: doc["agents"].append(""),
+     "agents: agent name must be a non-empty string, got ''"),
+    ("agent-duplicate", lambda doc: doc["agents"].append("a"), "agents: duplicate agent 'a' in roster"),
+    ("groups-list", lambda doc: doc.__setitem__("groups", [["a"]]), "groups must be an object, got list"),
+    ("group-string", lambda doc: doc["groups"].__setitem__("both", "ab"),
+     "groups['both'] must be an array, got str"),
+    ("group-member-int", lambda doc: doc["groups"]["both"].append(2),
+     "groups['both'][2] must be a string, got int"),
+    ("group-empty", lambda doc: doc["groups"].__setitem__("both", []),
+     "groups: group 'both' must not be empty"),
+    ("group-collides", lambda doc: doc["groups"].__setitem__("a", ["b"]),
+     "groups: group name 'a' collides with an agent id"),
+    ("group-unknown-member", lambda doc: doc["groups"]["both"].append("zz"),
+     "groups: group 'both' lists unknown agent 'zz'"),
+    # One group with two faults: its name is checked before its members.
+    ("group-collides-and-unknown", lambda doc: doc["groups"].__setitem__("a", ["zz"]),
+     "groups: group name 'a' collides with an agent id"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", _faults(_HEADER_FAULTS))
+def test_both_loaders_give_one_message_for_each_roster_or_group_fault(mutate, message):
+    frames_doc = _mutated(FRAMES_DOC, mutate)
+    system_doc = _mutated(dump_ts(build_ts(ingest(FRAMES_DOC).frames, groups={"both": ("a", "b")})),
+                          mutate)
+    for loader, doc in ((ingest, frames_doc), (load_ts, system_doc)):
+        with pytest.raises(IngestionError) as info:
+            loader(doc)
+        assert str(info.value) == message
 
 
 def _indexed_doc():

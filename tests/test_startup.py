@@ -117,7 +117,7 @@ _LOAD = "serialize.load_ts"
      {"transition.build_ts": 1, "serialize.ingest": 1, "serialize.save_ts": 1}),
     (_CHECK, {_LOAD: 1, "syntax.parse": 1, "classify.quantify_paths": 1}),
     ([*_CHECK, "--mppe-only"],
-     {_LOAD: 1, "syntax.parse": 1, "temporal.tems": 1, "mppe.score_edges": 1,
+     {_LOAD: 1, "syntax.parse": 1, "classify.quantify_paths": 1, "mppe.score_edges": 1,
       "mppe.most_probable_path": 1}),
     # The template, the atom and the candidate, which `serialize` parses.
     ([*_CLASSIFY, "--mode", "missing-verified", "--candidates", "cands.json"],

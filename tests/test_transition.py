@@ -164,7 +164,7 @@ def test_groups_are_validated_and_exposed():
     assert ts.groups == {"both": ("a", "b")}
     with pytest.raises(IngestionError, match="unknown agent"):
         build_ts([frame], groups={"both": ["a", "zz"]})
-    with pytest.raises(IngestionError, match="no members"):
+    with pytest.raises(IngestionError, match="must not be empty"):
         build_ts([frame], groups={"both": []})
     with pytest.raises(IngestionError, match="collides"):
         build_ts([frame], groups={"a": ["b"]})
