@@ -56,6 +56,20 @@ from .transition import (  # noqa: F401  (enumerate_total_paths kept importable 
 DEFAULT_PATH_CAP = 1_000_000
 
 
+def check_path_cap(value, source: str = "path cap") -> int:
+    """`value`, an integer or its decimal text, as a path cap of at least 1
+    (None gives DEFAULT_PATH_CAP), or ValueError naming the cap by `source`."""
+    if value is None:
+        return DEFAULT_PATH_CAP
+    try:
+        cap = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1")
+    return cap
+
+
 class VerdictReport(Record):
     """Outcome of one verdict check.
 
@@ -107,9 +121,7 @@ def quantify_paths(
     of them, and is 1 with `path`.  Hitting the cap first gives
     (None, None, cap, True).
     """
-    cap = DEFAULT_PATH_CAP if path_cap is None else int(path_cap)
-    if cap < 1:
-        raise ValueError("path cap must be at least 1")
+    cap = check_path_cap(path_cap)
     if path is None:
         columns = [(layer, [w.id for w in layer.worlds]) for layer in ts.layers]
     else:

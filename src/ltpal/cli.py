@@ -27,8 +27,8 @@ from .transition import build_ts, enumerate_total_paths, path_at, total_path_cou
 # compiles only the modules it runs: `build`, `paths` and `mppe` never
 # parse a formula, and only `mppe` and `--mppe-only` extract a path.
 _LAZY = {
-    "classify": ("DEFAULT_PATH_CAP", "quantify_paths", "verdict"),
-    "formulas": ("Next", "Template", "expand_groups"),
+    "classify": ("check_path_cap", "quantify_paths", "verdict"),
+    "formulas": ("Next", "Template", "expand_groups", "expand_names"),
     "syntax": ("parse_formula", "parse_pal_formula", "parse_template", "pretty"),
     "mppe": ("ExternalScorer", "most_probable_path", "project_stream", "score_edges"),
 }
@@ -71,22 +71,11 @@ def _note(message: str) -> None:
 
 
 def _resolve_cap(flag) -> int:
-    if flag is not None:
-        if flag < 1:
-            raise ConfigurationError("--cap must be at least 1")
-        return flag
-    env = os.environ.get("LTPAL_PATH_CAP")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"LTPAL_PATH_CAP must be an integer, got {env!r}"
-            ) from None
-        if value < 1:
-            raise ConfigurationError("LTPAL_PATH_CAP must be at least 1")
-        return value
-    return DEFAULT_PATH_CAP
+    source = "--cap" if flag is not None else "LTPAL_PATH_CAP"
+    try:
+        return check_path_cap(flag if flag is not None else os.environ.get(source), source)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 def _split_atoms(text: str) -> list:
@@ -115,10 +104,7 @@ def _expand_group_arg(value: str, groups: dict) -> tuple:
     names = [n.strip() for n in value.split(",")]
     if any(not n for n in names):
         raise IngestionError("--group must be a comma-separated list of agent or group names")
-    members = []
-    for name in names:
-        members.extend(groups.get(name, (name,)))
-    return tuple(dict.fromkeys(members))
+    return expand_names(names, groups)
 
 
 def _mppe_table(ts, embedded, scores_path):

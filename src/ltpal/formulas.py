@@ -312,6 +312,12 @@ def placeholder_indices(f: Formula) -> frozenset:
     return frozenset(found)
 
 
+def expand_names(names: Iterable[str], groups: Mapping[str, Iterable[str]]) -> tuple:
+    """`names` with each group name of `groups` replaced by the group's
+    members, every agent once, in order of first appearance."""
+    return tuple(dict.fromkeys(m for name in names for m in groups.get(name, (name,))))
+
+
 def expand_groups(f: Formula, groups: Mapping[str, Iterable[str]]) -> Formula:
     """Replace declared group aliases inside D{...} agent sets by their members."""
     table = {name: tuple(members) for name, members in dict(groups or {}).items()}
@@ -320,8 +326,7 @@ def expand_groups(f: Formula, groups: Mapping[str, Iterable[str]]) -> Formula:
 
     def visit(node):
         if isinstance(node, Dist):
-            agents = [m for name in node.agents for m in table.get(name, (name,))]
-            return Dist(agents, node.operand)
+            return Dist(expand_names(node.agents, table), node.operand)
         return node
 
     return _rebuild(f, visit)

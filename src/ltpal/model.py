@@ -148,7 +148,7 @@ class World(Record):
 
     def __init__(self, id: str, atoms: Iterable[Atom] = frozenset()):
         if not isinstance(id, str) or not id:
-            raise ValueError("world id must be a non-empty string")
+            raise ValueError(f"world id must be a non-empty string, got {id!r}")
         atoms = frozenset(atoms)
         for atom in atoms:
             if not isinstance(atom, Atom):
@@ -260,6 +260,24 @@ def _merge(pairs, ids) -> tuple:
     return tuple(blocks)
 
 
+def index_worlds(worlds: tuple) -> dict:
+    """Map the id of each of `worlds` to its world, requiring the ids to be
+    distinct; raises IngestionError naming the first id that repeats."""
+    by_id = {w.id: w for w in worlds}
+    if len(by_id) != len(worlds):
+        seen: set = set()
+        repeated = next(w.id for w in worlds if w.id in seen or seen.add(w.id))
+        raise IngestionError(f"duplicate world id {repeated!r}")
+    return by_id
+
+
+def check_relation_agents(relations, agents: tuple) -> None:
+    """Require each agent that keys `relations` to be in the roster `agents`."""
+    for agent in relations:
+        if agent not in agents:
+            raise IngestionError(f"relations names unknown agent {agent!r}")
+
+
 def check_roster(agents: tuple) -> None:
     """Require distinct, non-empty string agent names."""
     seen = set()
@@ -284,22 +302,17 @@ class PALModel:
     def __init__(self, worlds: Iterable[World], agents: Iterable[str],
                  relations: Mapping[str, Iterable] | None = None):
         worlds = tuple(worlds)
-        by_id: dict[str, World] = {}
         for world in worlds:
             if not isinstance(world, World):
                 raise ValueError(f"expected World, got {world!r}")
-            if world.id in by_id:
-                raise IngestionError(f"duplicate world id {world.id!r}")
-            by_id[world.id] = world
+        by_id = index_worlds(worlds)
 
         agents = tuple(agents)
         check_roster(agents)
 
         ids = frozenset(by_id)
         relations = dict(relations or {})
-        for agent in relations:
-            if agent not in agents:
-                raise IngestionError(f"relation listed for unknown agent {agent!r}")
+        check_relation_agents(relations, agents)
 
         partitions: dict[str, tuple] = {}
         for agent in agents:

@@ -3,8 +3,8 @@
 Every adjacent pair of layers is completely connected, so a total path picks
 one world per layer and its probability is the product of its edge scores.
 The extraction runs a max-product dynamic program in log space, one score
-lookup per edge, and breaks ties toward the lexicographically smaller
-predecessor id, which makes the reported path deterministic.
+lookup per edge, and breaks ties toward the smaller predecessor id, which
+makes the reported path deterministic (see `most_probable_path`).
 
 A ScoreTable holds one row per source world, `{u: {v: score}}`.  The scores
 depend only on the endpoints' class-label sets, so `score_edges` builds one
@@ -41,11 +41,6 @@ def overlap_score(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(union)
 
 
-def score_range_message(u: str, v: str, score: float) -> str:
-    """What is wrong with a score of edge u -> v outside (0, 1]."""
-    return f"score for edge {u!r} -> {v!r} must be in (0, 1], got {score!r}"
-
-
 def float_score(value) -> float:
     """`float(value)`, except that an integer beyond the float range is an
     infinity of its sign, like 1e400, rather than an OverflowError."""
@@ -55,8 +50,18 @@ def float_score(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def check_score(value, u, v) -> float:
+    """The score `value` of edge u -> v as a float: a number, not a bool, in (0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise IngestionError(f"score for edge {u!r} -> {v!r} must be a number, got {value!r}")
+    score = float_score(value)
+    if not 0.0 < score <= 1.0:  # also true for NaN
+        raise IngestionError(f"score for edge {u!r} -> {v!r} must be in (0, 1], got {score!r}")
+    return score
+
+
 class ScoreTable:
-    """Immutable edge-to-score mapping with validated score range.
+    """Immutable edge-to-score mapping; each score passes `check_score`.
 
     Scores are stored as one row per source world, `{u: {v: score}}`, so
     `table[(u, v)]` is `rows[u][v]`: no tuple is hashed, and a `v` outside
@@ -68,16 +73,8 @@ class ScoreTable:
 
     def __init__(self, scores: Mapping[Tuple[str, str], float]):
         rows: dict = {}
-        for edge, value in scores.items():
-            u, v = edge
-            score = float_score(value)
-            if not 0.0 < score <= 1.0:  # also false for NaN
-                raise IngestionError(score_range_message(u, v, score))
-            u = str(u)
-            row = rows.get(u)
-            if row is None:
-                row = rows[u] = {}
-            row[str(v)] = score
+        for (u, v), value in scores.items():
+            rows.setdefault(str(u), {})[str(v)] = check_score(value, u, v)
         self._rows = rows
 
     @classmethod
@@ -185,9 +182,13 @@ class FrameChoice(Record):
 def most_probable_path(ts: TransitionSystem, table: ScoreTable) -> ScoredPath:
     """Highest-product total path under `table`, by layered max-product DP.
 
-    Each edge's score is looked up exactly once.  Ties between equal-scoring
-    predecessors go to the lexicographically smaller world id, so over an
-    all-ties table the result is the lexicographically least total path.
+    Each edge's score is looked up exactly once, and a path's log score is
+    summed edge by edge from the start world.  Each world takes, among its
+    predecessors with the greatest log score through them, the one with the
+    smallest id.  So among several optimal paths the result is the one
+    whose ids, read from the last world back to the first, are least; over
+    an all-ties table that is the least total path read forwards too, but
+    in general it need not be the least optimal path read forwards.
     """
     log = math.log
     parent: dict = {}

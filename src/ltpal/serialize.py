@@ -11,7 +11,8 @@ import json
 from pathlib import Path
 
 from .errors import IngestionError, ParseError
-from .model import Atom, PALModel, Record, RuleSet, World, check_pair_ids, check_roster, rule_closure
+from .model import (Atom, PALModel, Record, RuleSet, World, check_pair_ids, check_relation_agents,
+                    check_roster, index_worlds, rule_closure)
 from .model import enrich_model  # noqa: F401  (kept importable for tools that wrap it)
 from .transition import TransitionSystem, build_ts, check_groups
 
@@ -168,34 +169,24 @@ def _roster_and_groups(doc: dict, where: str) -> tuple:
 def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=None,
                 indexed=None) -> PALModel:
     """The model of a frame or layer entry at `where`, over the checked
-    roster `agents`.
+    roster `agents`, built through `PALModel.from_checked`.
 
-    Each world is checked in full before the next, its id (that it is
-    distinct from those before it) before its atoms, and the relations
-    after the worlds; then the model is built through
-    `PALModel.from_checked`, which closes each agent's relation when its
-    partition is first read.  `World(...)` keeps the frozenset it is given,
-    so worlds with equal atom lists share one atom set.  `indexed` is the
-    list of checked sets of a system document's "atom_sets", or None when
-    it has none; only then may a world's "atoms" be an index into it.
-    Locations are formatted only for the message of a failing check.
+    Each world is checked in full before the next, its atoms before its id
+    (by `World(...)`, which keeps the frozenset it is given, so equal atom
+    lists share one set); then the ids are compared, then the relations
+    checked.  `indexed` is the list of checked sets of a system document's
+    "atom_sets", or None when it has none; only then may a world's "atoms"
+    be an index into it.  Locations are formatted only for failing checks.
     """
     worlds_value = _as_list(_get(entry, "worlds", where), f"{where}.worlds")
     if not worlds_value:
         raise IngestionError(f"{where}.worlds must not be empty")
-    by_id = {}
+    worlds = []
     for j, value in enumerate(worlds_value):
         if not isinstance(value, dict):
             raise _wrong_type(value, "an object", f"{where}.worlds[{j}]")
         if "id" not in value:
             raise _missing("id", f"{where}.worlds[{j}]")
-        wid = value["id"]
-        if not isinstance(wid, str):
-            raise _wrong_type(wid, "a string", f"{where}.worlds[{j}].id")
-        if not wid:
-            raise IngestionError(f"{where}.worlds[{j}].id must not be empty")
-        if wid in by_id:
-            raise IngestionError(f"{where}: duplicate world id {wid!r}")
         atoms = value.get("atoms", [])
         if atoms.__class__ is int and indexed is not None and 0 <= atoms < len(indexed):
             atom_set = indexed[atoms]
@@ -206,21 +197,28 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
                     f"{at} must be an index into atom_sets ({len(indexed)} entries), got {atoms!r}"
                 )
             atom_set = _atom_set(atoms, atom_sets, at, close)
-        by_id[wid] = World(wid, atom_set)
+        try:
+            worlds.append(World(value["id"], atom_set))
+        except ValueError as exc:
+            raise IngestionError(f"{where}.worlds[{j}]: {exc}") from None
+    try:
+        by_id = index_worlds(worlds)
+    except IngestionError as exc:
+        raise IngestionError(f"{where}: {exc}") from None
     relations_value = _as_dict(entry.get("relations", {}), f"{where}.relations")
+    try:
+        check_relation_agents(relations_value, agents)
+    except IngestionError as exc:
+        raise IngestionError(f"{where}.{exc}") from None
     listed = {}
     for agent, pairs_value in relations_value.items():
-        if agent not in agents:
-            raise IngestionError(
-                f"{where}.relations names unknown agent {agent!r}"
-            )
         listed[agent] = _pairs(pairs_value, f"{where}.relations[{agent!r}]")
         try:
             check_pair_ids(listed[agent], by_id)
         except IngestionError as exc:
             raise IngestionError(f"{where}.relations[{agent!r}]: {exc}") from None
     pairs = {agent: listed.get(agent, ()) for agent in agents}  # roster order
-    return PALModel.from_checked(tuple(by_id.values()), agents, {}, pairs, by_id)
+    return PALModel.from_checked(tuple(worlds), agents, {}, pairs, by_id)
 
 
 class FramesDocument(Record):
@@ -250,11 +248,11 @@ def ingest(frames_source, rules_source=None) -> FramesDocument:
 
     Missing agents in "relations" (or empty pair lists) mean the agent
     distinguishes all worlds of that frame.  Each distinct atom list is
-    checked and closed under the rules once per document, worlds with equal
-    atom lists share one atom set, and each frame's model is built once,
-    already closed.  For that the rules are loaded first, but an error in
-    them is raised only after the frames document has passed every check,
-    as though the frames were loaded first.
+    checked and closed under the rules once per document, and worlds with
+    equal atom lists share one atom set.  For that the rules are loaded
+    first, but an error in them is raised only after the frames document
+    has passed every check, as though the frames were loaded first.  A
+    frame closes an agent's relation when its partition is first read.
     """
     close = error = None
     if rules_source is not None:
@@ -274,11 +272,8 @@ def ingest(frames_source, rules_source=None) -> FramesDocument:
     atom_sets: dict = {}
     frames = []
     for i, entry in enumerate(frames_value):
-        frame = _load_model(_as_dict(entry, f"frames[{i}]"), agents, f"frames[{i}]", atom_sets, close)
-        # Closed as it is read: `build_ts` reads every partition of every frame.
-        for agent in agents:
-            frame.partition(agent)
-        frames.append(frame)
+        frames.append(_load_model(_as_dict(entry, f"frames[{i}]"), agents, f"frames[{i}]",
+                                  atom_sets, close))
     if error is not None:
         raise error
     return FramesDocument(agents=agents, frames=frames, groups=groups)
@@ -344,29 +339,17 @@ def _edge(entry, i: int) -> tuple:
     return u, v
 
 
-def _score(value, i: int) -> float:
-    """The score of edges[i] as a float (`mppe.float_score`)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise IngestionError(f"edges[{i}].score must be a number")
-    from .mppe import float_score
-
-    return float_score(value)
-
-
 def _edge_rows(entries: list, ts: TransitionSystem) -> tuple:
     """Check an edge list against `ts`: every edge once, in any order.
 
     Each entry in turn: its shape, that it is an edge of `ts`, that it is
-    not listed twice, and its score if it has one.  Returns (rows, unscored,
-    out_of_range): `{u: {v: score or None}}`, the indices of the entries
-    without a "score" field, and (u, v, score) of the first score outside
-    (0, 1] or None.  What a missing or out-of-range score means is the
-    caller's rule.
+    not listed twice, and its score, if it has one, by `mppe.check_score`.
+    Returns (rows, unscored): `{u: {v: score or None}}` and the indices of
+    the entries without a "score" field, whose meaning is the caller's rule.
     """
     layer_of = ts.layer_of
     rows: dict = {}
     unscored = []
-    out_of_range = None
     for i, entry in enumerate(entries):
         # A well-formed entry as JSON decodes it skips `_edge`, which makes
         # the same checks and names what is wrong with any other.
@@ -384,22 +367,26 @@ def _edge_rows(entries: list, ts: TransitionSystem) -> tuple:
             row = rows[u] = {}
         elif v in row:
             raise IngestionError(f"edges[{i}] duplicates edge {u!r} -> {v!r}")
-        if (score := entry.get("score")).__class__ is not float:
+        # A float in (0, 1], as most are, is kept without the call.
+        if (score := entry.get("score")).__class__ is not float or not 0.0 < score <= 1.0:
             if "score" not in entry:
                 row[v] = None
                 unscored.append(i)
                 continue
-            score = _score(score, i)
+            from .mppe import check_score
+
+            try:
+                score = check_score(score, u, v)
+            except IngestionError as exc:
+                raise IngestionError(f"edges[{i}]: {exc}") from None
         row[v] = score
-        if not 0.0 < score <= 1.0 and out_of_range is None:  # also true for NaN
-            out_of_range = u, v, score
     # Every entry is a distinct edge, so the entries cover the system when
     # there are as many as it has edges.
     if len(entries) != ts.edge_count:
         for u, v in ts.edges():
             if v not in rows.get(u, ()):
                 raise IngestionError(f"edges is missing {u!r} -> {v!r}")
-    return rows, unscored, out_of_range
+    return rows, unscored
 
 
 def load_ts(source):
@@ -444,33 +431,28 @@ def load_ts(source):
     if "edges" not in doc:
         return ts, None
     entries = _as_list(doc["edges"], "edges")
-    rows, unscored, out_of_range = _edge_rows(entries, ts)
+    rows, unscored = _edge_rows(entries, ts)
     if len(unscored) == len(entries):
         return ts, None
     if unscored:
         raise IngestionError("either every edge must carry a score or none may")
-    from .mppe import ScoreTable, score_range_message
+    from .mppe import ScoreTable
 
-    if out_of_range is not None:
-        raise IngestionError(f"edges: {score_range_message(*out_of_range)}")
     return ts, ScoreTable.from_checked(rows)
 
 
 def load_scores(source, ts: TransitionSystem) -> ScoreTable:
     """Load a standalone scores file: {"edges": [{"from", "to", "score"}]}.
 
-    The edge list follows `_edge_rows`, and every entry must carry a score
-    in (0, 1].
+    The edge list follows `_edge_rows`, and every entry must carry a score.
     """
     doc = _as_dict(_load_json(source), "scores document")
     entries = _as_list(_get(doc, "edges", "scores document"), "edges")
-    rows, unscored, out_of_range = _edge_rows(entries, ts)
+    rows, unscored = _edge_rows(entries, ts)
     if unscored:
         raise _missing("score", f"edges[{unscored[0]}]")
-    from .mppe import ScoreTable, score_range_message
+    from .mppe import ScoreTable
 
-    if out_of_range is not None:
-        raise IngestionError(f"scores document: {score_range_message(*out_of_range)}")
     return ScoreTable.from_checked(rows)
 
 

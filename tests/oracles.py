@@ -2,8 +2,11 @@
 
 Everything here is written from the definitions, on purpose in a different
 style than the package: relations are explicit pair sets instead of
-partitions, temporal operators are literal quantifier translations without
-memoisation, and path search is brute-force enumeration.
+partitions, temporal operators are literal quantifier translations, and path
+search is brute-force enumeration.  `oracle_tems` evaluates those
+translations without memoisation; `memo_oracle_tems` evaluates the same
+clauses once per (position, subformula), which long paths need, and the
+plain one referees it on small systems.
 """
 
 from itertools import product
@@ -154,6 +157,40 @@ def oracle_tems(sat_at, length, pos, f):
     raise TypeError(f"not a temporal formula: {f!r}")
 
 
+def memo_oracle_tems(sat_at, length, pos, f):
+    """`oracle_tems`'s clauses with a (position, node) table: each
+    subformula is decided at each position at most once.  The clauses are
+    written out again, so that the plain oracle that referees this one
+    shares no code with it."""
+    table = {}
+
+    def ev(pos, f):
+        key = (pos, f)
+        if key in table:
+            return table[key]
+        if pos >= length:
+            value = False
+        elif isinstance(f, Pal):
+            value = sat_at(pos, f.formula)
+        elif isinstance(f, TNot):
+            value = not ev(pos, f.operand)
+        elif isinstance(f, TAnd):
+            value = ev(pos, f.left) and ev(pos, f.right)
+        elif isinstance(f, Next):
+            value = ev(pos + 1, f.operand)
+        elif isinstance(f, Until):
+            value = any(
+                ev(m, f.right) and all(ev(k, f.left) for k in range(pos, m))
+                for m in range(pos, length)
+            )
+        else:
+            raise TypeError(f"not a temporal formula: {f!r}")
+        table[key] = value
+        return value
+
+    return ev(pos, f)
+
+
 def ts_sat_at(ts, world_ids):
     """sat_at callback for a path through a transition system."""
     twins = [model_to_oracle(ts.model_of(wid)) for wid in world_ids]
@@ -166,8 +203,9 @@ def ts_sat_at(ts, world_ids):
 
 
 def oracle_path_check(ts, world_ids, formula):
-    """Evaluate a temporal formula on one path with the declarative oracle."""
-    return oracle_tems(ts_sat_at(ts, world_ids), len(world_ids), 0, formula)
+    """Evaluate a temporal formula on one path with the declarative oracle,
+    memoised."""
+    return memo_oracle_tems(ts_sat_at(ts, world_ids), len(world_ids), 0, formula)
 
 
 def oracle_weak_until(holds_a, holds_b):

@@ -67,6 +67,7 @@ from generators import (
 from oracles import (
     best_path_bruteforce,
     enumerate_id_paths,
+    memo_oracle_tems,
     oracle_pal_sat,
     oracle_path_check,
     oracle_tems,
@@ -132,7 +133,10 @@ def test_criterion_3_temporal_oracle_equivalence():
         suffix = ts.path(path.worlds[rng.randrange(0, len(path.worlds) + 1):])
         sat = ts_sat_at(ts, suffix.worlds)
         n = len(suffix.worlds)
-        assert tems(ts, suffix, formula) == oracle_tems(sat, n, 0, formula)
+        expected = oracle_tems(sat, n, 0, formula)
+        assert tems(ts, suffix, formula) == expected
+        # The plain oracle referees the memoised one used on long paths.
+        assert memo_oracle_tems(sat, n, 0, formula) == expected
 
         f = random_temporal_formula(rng, agents, depth=2)
         assert globally(f) == t_not(future(t_not(f)))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ltpal.classify import quantify_paths, verdict
+from ltpal.classify import DEFAULT_PATH_CAP, check_path_cap, quantify_paths, verdict
 from ltpal.errors import EvaluationError
 from ltpal.formulas import (
     Announce,
@@ -248,6 +248,20 @@ def test_argument_validation():
         verdict(ts, template, ["v1:Cat"], agent="a")
     with pytest.raises(ValueError, match="^path cap must be at least 1$"):
         quantify_paths(ts, parse_template("F ?1").skeleton, universal=True, path_cap=0)
+    with pytest.raises(ValueError, match="^path cap must be an integer, got 'x'$"):
+        quantify_paths(ts, parse_template("F ?1").skeleton, universal=True, path_cap="x")
+
+
+def test_check_path_cap_takes_integers_of_at_least_one():
+    assert check_path_cap(1) == 1
+    assert check_path_cap(10**400) == 10**400
+    assert check_path_cap(" 7 ", "LTPAL_PATH_CAP") == 7
+    assert check_path_cap(None) == DEFAULT_PATH_CAP
+    for bad, message in [(0, "at least 1"), (-1, "at least 1"), ("0", "at least 1"),
+                         ("1.5", "an integer, got '1.5'"), ([], "an integer, got []")]:
+        with pytest.raises(ValueError) as info:
+            check_path_cap(bad, "--cap")
+        assert str(info.value) == f"--cap must be {message}"
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -105,7 +105,7 @@ def test_build_reports_an_empty_world_id_at_its_node(tmp_path, capsys):
     ])
     assert code == 2
     assert payload is None
-    assert err == "error: frames[0].worlds[1].id must not be empty\n"
+    assert err == "error: frames[0].worlds[1]: world id must be a non-empty string, got ''\n"
     assert not out.exists()
 
 
@@ -381,6 +381,25 @@ def test_classify_verified_and_possible(ts_file, capsys):
     assert payload["result"] is True
 
 
+def test_classify_expands_a_group_argument_once_per_agent(ts_file, capsys):
+    code, payload, _ = _run(capsys, [
+        "classify", "--ts", ts_file, "--mode", "verified",
+        "--template", "F ?1", "--atoms", "v1:Cat",
+        "--group", "b, both,a", "--skip-dummies",
+    ])
+    assert code == 1
+    assert payload["group"] == ["b", "a"]
+
+
+@pytest.mark.parametrize("flag, env", [(["--cap", "1"], "0"), ([], "1")], ids=["flag", "env"])
+def test_a_cap_of_one_is_valid(ts_file, capsys, monkeypatch, flag, env):
+    """The flag is read before the variable; a cap of 1 decides a formula
+    whose first path decides it."""
+    monkeypatch.setenv("LTPAL_PATH_CAP", env)
+    code, payload, _ = _run(capsys, ["check", "--ts", ts_file, "--formula", "v1:Cat", *flag])
+    assert (code, payload["paths_checked"], payload["capped"]) == (1, 1, False)
+
+
 def test_classify_agent_modes(ts_file, capsys):
     code, payload, _ = _run(capsys, [
         "classify", "--ts", ts_file, "--mode", "robust",
@@ -597,8 +616,7 @@ def test_mppe_reports_a_score_beyond_the_float_range_in_a_scores_file(ts_file, t
     scores.write_text(json.dumps(doc))
     code, payload, err = _run(capsys, ["mppe", "--ts", ts_file, "--scores", str(scores)])
     assert (code, payload) == (2, None)
-    assert err == ("error: scores document: score for edge 'w00' -> 'w10' "
-                   "must be in (0, 1], got inf\n")
+    assert err == "error: edges[0]: score for edge 'w00' -> 'w10' must be in (0, 1], got inf\n"
 
 
 def test_a_score_beyond_the_float_range_in_a_system_file_is_out_of_range(ts_file, tmp_path, capsys):
@@ -609,7 +627,7 @@ def test_a_score_beyond_the_float_range_in_a_system_file_is_out_of_range(ts_file
     system.write_text(json.dumps(doc))
     code, payload, err = _run(capsys, ["check", "--ts", str(system), "--formula", "true"])
     assert (code, payload) == (2, None)
-    assert err == "error: edges: score for edge 'w00' -> 'w10' must be in (0, 1], got inf\n"
+    assert err == "error: edges[0]: score for edge 'w00' -> 'w10' must be in (0, 1], got inf\n"
 
 
 def _document_text(document: str, ts_file: str) -> str:

@@ -130,7 +130,7 @@ def test_reported_paths_are_confirmed_on_workload_sized_systems(seed):
     ts = random_ts(rng, max_frames=200, max_worlds=10)
     columns = [(layer, [w.id for w in layer.worlds]) for layer in ts.layers]
     found = 0
-    for _ in range(4):
+    for _ in range(8):
         formula = random_temporal_formula(rng, list(ts.agents))
         for universal in (True, False):
             result, path, checked, capped = quantify_paths(

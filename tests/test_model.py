@@ -13,8 +13,10 @@ from ltpal.model import (
     PALModel,
     RuleSet,
     World,
+    check_relation_agents,
     enrich_model,
     equivalence_closure,
+    index_worlds,
     rule_closure,
 )
 from ltpal.mppe import FrameChoice, ScoredPath
@@ -156,6 +158,38 @@ def test_model_basic_accessors():
 def test_model_missing_agent_defaults_to_identity():
     model = PALModel(_two_worlds(), ["a"])
     assert model.partition("a") == (frozenset({"w0"}), frozenset({"w1"}))
+
+
+@pytest.mark.parametrize("bad", ["", 3, None, ["w"], True], ids=["empty", "int", "none", "list", "bool"])
+def test_world_id_must_be_a_non_empty_string(bad):
+    with pytest.raises(ValueError) as info:
+        World(bad)
+    assert str(info.value) == f"world id must be a non-empty string, got {bad!r}"
+    assert World("w").id == "w"
+
+
+def test_index_worlds_requires_distinct_ids():
+    a, b, c = World("a"), World("b"), World("c")
+    assert list(index_worlds((b, a, c)).items()) == [("b", b), ("a", a), ("c", c)]
+    assert index_worlds(()) == {}
+    for worlds, repeated in [((a, b, World("b"), World("a")), "b"), ((a, c, World("a")), "a")]:
+        with pytest.raises(IngestionError) as info:
+            index_worlds(worlds)
+        assert str(info.value) == f"duplicate world id {repeated!r}"
+        with pytest.raises(IngestionError) as info:
+            PALModel(worlds, ["x"])
+        assert str(info.value) == f"duplicate world id {repeated!r}"
+
+
+def test_check_relation_agents_requires_roster_agents():
+    check_relation_agents({}, ("a",))
+    check_relation_agents({"b": [], "a": []}, ("a", "b"))
+    with pytest.raises(IngestionError) as info:
+        check_relation_agents({"a": [], "zz": [], "yy": []}, ("a", "b"))
+    assert str(info.value) == "relations names unknown agent 'zz'"
+    with pytest.raises(IngestionError) as info:
+        PALModel(_two_worlds(), ["a"], {"zz": [{"w0", "w1"}]})
+    assert str(info.value) == "relations names unknown agent 'zz'"
 
 
 def test_model_validation_errors():

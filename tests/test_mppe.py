@@ -25,7 +25,7 @@ from ltpal.serialize import load_scores
 from ltpal.transition import build_ts
 
 from generators import random_ts
-from oracles import best_path_bruteforce
+from oracles import best_path_bruteforce, enumerate_id_paths
 
 
 def _frame(specs, agents=("a",)):
@@ -199,6 +199,21 @@ def test_score_edges_error_names_the_first_edge_with_the_bad_pair(bad, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("value, shown", [(True, "True"), ("0.5", "'0.5'"), (None, "None")],
+                         ids=["bool", "string", "none"])
+def test_score_table_refuses_a_score_that_is_not_a_number(value, shown):
+    with pytest.raises(IngestionError) as info:
+        ScoreTable({("u", "v"): 0.5, ("v", "w"): value})
+    assert str(info.value) == f"score for edge 'v' -> 'w' must be a number, got {shown}"
+    # A scores file holding the value fails by the same rule.
+    ts = _demo_ts()
+    entries = [{"from": u, "to": v, "score": s} for (u, v), s in DEMO_SCORES.items()]
+    entries[3]["score"] = value
+    with pytest.raises(IngestionError) as info:
+        load_scores({"edges": entries}, ts)
+    assert str(info.value) == f"edges[3]: score for edge 'w10' -> 'w20' must be a number, got {shown}"
+
+
 def test_score_table_validates_range():
     for bad in (0.0, -1.0, 1.5, float("nan")):
         with pytest.raises(IngestionError, match="must be in"):
@@ -286,6 +301,43 @@ def test_ties_go_to_the_smaller_id_not_the_first_stored():
     ts = build_ts([_frame([("b", []), ("a", [])]), _frame([("c", [])])])
     scored = most_probable_path(ts, ScoreTable({edge: 0.5 for edge in ts.edges()}))
     assert scored.path.worlds == ("w00", "a", "c", "w30")
+
+
+def _best_by_the_tie_rule(ts, table):
+    """Brute force of `most_probable_path`'s rule: the paths of greatest log
+    score, summed edge by edge from the start, and of those the least by
+    their ids read from the last world back to the first.  Returns (ids,
+    log score)."""
+    def log_score(ids):
+        total = 0.0
+        for u, v in zip(ids, ids[1:]):
+            total += math.log(table[(u, v)])
+        return total
+
+    scored = [(ids, log_score(ids)) for ids in enumerate_id_paths(ts)]
+    best = max(score for _, score in scored)
+    return min((ids for ids, score in scored if score == best), key=lambda ids: ids[::-1]), best
+
+
+def test_ties_between_optimal_paths_go_to_the_least_ids_read_backwards():
+    # With every score 0.5 or 1.0, equally probable paths have exactly
+    # equal log sums, so ties are frequent and exact.
+    rng = random.Random(608)
+    not_least_forwards = 0
+    for _ in range(200):
+        drawn = random_ts(rng)
+        scores = {edge: rng.choice([0.5, 1.0]) for edge in drawn.edges()}
+        for ts in (drawn, _reversed_layers(drawn)):
+            table = ScoreTable(scores)
+            scored = most_probable_path(ts, table)
+            ids, log_score = _best_by_the_tie_rule(ts, table)
+            assert scored.path.worlds == ids
+            assert scored.log_score == log_score
+            oracle_ids, oracle_score = best_path_bruteforce(ts, lambda u, v: table[(u, v)])
+            assert math.isclose(scored.log_score, math.log(oracle_score), rel_tol=1e-12, abs_tol=1e-12)
+            not_least_forwards += oracle_ids != ids
+    # The rule differs from taking the least optimal path read forwards.
+    assert not_least_forwards
 
 
 def test_every_edge_is_looked_up_exactly_once():

@@ -269,8 +269,14 @@ _EDGE_LIST_FAULTS = [
     ("non-string-from", lambda e: e[1].__setitem__("from", None),
      "edges[1].from must be a string, got NoneType"),
     ("non-string-to", lambda e: e[2].__setitem__("to", 7), "edges[2].to must be a string, got int"),
-    ("bool-score", lambda e: e[2].__setitem__("score", True), "edges[2].score must be a number"),
-    ("string-score", lambda e: e[2].__setitem__("score", "0.5"), "edges[2].score must be a number"),
+    ("bool-score", lambda e: e[2].__setitem__("score", True),
+     "edges[2]: score for edge 'w10' -> 'w20' must be a number, got True"),
+    ("string-score", lambda e: e[2].__setitem__("score", "0.5"),
+     "edges[2]: score for edge 'w10' -> 'w20' must be a number, got '0.5'"),
+    ("zero-score", lambda e: e[4].__setitem__("score", 0),
+     "edges[4]: score for edge 'w20' -> 'w30' must be in (0, 1], got 0.0"),
+    ("nan", lambda e: e[1].__setitem__("score", float("nan")),
+     "edges[1]: score for edge 'w00' -> 'w11' must be in (0, 1], got nan"),
     ("not-an-edge", lambda e: e.insert(1, {"from": "w00", "to": "w20", "score": 0.5}),
      "edges[1]: 'w00' -> 'w20' is not an edge of the system"),
     ("extra", _extra, "edges[5]: 'w10' -> 'w30' is not an edge of the system"),
@@ -285,53 +291,54 @@ _EDGE_LIST_FAULTS = [
     ("duplicate", lambda e: e.insert(3, dict(e[1])), "edges[3] duplicates edge 'w00' -> 'w11'"),
     ("missing", lambda e: e.pop(3), "edges is missing 'w11' -> 'w20'"),
     ("uncovered", lambda e: e.__delitem__(slice(0, 2)), "edges is missing 'w00' -> 'w10'"),
-    # Two faults: the message the checks' order gives.  Each entry is
-    # checked in full before the next; coverage comes after every entry,
-    # and the loaders' own score rules after coverage.
+    # Two faults: the message the checks' order gives.  Each entry, its
+    # score included, is checked in full before the next; coverage comes
+    # after every entry, and the loaders' own rules on missing scores after
+    # coverage.
     ("range-then-duplicate", lambda e: (e[0].__setitem__("score", 0.0), e.append(dict(e[1]))),
-     "edges[5] duplicates edge 'w00' -> 'w11'"),
+     "edges[0]: score for edge 'w00' -> 'w10' must be in (0, 1], got 0.0"),
     ("range-then-bool", lambda e: (e[1].__setitem__("score", 1.5), e[2].__setitem__("score", False)),
-     "edges[2].score must be a number"),
+     "edges[1]: score for edge 'w00' -> 'w11' must be in (0, 1], got 1.5"),
     ("entries-0-and-5", lambda e: (e[0].__setitem__("from", 3), _extra(e)),
      "edges[0].from must be a string, got int"),
     ("range-0-and-extra-5", lambda e: (e[0].__setitem__("score", 2.0), _extra(e)),
-     "edges[5]: 'w10' -> 'w30' is not an edge of the system"),
+     "edges[0]: score for edge 'w00' -> 'w10' must be in (0, 1], got 2.0"),
     ("unscored-0-and-extra-5", lambda e: (e[0].pop("score"), _extra(e)),
      "edges[5]: 'w10' -> 'w30' is not an edge of the system"),
     ("range-0-and-duplicate-5", lambda e: (e[0].__setitem__("score", 2), e.append(dict(e[2], score="x"))),
-     "edges[5] duplicates edge 'w10' -> 'w20'"),
+     "edges[0]: score for edge 'w00' -> 'w10' must be in (0, 1], got 2.0"),
+    ("duplicate-1-and-bool-5", lambda e: (e.insert(1, dict(e[0])), e[5].__setitem__("score", True)),
+     "edges[1] duplicates edge 'w00' -> 'w10'"),
     ("missing-and-extra", lambda e: (e.pop(3), _extra(e)),
      "edges[4]: 'w10' -> 'w30' is not an edge of the system"),
     ("int-then-uncovered", lambda e: (e[1].__setitem__("score", 1), e.pop(3)),
      "edges is missing 'w11' -> 'w20'"),
     ("range-then-missing", lambda e: (e[0].__setitem__("score", 0.0), e.pop(3)),
-     "edges is missing 'w11' -> 'w20'"),
+     "edges[0]: score for edge 'w00' -> 'w10' must be in (0, 1], got 0.0"),
     ("unscored-then-missing", lambda e: (e[0].pop("score"), e.pop(3)),
      "edges is missing 'w11' -> 'w20'"),
 ]
 
-# What only a system file's edge list has: scores are all there or none,
-# and a range error starts "edges:".
+# What only a system file's edge list has: scores are all there or none.
 _SYSTEM_EDGE_FAULTS = [
     ("partial-scores", lambda e: e[4].pop("score"), "either every edge must carry a score or none may"),
-    ("zero-score", lambda e: e[4].__setitem__("score", 0),
-     "edges: score for edge 'w20' -> 'w30' must be in (0, 1], got 0.0"),
     ("int-then-zero", lambda e: (e[1].__setitem__("score", 1), e[3].__setitem__("score", 0)),
-     "edges: score for edge 'w11' -> 'w20' must be in (0, 1], got 0.0"),
+     "edges[3]: score for edge 'w11' -> 'w20' must be in (0, 1], got 0.0"),
     ("unscored-and-zero", lambda e: (e[0].pop("score"), e[1].__setitem__("score", 0)),
-     "either every edge must carry a score or none may"),
+     "edges[1]: score for edge 'w00' -> 'w11' must be in (0, 1], got 0.0"),
+    ("unscored-and-bool", lambda e: (e[0].pop("score"), e[2].__setitem__("score", False)),
+     "edges[2]: score for edge 'w10' -> 'w20' must be a number, got False"),
 ]
 
-# What only a scores file has: every entry needs a score, and a range error
-# starts "scores document:".
+# What only a scores file has: every entry needs a score.
 _SCORES_FILE_FAULTS = [
     ("missing-score", lambda e: e[1].pop("score"), "edges[1] is missing the 'score' field"),
-    ("nan", lambda e: e[1].__setitem__("score", float("nan")),
-     "scores document: score for edge 'w00' -> 'w11' must be in (0, 1], got nan"),
     ("int-then-zero", lambda e: (e[1].__setitem__("score", 1), e[3].__setitem__("score", 0)),
-     "scores document: score for edge 'w11' -> 'w20' must be in (0, 1], got 0.0"),
+     "edges[3]: score for edge 'w11' -> 'w20' must be in (0, 1], got 0.0"),
     ("unscored-and-zero", lambda e: (e[3].pop("score"), e[1].__setitem__("score", 0)),
-     "edges[3] is missing the 'score' field"),
+     "edges[1]: score for edge 'w00' -> 'w11' must be in (0, 1], got 0.0"),
+    ("unscored-then-zero", lambda e: (e[1].pop("score"), e[3].__setitem__("score", 0)),
+     "edges[3]: score for edge 'w11' -> 'w20' must be in (0, 1], got 0.0"),
 ]
 
 
@@ -474,7 +481,28 @@ def test_empty_world_id_is_reported_at_its_node(loader, key):
     doc[key][1]["worlds"][0]["id"] = ""
     with pytest.raises(IngestionError) as info:
         loader(doc)
-    assert str(info.value) == f"{key}[1].worlds[0].id must not be empty"
+    assert str(info.value) == f"{key}[1].worlds[0]: world id must be a non-empty string, got ''"
+
+
+@pytest.mark.parametrize("loader, key, i", [(ingest, "frames", 0), (load_ts, "layers", 1)])
+def test_two_faults_in_a_frame_are_reported_in_the_order_of_the_checks(loader, key, i):
+    """A world's atoms come before its id, a frame's ids are compared once
+    all its worlds are read, and every relation's agent is checked before
+    any relation's pairs."""
+    base = FRAMES_DOC if key == "frames" else dump_ts(build_ts(ingest(FRAMES_DOC).frames))
+    faults = [
+        (lambda w, r: w[0].update(id="", atoms="x"), f"{key}[{i}].worlds[0].atoms must be an array, got str"),
+        (lambda w, r: (w[0].update(id="w11"), w[1].update(atoms="x")),
+         f"{key}[{i}].worlds[1].atoms must be an array, got str"),
+        (lambda w, r: (w[0].update(id="w11"), r.update(zz=[])), f"{key}[{i}]: duplicate world id 'w11'"),
+        (lambda w, r: r.update(b=[["w10", "nowhere"]], zz=[]), f"{key}[{i}].relations names unknown agent 'zz'"),
+    ]
+    for mutate, message in faults:
+        doc = json.loads(json.dumps(base))
+        mutate(doc[key][i]["worlds"], doc[key][i]["relations"])
+        with pytest.raises(IngestionError) as info:
+            loader(doc)
+        assert str(info.value) == message
 
 
 # Differential corpus: one corrupted node per document, each message pinned.
@@ -613,7 +641,8 @@ def _corrupted_documents():
                 yield key, name, "ok"
 
 
-# Each message as the loaders reported it before atom lists were interned.
+# Each message as the loaders report it.  A bad world id is reported by
+# `World(...)`, with the world's location in front.
 _PINNED = {
     ("layers", "world-int"):
         "layers[2].worlds[0] must be an object, got int",
@@ -626,11 +655,11 @@ _PINNED = {
     ("layers", "world-id-missing"):
         "layers[5].worlds[0] is missing the 'id' field",
     ("layers", "world-id-empty"):
-        "layers[2].worlds[2].id must not be empty",
+        "layers[2].worlds[2]: world id must be a non-empty string, got ''",
     ("layers", "world-id-int"):
-        "layers[1].worlds[2].id must be a string, got int",
+        "layers[1].worlds[2]: world id must be a non-empty string, got 5",
     ("layers", "world-id-list"):
-        "layers[0].worlds[0].id must be a string, got list",
+        "layers[0].worlds[0]: world id must be a non-empty string, got ['f0w0']",
     ("layers", "atoms-string"):
         "layers[1].worlds[0].atoms must be an array, got str",
     ("layers", "atoms-object"):
@@ -698,11 +727,11 @@ _PINNED = {
     ("frames", "world-id-missing"):
         "frames[0].worlds[1] is missing the 'id' field",
     ("frames", "world-id-empty"):
-        "frames[2].worlds[0].id must not be empty",
+        "frames[2].worlds[0]: world id must be a non-empty string, got ''",
     ("frames", "world-id-int"):
-        "frames[1].worlds[0].id must be a string, got int",
+        "frames[1].worlds[0]: world id must be a non-empty string, got 5",
     ("frames", "world-id-list"):
-        "frames[0].worlds[0].id must be a string, got list",
+        "frames[0].worlds[0]: world id must be a non-empty string, got ['f0w0']",
     ("frames", "atoms-string"):
         "frames[0].worlds[1].atoms must be an array, got str",
     ("frames", "atoms-object"):
@@ -999,7 +1028,7 @@ def test_ingest_reports_frame_errors_before_rule_errors(tmp_path):
     for rules in (bad_rules, unreadable):
         with pytest.raises(IngestionError) as info:
             ingest(frames, rules)
-        assert str(info.value) == "frames[1].worlds[0].id must be a string, got int"
+        assert str(info.value) == "frames[1].worlds[0]: world id must be a non-empty string, got 3"
     with pytest.raises(IngestionError) as info:
         ingest(FRAMES_DOC, bad_rules)
     assert str(info.value) == "rules[0].implies[0] must be a string, got int"
@@ -1070,7 +1099,7 @@ def test_a_loaded_system_reads_as_the_closure_of_its_pairs(doc):
     assert [m.renamed(rename) for m in load_ts(doc)[0].layers] == [m.renamed(rename) for m in closed_layers]
 
 
-def test_load_ts_closes_each_relation_once_when_it_is_first_read(monkeypatch):
+def test_load_ts_closes_each_relation_once_when_it_is_first_read(tmp_path, monkeypatch):
     frames = stream_frames_document(random.Random(7), frames=50, width=6)
     closed = _closed_relations(monkeypatch)
     ts, _ = load_ts(_system_of(frames))
@@ -1081,9 +1110,14 @@ def test_load_ts_closes_each_relation_once_when_it_is_first_read(monkeypatch):
     assert layer.partition("b") is first
     assert any(layer.block("b", "w7_3") is block for block in first)
     assert closed == ["w7_0"]
-    # A frames document is closed as it is read: `build_ts` reads every partition.
+    # Neither does `ingest` close a relation; `build` writes every one, and
+    # closes each exactly once.
     closed.clear()
     ingest(frames)
+    assert closed == []
+    source, target = tmp_path / "frames.json", tmp_path / "ts.json"
+    source.write_text(json.dumps(frames))
+    assert main(["build", "--frames", str(source), "--output", str(target)]) == 0
     assert sorted(closed) == sorted(f"w{i}_0" for i in range(1, 51) for _ in "ab")
 
 

@@ -30,6 +30,7 @@ from ltpal.formulas import (
     Until,
     bottom,
     expand_groups,
+    expand_names,
     future,
     globally,
     lift,
@@ -1700,3 +1701,12 @@ _PRETTY_PINNED = [
     '(b -> b & ?2 W (G (x:Cat & ?1) R ?2 & X a))',
     '((false | b W X ?1) U a -> ?1 -> a) -> G (F true | false)',
 ]
+
+
+def test_expand_names_replaces_groups_by_their_members_once_each_in_order():
+    groups = {"g": ("a", "b"), "h": ("c", "a")}
+    assert expand_names(["g", "c", "h"], groups) == ("a", "b", "c")
+    assert expand_names(["c", "g"], groups) == ("c", "a", "b")
+    assert expand_names(["zz", "a"], groups) == ("zz", "a")
+    assert expand_names([], groups) == ()
+    assert expand_groups(parse_formula("D{h,b} p"), groups) is parse_formula("D{a,b,c} p")
