@@ -17,7 +17,11 @@ then pass with the required quantifier.
 Every check is one `temporal.decide` call, which does not enumerate paths:
 it finds the enumeration-least deciding path over the whole layered system
 at once, or, for a verdict restricted to one given path (such as the most
-probable one), decides that path alone, with `paths_checked` 1.  The
+probable one), decides that path alone, with `paths_checked` 1, evaluating
+PAL in the path worlds' generated submodels (`model.path_model`) rather
+than in their whole layers.  Every agent a formula names, also inside an
+announcement that holds nowhere, must be in the roster (`pal.extensions`
+checks it before labelling).  The
 cap keeps its meaning as a cap on enumeration: `paths_checked` is the
 deciding path's rank in enumeration order plus one, or the total path count
 when no path decides, and when that exceeds the cap the report is undecided
@@ -28,7 +32,7 @@ than a silently truncated answer.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EvaluationError
 from .formulas import (
@@ -42,9 +46,9 @@ from .formulas import (
     _pal_arguments,
     substitute,
 )
-from .model import Record
+from .model import Record, require_agents
 from .syntax import pretty
-from .temporal import decide
+from .temporal import decide, path_columns
 from .transition import (  # noqa: F401  (enumerate_total_paths kept importable for tools that wrap it)
     ExecPath,
     TransitionSystem,
@@ -58,12 +62,15 @@ DEFAULT_PATH_CAP = 1_000_000
 
 def check_path_cap(value, source: str = "path cap") -> int:
     """`value`, an integer or its decimal text, as a path cap of at least 1
-    (None gives DEFAULT_PATH_CAP), or ValueError naming the cap by `source`."""
+    (None gives DEFAULT_PATH_CAP), or ValueError naming the cap by `source`;
+    a bool, a float or any other type is not a cap."""
     if value is None:
         return DEFAULT_PATH_CAP
     try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError
         cap = int(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValueError(f"{source} must be an integer, got {value!r}") from None
     if cap < 1:
         raise ValueError(f"{source} must be at least 1")
@@ -125,7 +132,7 @@ def quantify_paths(
     if path is None:
         columns = [(layer, [w.id for w in layer.worlds]) for layer in ts.layers]
     else:
-        columns = [(ts.model_of(w), (w,)) for w in path.worlds]
+        columns = path_columns(ts, path.worlds)
     picks = decide(columns, formula, not universal)
     if path is not None:
         checked = 1
@@ -139,13 +146,6 @@ def quantify_paths(
     if picks is None:
         return universal, None, checked, False
     return not universal, path, checked, False
-
-
-def _require_agents(ts: TransitionSystem, agents: Iterable[str]) -> None:
-    roster = set(ts.agents)
-    for agent in agents:
-        if agent not in roster:
-            raise EvaluationError(f"unknown agent {agent!r}")
 
 
 _MODES = {
@@ -192,10 +192,10 @@ def verdict(
         group = tuple(group)
         if not group:
             raise EvaluationError("group must contain at least one agent")
-        _require_agents(ts, group)
+        require_agents(group, ts.agents)
         modality = partial(Dist, frozenset(group))
     else:
-        _require_agents(ts, [agent])
+        require_agents([agent], ts.agents)
         modality = partial(Knows, agent)
     wrap = (lambda a: PNot(modality(PNot(a)))) if possible else modality
     args = _pal_arguments(atoms)

@@ -9,6 +9,8 @@ block of one world is found by a scan of its agent's partition.  A model
 built from parts already checked (`PALModel.from_checked`) takes them as
 they are; one given checked pairs (a loaded system's layer) closes each
 agent's relation into its partition the first time that partition is read.
+`path_model` gathers, for one world per layer, the submodel that world
+generates, into one model for a single-path check.
 """
 
 from __future__ import annotations
@@ -278,6 +280,14 @@ def check_relation_agents(relations, agents: tuple) -> None:
             raise IngestionError(f"relations names unknown agent {agent!r}")
 
 
+def require_agents(names, roster) -> None:
+    """Require each of `names` to be an agent of `roster`; raises
+    EvaluationError naming the first that is not."""
+    for agent in names:
+        if agent not in roster:
+            raise EvaluationError(f"unknown agent {agent!r}")
+
+
 def check_roster(agents: tuple) -> None:
     """Require distinct, non-empty string agent names."""
     seen = set()
@@ -405,6 +415,16 @@ class PALModel:
             part = self._partitions[agent] = _merge(pairs, self._by_id)
         return part
 
+    def _links(self, agent: str):
+        """Pairs whose closure is `agent`'s relation, without closing it:
+        its checked pairs, or, once closed, each block's members paired
+        with one of them."""
+        part = self._partitions.get(agent)
+        if part is None:
+            return self._pairs[agent]
+        return [(anchor, w) for block in part if len(block) > 1
+                for anchor in (min(block),) for w in block if w != anchor]
+
     def block(self, agent: str, world_id: str) -> frozenset:
         """Worlds `agent` cannot distinguish from `world_id` (incl. itself)."""
         for block in self.partition(agent):
@@ -445,6 +465,41 @@ class PALModel:
 
     def __repr__(self):
         return f"PALModel(worlds={[w.id for w in self._worlds]}, agents={list(self._agents)})"
+
+
+def path_model(layers, world_ids) -> PALModel:
+    """One model for a path: the disjoint union of the submodels that each
+    of `world_ids` generates in its model of `layers`, the worlds that
+    some chain of any agents' pairs links to it.
+
+    Modal truth at a world depends only on the worlds its relations reach,
+    and an announcement restricts each part of a disjoint union alone, so a
+    PAL formula holds at a path world here exactly when it holds there in
+    its own layer.  The layers share one roster and no world id, as in a
+    transition system.  Each relation is passed on as the pairs of its
+    layer inside the submodel, and closed when first read; no layer's
+    relation is closed.
+    """
+    agents = layers[0].agents if layers else ()
+    worlds, pairs = [], {agent: [] for agent in agents}
+    for layer, world_id in zip(layers, world_ids):
+        links = [layer._links(agent) for agent in agents]
+        linked: dict = {}  # id -> the ids one pair links it to
+        for a, b in (pair for agent_links in links for pair in agent_links):
+            linked.setdefault(a, []).append(b)
+            linked.setdefault(b, []).append(a)
+        reached = {world_id}
+        todo = [world_id]
+        while todo:
+            for w in linked.get(todo.pop(), ()):
+                if w not in reached:
+                    reached.add(w)
+                    todo.append(w)
+        worlds.extend(w for w in layer.worlds if w.id in reached)
+        for agent, agent_links in zip(agents, links):
+            pairs[agent].extend(pair for pair in agent_links if pair[0] in reached)
+    return PALModel.from_checked(tuple(worlds), agents, {},
+                                 {agent: tuple(p) for agent, p in pairs.items()})
 
 
 def enrich_model(model: PALModel, rules: RuleSet) -> PALModel:

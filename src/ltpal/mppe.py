@@ -61,7 +61,8 @@ def check_score(value, u, v) -> float:
 
 
 class ScoreTable:
-    """Immutable edge-to-score mapping; each score passes `check_score`.
+    """Immutable edge-to-score mapping from pairs of string world ids; each
+    score passes `check_score`.
 
     Scores are stored as one row per source world, `{u: {v: score}}`, so
     `table[(u, v)]` is `rows[u][v]`: no tuple is hashed, and a `v` outside
@@ -74,7 +75,9 @@ class ScoreTable:
     def __init__(self, scores: Mapping[Tuple[str, str], float]):
         rows: dict = {}
         for (u, v), value in scores.items():
-            rows.setdefault(str(u), {})[str(v)] = check_score(value, u, v)
+            if not (isinstance(u, str) and isinstance(v, str)):
+                raise IngestionError(f"edge {u!r} -> {v!r} must join two string world ids")
+            rows.setdefault(u, {})[v] = check_score(value, u, v)
         self._rows = rows
 
     @classmethod

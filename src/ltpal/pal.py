@@ -26,7 +26,7 @@ from .formulas import (
     PalFormula,
     Prop,
 )
-from .model import PALModel
+from .model import PALModel, require_agents
 
 
 def pal_sat(model: PALModel, world_id: str, formula: PalFormula) -> bool:
@@ -41,8 +41,16 @@ def extension(model: PALModel, formula: PalFormula) -> frozenset:
 
 
 def extensions(formula: PalFormula, models) -> list:
-    """`extension(model, formula)` for each of `models`, compiling once."""
-    code, contexts = _compile(formula)
+    """`extension(model, formula)` for each model of the sequence
+    `models`, compiling once.
+
+    Every agent that `formula` names must be in the models' roster, also
+    one that no evaluation reaches, such as inside an announcement that
+    holds nowhere.
+    """
+    code, contexts, agents = _compile(formula)
+    if models:
+        require_agents(sorted(agents), models[0].agents)
     return [_run(code, contexts, model) for model in models]
 
 
@@ -57,11 +65,12 @@ _PROP, _NOT, _AND, _KNOWS, _DIST, _ENTER, _ANNOUNCE = range(7)
 def _compile(formula: PalFormula) -> tuple:
     """Post-order instructions for `formula`, without recursion.
 
-    Returns (code, number of contexts).  A node shared within one context
-    is compiled once; nodes are keyed by identity while `formula` keeps
-    them alive.
+    Returns (code, number of contexts, the agents K and D nodes name).  A
+    node shared within one context is compiled once; nodes are keyed by
+    identity while `formula` keeps them alive.
     """
     code: list = []
+    agents: set = set()
     slot: dict = {}  # (context, id(node)) -> slot
     opened: dict = {}  # (context, id(announcement)) -> its operand's context
     stack = [(formula, 0)]
@@ -82,8 +91,10 @@ def _compile(formula: PalFormula) -> tuple:
                 instr = (_NOT, a, None, ctx)
             elif isinstance(f, Knows):
                 instr = (_KNOWS, a, f.agent, ctx)
+                agents.add(f.agent)
             else:
                 instr = (_DIST, a, sorted(f.agents), ctx)
+                agents.update(f.agents)
         elif isinstance(f, PAnd):
             a = slot.get((ctx, id(f.left)))
             b = slot.get((ctx, id(f.right)))
@@ -114,7 +125,7 @@ def _compile(formula: PalFormula) -> tuple:
         stack.pop()
         slot[key] = len(code)
         code.append(instr)
-    return code, len(opened) + 1
+    return code, len(opened) + 1, agents
 
 
 def _run(code: list, contexts: int, model: PALModel) -> frozenset:

@@ -12,7 +12,8 @@ position past the end is all false, whatever the connective.
 `decide` quantifies over every path through a sequence of columns (the
 layers of a system, or the single worlds of one path) at once:
 
-* each PAL leaf is labelled once per column, with `pal.extensions`;
+* each PAL leaf is labelled once per distinct column model, with
+  `pal.extensions`;
 * a backward pass over the columns collects the distinct truth vectors of
   the temporal closure that some suffix can produce, keeping only the bits
   the previous position reads (Next operands and Until nodes);
@@ -22,6 +23,11 @@ layers of a system, or the single worlds of one path) at once:
 
 The cost grows with the number of columns times the distinct vectors per
 column, not with the number of paths.
+
+A check of one path (`tems`, and `classify.quantify_paths` given a path)
+evaluates PAL in the path worlds' generated submodels rather than in their
+whole layers: every column shares one `model.path_model`, so each leaf is
+labelled once, over the worlds the path's relations reach.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import Sequence
 
 from .errors import EvaluationError
 from .formulas import Formula, Next, Pal, TAnd, TNot, Until, lift
+from .model import path_model
 from .pal import extensions, pal_sat  # noqa: F401  (pal_sat kept importable for tools that wrap it)
 from .transition import ExecPath, TransitionSystem
 
@@ -38,8 +45,14 @@ _NOT, _AND, _NEXT, _UNTIL = range(4)
 
 def tems(ts: TransitionSystem, path: ExecPath, formula: Formula) -> bool:
     """Does `formula` hold on `path` (evaluated from its first world)?"""
-    columns = [(ts.model_of(w), (w,)) for w in path.worlds]
-    return decide(columns, formula, True) is not None
+    return decide(path_columns(ts, path.worlds), formula, True) is not None
+
+
+def path_columns(ts: TransitionSystem, world_ids) -> list:
+    """The columns of `decide` for the one path through `world_ids` of
+    `ts`: each world alone, all in the path's `path_model`."""
+    model = path_model([ts.model_of(w) for w in world_ids], world_ids)
+    return [(model, (w,)) for w in world_ids]
 
 
 def decide(columns: Sequence, formula: Formula, want: bool) -> list | None:
@@ -63,10 +76,13 @@ def decide(columns: Sequence, formula: Formula, want: bool) -> list | None:
             carried |= 1 << i
 
     masks = [dict.fromkeys(world_ids, 0) for _, world_ids in columns]
-    models = [model for model, _ in columns]
+    distinct: dict = {}  # id(model) -> (its index among the distinct models, model)
+    where = [distinct.setdefault(id(model), (len(distinct), model))[0] for model, _ in columns]
+    models = [model for _, model in distinct.values()]
     for bit, leaf in leaves:
-        for column, holds in zip(masks, extensions(leaf, models)):
-            for w in holds.intersection(column):
+        holds = extensions(leaf, models)
+        for column, k in zip(masks, where):
+            for w in holds[k].intersection(column):
                 column[w] |= bit
     masks = [list(column.values()) for column in masks]
 

@@ -21,7 +21,8 @@ from ltpal.formulas import (
     top,
 )
 from ltpal.model import Atom, PALModel, World
-from ltpal.syntax import parse_template
+from ltpal.syntax import parse_formula, parse_template
+from ltpal.temporal import tems
 from ltpal.transition import build_ts, enumerate_total_paths
 
 from generators import random_pal_formula, random_ts
@@ -242,6 +243,14 @@ def test_argument_validation():
         verdict(ts, template, [V1CAT], group=())
     with pytest.raises(EvaluationError, match="unknown agent"):
         verdict(ts, template, [V1CAT], agent="zz")
+    # An agent is checked before evaluation, also where no evaluation
+    # would read it: v1:Fox holds nowhere.
+    vacuous = parse_formula("X [v1:Fox] K{zz} true")
+    for path in (None, next(enumerate_total_paths(ts))):
+        with pytest.raises(EvaluationError, match="^unknown agent 'zz'$"):
+            quantify_paths(ts, vacuous, universal=True, path=path)
+    with pytest.raises(EvaluationError, match="^unknown agent 'zz'$"):
+        tems(ts, next(enumerate_total_paths(ts)), vacuous)
     with pytest.raises(ValueError, match="placeholders"):
         verdict(ts, template, [Placeholder(1)], agent="a")
     with pytest.raises(ValueError, match="not a PAL formula"):
@@ -258,7 +267,9 @@ def test_check_path_cap_takes_integers_of_at_least_one():
     assert check_path_cap(" 7 ", "LTPAL_PATH_CAP") == 7
     assert check_path_cap(None) == DEFAULT_PATH_CAP
     for bad, message in [(0, "at least 1"), (-1, "at least 1"), ("0", "at least 1"),
-                         ("1.5", "an integer, got '1.5'"), ([], "an integer, got []")]:
+                         ("1.5", "an integer, got '1.5'"), ([], "an integer, got []"),
+                         (2.7, "an integer, got 2.7"), (2.0, "an integer, got 2.0"),
+                         (True, "an integer, got True"), (False, "an integer, got False")]:
         with pytest.raises(ValueError) as info:
             check_path_cap(bad, "--cap")
         assert str(info.value) == f"--cap must be {message}"

@@ -453,6 +453,39 @@ def test_classify_mppe_only_restricts(ts_file, capsys):
     assert payload["paths_checked"] == 1
 
 
+@pytest.mark.parametrize("branch", [[], ["--path-index", "1"], ["--mppe-only"]],
+                         ids=["all-paths", "path-index", "mppe-only"])
+@pytest.mark.parametrize("formula", ["G [v1:Fox] K{zz} true", "X [v1:Fox] D{a,zz} true"])
+def test_an_unknown_agent_is_reported_before_evaluation(tmp_path, capsys, branch, formula):
+    """Every agent a formula names must be in the roster, also inside an
+    announcement that holds only at worlds no evaluation reaches: w12 is
+    the one Fox, and no relation links it to w10 or w11."""
+    frames = {"agents": ["a"], "frames": [{
+        "worlds": [{"id": "w10", "atoms": [["v1", "Cat"]]}, {"id": "w11", "atoms": [["v1", "Dog"]]},
+                   {"id": "w12", "atoms": [["v1", "Fox"]]}],
+        "relations": {"a": [["w10", "w11"]]},
+    }]}
+    source, target = tmp_path / "frames.json", str(tmp_path / "ts.json")
+    source.write_text(json.dumps(frames))
+    assert main(["build", "--frames", str(source), "--output", target]) == 0
+    capsys.readouterr()
+    argvs = [["check", "--ts", target, "--formula", formula, *branch]]
+    if "--path-index" not in branch:
+        argvs.append(["classify", "--ts", target, "--mode", "robust", "--agent", "a",
+                      "--template", formula.replace("true", "?1"), "--atoms", "true", *branch])
+    for argv in argvs:
+        code, payload, err = _run(capsys, argv)
+        assert (code, payload) == (2, None)
+        assert err.endswith("error: unknown agent 'zz'\n")
+
+
+def test_an_unknown_agent_in_a_vacuous_announcement_is_reported(ts_file, capsys):
+    """v1:Fox holds at no world of the demo system, so no evaluation reads
+    K{zz}; the agent is still checked."""
+    argv = ["check", "--ts", ts_file, "--formula", "X [v1:Fox] K{zz} true"]
+    assert _run(capsys, argv) == (2, None, "error: unknown agent 'zz'\n")
+
+
 @pytest.fixture(scope="module")
 def random_ts_file(tmp_path_factory):
     target = tmp_path_factory.mktemp("cli") / "random-ts.json"

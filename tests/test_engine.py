@@ -6,6 +6,7 @@ deciding path or at the cap, which is the definition the engine's report
 (result, witness, paths_checked, capped) must reproduce.
 """
 
+import json
 import random
 
 import pytest
@@ -13,14 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltpal.classify import quantify_paths
-from ltpal.formulas import Next, Pal, PNot, Prop, TNot, Until, future, globally, lift, t_and, t_implies
+from ltpal.cli import main
+from ltpal.formulas import (
+    Dist, Knows, Next, Pal, PNot, Prop, TNot, Until, future, globally, lift, substitute, t_and,
+    t_implies,
+)
 from ltpal.model import Atom, PALModel, World
+from ltpal.mppe import most_probable_path, score_edges
 from ltpal.pal import pal_sat
 from ltpal.serialize import dump_ts, load_ts, save_ts
+from ltpal.syntax import parse_formula, parse_pal_formula, parse_template
 from ltpal.temporal import decide, tems
 from ltpal.transition import build_ts, enumerate_total_paths, path_at, path_rank, total_path_count
 
-from generators import random_pal_formula, random_temporal_formula, random_ts
+from generators import random_pal_formula, random_temporal_formula, random_ts, stream_frames_document
 from oracles import enumerate_id_paths, oracle_path_check
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -233,3 +240,48 @@ def test_an_order_preserving_rename_of_world_ids_changes_only_the_ids(seed, tmp_
             expected = (result, path and renamed.path(map(rename, path.worlds)), checked, capped)
             assert quantify_paths(renamed, formula, universal=universal,
                                   path_cap=10**400) == expected
+
+
+def test_one_path_checks_on_a_stream_agree_with_the_oracle(tmp_path, capsys):
+    """`check --mppe-only` and `classify --mppe-only` on a 1,000 x 10
+    stream, which evaluate PAL in the path's generated submodels, give the
+    verdict that the oracle gives in the whole layers along the MPPE path."""
+    source, target = tmp_path / "frames.json", str(tmp_path / "ts.json")
+    source.write_text(json.dumps(stream_frames_document(random.Random(101))))
+    assert main(["build", "--frames", str(source), "--output", target]) == 0
+    ts, _ = load_ts(target)
+    path = most_probable_path(ts, score_edges(ts)).path.worlds
+    capsys.readouterr()
+    results = []
+    for formula in [
+        "F K{a} v:Cat",
+        "X G (K{a} v:Cat | K{b} v:Dog | v:Fox | !X true)",
+        "X G ([!v:Fox] D{a,b} !v:Fox & (K{b} v:Dog -> v:Dog) | !X true)",
+        "X (!K{a} v:Fox U [v:Dog] K{a} v:Dog & K{b} !v:Cat)",
+        "F ([v:Cat | v:Dog] K{a} v:Cat & !D{a,b} v:Dog)",
+    ]:
+        expected = oracle_path_check(ts, path, parse_formula(formula))
+        code = main(["check", "--ts", target, "--formula", formula, "--mppe-only"])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["path"], report["result"]) == (1 - expected, list(path), expected)
+        results.append(expected)
+    for mode, who, template, atom in [
+        ("verified", ["--group", "a,b"], "X G (?1 | !X true)", "v:Cat | v:Dog"),
+        ("verified", ["--group", "a,b"], "F ?1", "v:Fox"),
+        ("robust", ["--agent", "b"], "X (?1 U !?1)", "!v:Cat"),
+        ("possible-agent", ["--agent", "a"], "X G (?1 | !X true)", "v:Dog"),
+        ("possible", ["--group", "a,b"], "F (?1 & X ?1)", "v:Fox"),
+    ]:
+        if who[0] == "--agent":
+            modality = lambda a: Knows(who[1], a)
+        else:
+            modality = lambda a: Dist(who[1].split(","), a)
+        wrap = (lambda a: PNot(modality(PNot(a)))) if mode.startswith("possible") else modality
+        expected = oracle_path_check(
+            ts, path, substitute(parse_template(template), [wrap(parse_pal_formula(atom))]))
+        code = main(["classify", "--ts", target, "--mode", mode, *who, "--template", template,
+                     "--atoms", atom, "--mppe-only"])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["result"], report["paths_checked"]) == (1 - expected, expected, 1)
+        results.append(expected)
+    assert True in results and False in results

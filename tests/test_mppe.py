@@ -214,6 +214,19 @@ def test_score_table_refuses_a_score_that_is_not_a_number(value, shown):
     assert str(info.value) == f"edges[3]: score for edge 'w10' -> 'w20' must be a number, got {shown}"
 
 
+def test_score_table_refuses_an_edge_between_ids_that_are_not_strings():
+    for edge in [("u", 5), (5, "v"), (None, None)]:
+        with pytest.raises(IngestionError) as info:
+            ScoreTable({("u", "v"): 0.5, edge: 0.5})
+        assert str(info.value) == f"edge {edge[0]!r} -> {edge[1]!r} must join two string world ids"
+    # Ids are looked up as given: an int is not the string of its digits.
+    table = ScoreTable({("u", "5"): 0.5})
+    assert table[("u", "5")] == 0.5 and ("u", "5") in table
+    assert ("u", 5) not in table
+    with pytest.raises(IngestionError, match="^no score for edge 'u' -> 5$"):
+        table[("u", 5)]
+
+
 def test_score_table_validates_range():
     for bad in (0.0, -1.0, 1.5, float("nan")):
         with pytest.raises(IngestionError, match="must be in"):

@@ -18,11 +18,12 @@ from ltpal.formulas import (
     p_or,
     top,
 )
-from ltpal.model import Atom, PALModel, World
-from ltpal.pal import announce_update, pal_sat
+from ltpal.model import Atom, PALModel, World, path_model
+from ltpal.pal import announce_update, extension, pal_sat
+from ltpal.serialize import dump_ts, load_ts
 
-from generators import random_model_with_pairs, random_pal_formula
-from oracles import oracle_pal_sat, pairs_to_relation
+from generators import random_model_with_pairs, random_pal_formula, random_ts
+from oracles import bfs_partition, oracle_pal_sat, pairs_to_relation
 
 CAT = Prop(Atom("x", "Cat"))
 DOG = Prop(Atom("x", "Dog"))
@@ -145,6 +146,10 @@ def test_distributed_knowledge_reads_the_intersection_of_the_blocks():
         Dist(set(), CAT)
     with pytest.raises(EvaluationError, match="unknown agent 'zz'"):
         pal_sat(model, "w1", Dist({"zz"}, CAT))
+    # Also where no evaluation reads the agent: the announcement holds nowhere.
+    for unread in (Knows("zz", CAT), Dist({"a", "zz"}, CAT)):
+        with pytest.raises(EvaluationError, match="^unknown agent 'zz'$"):
+            pal_sat(model, "w1", Announce(bottom(), unread))
 
 
 def test_random_formulas_match_oracle():
@@ -163,3 +168,59 @@ def test_random_formulas_match_oracle():
         assert pal_sat(model, wid, formula) == oracle_pal_sat(
             worlds, relations, wid, formula
         )
+
+
+def _systems_with_relations(seeds):
+    """Random systems three ways: relations closed (as built), as loaded
+    pairs, and loaded with some layers' partitions already read."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        ts = random_ts(rng, max_frames=4, max_worlds=5)
+        partly, _ = load_ts(dump_ts(ts))
+        for layer in partly.layers:
+            if rng.random() < 0.5:
+                layer.partition(rng.choice(partly.agents))
+        for system in (ts, load_ts(dump_ts(ts))[0], partly):
+            yield rng, system
+
+
+def _paths_through_every_world(ts):
+    """Paths that together visit every world: the k-th takes each layer's
+    k-th world, or its last."""
+    width = max(len(layer.worlds) for layer in ts.layers)
+    return [[layer.worlds[min(k, len(layer.worlds) - 1)].id for layer in ts.layers]
+            for k in range(width)]
+
+
+def test_a_path_model_holds_the_worlds_some_chain_of_pairs_links_to_the_path():
+    for _, ts in _systems_with_relations(range(40)):
+        for path in _paths_through_every_world(ts):
+            layers = [ts.model_of(w) for w in path]
+            model = path_model(layers, path)
+            expected = []
+            for layer, wid in zip(layers, path):
+                ids = [w.id for w in layer.worlds]
+                linked = [(u, v) for agent in ts.agents for block in layer.partition(agent)
+                          for u in block for v in block]
+                (component,) = [b for b in bfs_partition(linked, ids) if wid in b]
+                expected += [w for w in layer.worlds if w.id in component]
+            assert model.worlds == tuple(expected)
+            assert model.agents == ts.agents
+            for agent in ts.agents:
+                assert model.partition(agent) == tuple(sorted(
+                    (block for layer in layers for block in layer.partition(agent)
+                     if block <= model.world_ids), key=min))
+
+
+def test_pal_truth_in_a_path_model_is_truth_in_the_layer():
+    """Invariance under generated submodels and disjoint unions: at every
+    world of a path, a formula with announcements, K and D holds in the
+    path's model exactly when it holds in the world's layer."""
+    for rng, ts in _systems_with_relations(range(60)):
+        formulas = [random_pal_formula(rng, list(ts.agents), depth=4) for _ in range(4)]
+        for path in _paths_through_every_world(ts):
+            model = path_model([ts.model_of(w) for w in path], path)
+            for formula in formulas:
+                holds = extension(model, formula)
+                for wid in path:
+                    assert (wid in holds) == (wid in extension(ts.model_of(wid), formula))

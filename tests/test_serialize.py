@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from ltpal import model as model_module
+from ltpal import pal as pal_module
 from ltpal.cli import main
 from ltpal.errors import IngestionError
-from ltpal.formulas import PAnd, PNot, Prop
+from ltpal.formulas import Dist, PAnd, Pal, PNot, Prop, substitute
 from ltpal.model import Atom, PALModel, RuleSet, World, equivalence_closure, rule_closure
 from ltpal.mppe import score_edges
 from ltpal.serialize import (
@@ -24,6 +25,7 @@ from ltpal.serialize import (
     load_ts,
     save_ts,
 )
+from ltpal.syntax import parse_formula, parse_template
 from ltpal.transition import TransitionSystem, build_ts, total_path_count
 
 from generators import (
@@ -1133,6 +1135,48 @@ def test_mppe_closes_no_relation_and_a_universal_check_only_the_announced_layers
     assert closed == []
     assert main(["check", "--ts", target, "--formula", "F (z:Mark & [z:Mark] K{a} z:Mark)"]) == 1
     assert closed and set(closed) == {"w30_0"}
+
+
+def _pal_leaves(formula) -> int:
+    """The number of distinct PAL leaves of the temporal formula `formula`."""
+    seen, stack = set(), [formula]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            if not isinstance(node, Pal):
+                stack.extend(getattr(node, name) for name in node._fields)
+    return sum(isinstance(node, Pal) for node in seen)
+
+
+def test_a_one_path_check_closes_no_layer_relation_and_labels_each_leaf_once(
+        tmp_path, monkeypatch):
+    """A one-path check evaluates in the path's own model: the only
+    relations closed are that model's, one per agent read, and its smallest
+    id is the start world's; each PAL leaf is labelled once, not once per
+    layer."""
+    frames = stream_frames_document(random.Random(12), frames=30, width=4)
+    source, target = tmp_path / "frames.json", str(tmp_path / "ts.json")
+    source.write_text(json.dumps(frames))
+    assert main(["build", "--frames", str(source), "--output", target]) == 0
+    formula = "X G ((K{a} v:Cat -> v:Cat) & ([v:Dog] D{a,b} v:Dog | !X true))"
+    template = "X G (?1 | !X true)"
+    verified = substitute(parse_template(template), [Dist({"a", "b"}, parse_formula("v:Cat"))])
+    closed = _closed_relations(monkeypatch)
+    runs = []
+    run = pal_module._run
+    monkeypatch.setattr(pal_module, "_run", lambda *args: runs.append(args) or run(*args))
+    for argv, leaves in [
+        (["check", "--formula", formula, "--mppe-only"], _pal_leaves(parse_formula(formula))),
+        (["check", "--formula", formula, "--path-index", "77"], _pal_leaves(parse_formula(formula))),
+        (["classify", "--mode", "verified", "--group", "a,b", "--template", template,
+          "--atoms", "v:Cat", "--mppe-only"], _pal_leaves(verified)),
+    ]:
+        closed.clear()
+        runs.clear()
+        assert main([argv[0], "--ts", target, *argv[1:]]) in (0, 1)
+        assert closed == ["w00", "w00"]
+        assert len(runs) == leaves
 
 
 def test_changing_the_source_after_load_ts_changes_no_partition():
