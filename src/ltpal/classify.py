@@ -63,11 +63,17 @@ DEFAULT_PATH_CAP = 1_000_000
 def check_path_cap(value, source: str = "path cap") -> int:
     """`value`, an integer or its decimal text, as a path cap of at least 1
     (None gives DEFAULT_PATH_CAP), or ValueError naming the cap by `source`;
-    a bool, a float or any other type is not a cap."""
+    a bool, a float or any other type is not a cap.  The text is ASCII
+    digits with an optional sign and surrounding whitespace: no `_`
+    separators and no other script's digits."""
     if value is None:
         return DEFAULT_PATH_CAP
     try:
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
+        if isinstance(value, str):
+            digits = value.strip().lstrip("+-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+        elif isinstance(value, bool) or not isinstance(value, int):
             raise ValueError
         cap = int(value)
     except ValueError:

@@ -3,14 +3,13 @@
 One frame of multi-classifier output becomes a small Kripke model: a set of
 possible worlds (candidate readings of the frame), a valuation assigning the
 detected (datum, class) atoms to each world, and one equivalence relation per
-classifier grouping the worlds that classifier cannot tell apart.  Relations
-are read as partitions of the world set rather than pair lists, and the
-block of one world is found by a scan of its agent's partition.  A model
-built from parts already checked (`PALModel.from_checked`) takes them as
-they are; one given checked pairs (a loaded system's layer) closes each
-agent's relation into its partition the first time that partition is read.
-`path_model` gathers, for one world per layer, the submodel that world
-generates, into one model for a single-path check.
+classifier grouping the worlds that classifier cannot tell apart.  A model
+keeps each relation in one form, as groups of world ids (a file's checked
+pairs, a caller's validated blocks): the relation is their closure, which
+is computed into a partition the first time it is read and kept.  The block
+of one world is found by a scan of its agent's partition.  `path_model`
+gathers, for one world per layer, the submodel that world generates, into
+one model for a single-path check.
 """
 
 from __future__ import annotations
@@ -237,19 +236,23 @@ def equivalence_closure(pairs, worlds) -> tuple:
     return _merge(pairs, ids)
 
 
-def _merge(pairs, ids) -> tuple:
-    """`equivalence_closure` of `pairs` over the ids `ids` (any iterable
-    of distinct ids), once `check_pair_ids` has passed."""
-    block_of: dict = {}  # id -> the set of its block, for ids some pair names
-    for a, b in pairs:
-        x = block_of.get(a) or block_of.setdefault(a, {a})
-        y = block_of.get(b) or block_of.setdefault(b, {b})
-        if x is not y:  # merge the smaller block into the larger
-            if len(x) < len(y):
-                x, y = y, x
-            x |= y
-            for w in y:
-                block_of[w] = x
+def _merge(groups, ids) -> tuple:
+    """`equivalence_closure` of `groups` (iterables of ids, of any size,
+    such as pairs or blocks) over the ids `ids` (any iterable of distinct
+    ids), once every id they name is known to be one of `ids`."""
+    block_of: dict = {}  # id -> the set of its block, for ids some group names
+    for group in groups:
+        block = None
+        for w in group:
+            other = block_of.get(w) or block_of.setdefault(w, {w})
+            if block is None or other is block:
+                block = other
+                continue
+            if len(block) < len(other):  # merge the smaller block into the larger
+                block, other = other, block
+            block |= other
+            for v in other:
+                block_of[v] = block
     # A block is emitted at its smallest member, then emptied as a mark.
     blocks = []
     for w in sorted(ids):
@@ -306,7 +309,7 @@ class PALModel:
     order, and the model is immutable once built.  `relations` maps an agent
     to a partition (an iterable of world-id blocks); agents without an entry
     get the identity partition, i.e. they can tell every pair of worlds
-    apart.
+    apart.  The validated blocks are kept as the agent's groups.
     """
 
     def __init__(self, worlds: Iterable[World], agents: Iterable[str],
@@ -324,11 +327,11 @@ class PALModel:
         relations = dict(relations or {})
         check_relation_agents(relations, agents)
 
-        partitions: dict[str, tuple] = {}
+        groups: dict[str, list] = {}
         for agent in agents:
             supplied = relations.get(agent)
             if supplied is None:
-                part = tuple(frozenset({wid}) for wid in sorted(ids))
+                raw = [frozenset((wid,)) for wid in ids]
             else:
                 raw = [frozenset(block) for block in supplied]
                 covered: set[str] = set()
@@ -345,37 +348,35 @@ class PALModel:
                                 f"world id {wid!r} appears in two relation blocks for agent {agent!r}"
                             )
                         covered.add(wid)
-                if covered != set(ids):
+                if covered != ids:
                     missing = ", ".join(repr(w) for w in sorted(ids - covered))
                     raise IngestionError(
                         f"relation for agent {agent!r} does not cover world(s) {missing}"
                     )
-                part = tuple(sorted(raw, key=min))
-            partitions[agent] = part
+            groups[agent] = raw
         self._worlds, self._by_id, self._agents = worlds, by_id, agents
-        self._partitions = partitions  # agent -> partition, for each one closed
-        self._pairs = {}  # agent -> checked pairs, for each one not yet closed
+        self._relations = groups
+        # Validated blocks are their own closure, once ordered.
+        self._partitions = {agent: tuple(sorted(raw, key=min)) for agent, raw in groups.items()}
 
     @classmethod
-    def from_checked(cls, worlds: tuple, agents: tuple, partitions: dict, pairs: dict | None = None,
+    def from_checked(cls, worlds: tuple, agents: tuple, relations: dict,
                      by_id: dict | None = None) -> "PALModel":
         """A model that takes its parts as they are, without checking them.
 
         For callers that have checked them: `worlds` a tuple of Worlds with
-        distinct ids, `agents` passes `check_roster`, `partitions` maps
-        agents to partitions of the world ids with blocks ordered by their
-        smallest member (as `partition` returns them), and `pairs` maps each
-        other agent of the roster to a tuple of (id, id) tuples that passes
-        `check_pair_ids`; such a relation is closed when its partition is
-        first read.  `by_id` maps each id to its world, and is built when
-        not given.
+        distinct ids, `agents` passes `check_roster`, and `relations` maps
+        each agent of the roster to its groups, iterables of ids of
+        `worlds` (pairs that pass `check_pair_ids`, or blocks), whose
+        closure is the agent's relation.  `by_id` maps each id to its
+        world, and is built when not given.
         """
         model = object.__new__(cls)
         model._worlds = worlds
         model._by_id = {w.id: w for w in worlds} if by_id is None else by_id
         model._agents = agents
-        model._partitions = partitions
-        model._pairs = {} if pairs is None else pairs
+        model._relations = relations  # agent -> groups whose closure is its relation
+        model._partitions = {}  # agent -> that closure, once read
         return model
 
     @property
@@ -405,25 +406,15 @@ class PALModel:
 
     def partition(self, agent: str) -> tuple:
         """The blocks of worlds `agent` cannot tell apart, ordered by their
-        smallest member.  A relation given as pairs is closed on first read;
-        threads that race to close it store equal partitions."""
+        smallest member.  The agent's groups are closed on first read;
+        threads that race to close them store equal partitions."""
         part = self._partitions.get(agent)
         if part is None:
-            pairs = self._pairs.get(agent)
-            if pairs is None:
+            groups = self._relations.get(agent)
+            if groups is None:
                 raise EvaluationError(f"unknown agent {agent!r}")
-            part = self._partitions[agent] = _merge(pairs, self._by_id)
+            part = self._partitions[agent] = _merge(groups, self._by_id)
         return part
-
-    def _links(self, agent: str):
-        """Pairs whose closure is `agent`'s relation, without closing it:
-        its checked pairs, or, once closed, each block's members paired
-        with one of them."""
-        part = self._partitions.get(agent)
-        if part is None:
-            return self._pairs[agent]
-        return [(anchor, w) for block in part if len(block) > 1
-                for anchor in (min(block),) for w in block if w != anchor]
 
     def block(self, agent: str, world_id: str) -> frozenset:
         """Worlds `agent` cannot distinguish from `world_id` (incl. itself)."""
@@ -439,21 +430,17 @@ class PALModel:
         if unknown:
             raise EvaluationError(f"unknown world id {sorted(unknown)[0]!r}")
         worlds = tuple(w for w in self._worlds if w.id in keep)
-        partitions = {
-            agent: tuple(sorted((block & keep for block in self.partition(agent) if block & keep),
-                                key=min))
-            for agent in self._agents
-        }
-        return PALModel.from_checked(worlds, self._agents, partitions)
+        relations = {agent: [block & keep for block in self.partition(agent)]
+                     for agent in self._agents}
+        return PALModel.from_checked(worlds, self._agents, relations)
 
     def renamed(self, rename) -> "PALModel":
-        """Copy of the model with every world id passed through `rename`."""
+        """Copy of the model with every world id passed through `rename`,
+        which must give distinct ids."""
         worlds = tuple(World(rename(w.id), w.atoms) for w in self._worlds)
-        partitions = {
-            agent: tuple(frozenset(rename(wid) for wid in block) for block in self.partition(agent))
-            for agent in self._agents
-        }
-        return PALModel(worlds, self._agents, partitions)
+        relations = {agent: [[rename(wid) for wid in group] for group in groups]
+                     for agent, groups in self._relations.items()}
+        return PALModel.from_checked(worlds, self._agents, relations, index_worlds(worlds))
 
     def __eq__(self, other):
         return (
@@ -470,40 +457,40 @@ class PALModel:
 def path_model(layers, world_ids) -> PALModel:
     """One model for a path: the disjoint union of the submodels that each
     of `world_ids` generates in its model of `layers`, the worlds that
-    some chain of any agents' pairs links to it.
+    some chain of any agents' groups links to it.
 
     Modal truth at a world depends only on the worlds its relations reach,
     and an announcement restricts each part of a disjoint union alone, so a
     PAL formula holds at a path world here exactly when it holds there in
     its own layer.  The layers share one roster and no world id, as in a
-    transition system.  Each relation is passed on as the pairs of its
+    transition system.  Each relation is passed on as the groups of its
     layer inside the submodel, and closed when first read; no layer's
     relation is closed.
     """
     agents = layers[0].agents if layers else ()
-    worlds, pairs = [], {agent: [] for agent in agents}
+    worlds, relations = [], {agent: [] for agent in agents}
     for layer, world_id in zip(layers, world_ids):
-        links = [layer._links(agent) for agent in agents]
-        linked: dict = {}  # id -> the ids one pair links it to
-        for a, b in (pair for agent_links in links for pair in agent_links):
-            linked.setdefault(a, []).append(b)
-            linked.setdefault(b, []).append(a)
+        linked: dict = {}  # id -> the groups that hold it
+        for agent in agents:
+            for group in layer._relations[agent]:
+                for w in group:
+                    linked.setdefault(w, []).append(group)
         reached = {world_id}
         todo = [world_id]
         while todo:
-            for w in linked.get(todo.pop(), ()):
-                if w not in reached:
-                    reached.add(w)
-                    todo.append(w)
+            for group in linked.get(todo.pop(), ()):
+                for w in group:
+                    if w not in reached:
+                        reached.add(w)
+                        todo.append(w)
         worlds.extend(w for w in layer.worlds if w.id in reached)
-        for agent, agent_links in zip(agents, links):
-            pairs[agent].extend(pair for pair in agent_links if pair[0] in reached)
-    return PALModel.from_checked(tuple(worlds), agents, {},
-                                 {agent: tuple(p) for agent, p in pairs.items()})
+        for agent in agents:
+            relations[agent].extend(group for group in layer._relations[agent]
+                                    if not reached.isdisjoint(group))
+    return PALModel.from_checked(tuple(worlds), agents, relations)
 
 
 def enrich_model(model: PALModel, rules: RuleSet) -> PALModel:
     """Apply rule closure to every world's atom set; structure is unchanged."""
     worlds = tuple(World(w.id, rule_closure(w.atoms, rules)) for w in model.worlds)
-    partitions = {agent: model.partition(agent) for agent in model.agents}
-    return PALModel.from_checked(worlds, model.agents, partitions)
+    return PALModel.from_checked(worlds, model.agents, model._relations)

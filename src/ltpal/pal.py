@@ -2,15 +2,16 @@
 
 Knowledge is truth across an agent's whole indistinguishability block;
 distributed group knowledge intersects the group's blocks.  A public
-announcement [psi] restricts the model to the worlds satisfying psi and is
-vacuously true wherever psi fails, so evaluation never leaves the surviving
-submodel.
+announcement [psi] phi is vacuously true wherever psi fails, and elsewhere
+says that phi holds in M|psi: the worlds where psi holds, with each agent's
+block cut down to them.
 
 Evaluation is by labelling, in the style of CTL model checking: `extension`
 computes the set of worlds satisfying each subformula once, bottom-up and
 without recursion, and `pal_sat` asks whether one world is in the root's
-set.  An announcement builds its submodel once per model it is evaluated
-in, and only when the announced formula holds at some world of it.
+set.  Every subformula is evaluated in the one model given: M|psi is the
+set of worlds the announcements around it keep, and each block read is cut
+down to that set.  No submodel is built.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ def extensions(formula: PalFormula, models) -> list:
 
 # Instructions are (op, a, b, context).  Each writes one slot; a and b are
 # operand slots, except that PROP's a is the atom, KNOWS's and DIST's b the
-# agent(s) and ENTER's b the context it opens.  Context 0 is the model
-# evaluated in; every announcement opens a context for its operand, the
-# submodel.
+# agent(s) and ENTER's b the context it opens.  Context 0 keeps every world
+# of the model; every announcement opens a context for its operand, which
+# keeps the worlds where the announcement holds in its own context.
 _PROP, _NOT, _AND, _KNOWS, _DIST, _ENTER, _ANNOUNCE = range(7)
 
 
@@ -131,49 +132,50 @@ def _compile(formula: PalFormula) -> tuple:
 def _run(code: list, contexts: int, model: PALModel) -> frozenset:
     """Execute compiled instructions in `model`; returns the last slot.
 
-    A context whose announcement holds nowhere gets no submodel: its
-    instructions yield the empty set and the announcement is vacuous.
+    `kept[ctx]` is the set of worlds that context keeps, and every slot of
+    the context is a subset of it.  A context whose announcement holds
+    nowhere keeps no world: its instructions yield the empty set and read
+    no relation, and the announcement is vacuous.
     """
-    models = [model] + [None] * (contexts - 1)
-    everywhere = [model.world_ids] + [None] * (contexts - 1)
+    kept = [model.world_ids] + [None] * (contexts - 1)
     slots: list = []
     empty = frozenset()
     for op, a, b, ctx in code:
-        m = models[ctx]
-        if m is None:
+        keep = kept[ctx]
+        if not keep:
             value = empty
         elif op == _PROP:
-            value = frozenset(w.id for w in m.worlds if a in w.atoms)
+            value = frozenset(w.id for w in model.worlds if a in w.atoms) & keep
         elif op == _NOT:
-            value = everywhere[ctx] - slots[a]
+            value = keep - slots[a]
         elif op == _AND:
             value = slots[a] & slots[b]
         elif op == _KNOWS:
             inner = slots[a]
-            value = empty.union(*(block for block in m.partition(b) if block <= inner))
+            value = empty.union(*(cut for block in model.partition(b)
+                                  if (cut := block & keep) <= inner))
         elif op == _DIST:
             inner = slots[a]
-            of = [_block_of(m, agent) for agent in b] if m.worlds else ()
+            of = [_block_of(model, agent) for agent in b]
             value = frozenset(
-                w.id for w in m.worlds
-                if frozenset.intersection(*(blocks[w.id] for blocks in of)) <= inner
+                w for w in keep
+                if frozenset.intersection(*(blocks[w] for blocks in of)) & keep <= inner
             )
         elif op == _ENTER:
             value = None
-            if slots[a]:
-                models[b] = m.restricted(slots[a])
-                everywhere[b] = slots[a]
+            kept[b] = slots[a]
         else:  # _ANNOUNCE: vacuous where the announcement fails
-            value = (everywhere[ctx] - slots[a]) | slots[b]
+            value = (keep - slots[a]) | slots[b]
         slots.append(value)
     return slots[-1]
 
 
 def announce_update(model: PALModel, announced: PalFormula) -> PALModel:
-    """Submodel over the worlds where `announced` holds.
+    """M|announced: the submodel over the worlds where `announced` holds.
 
     Atom sets are untouched and partitions are intersected with the survivor
-    set.  The result may have no worlds at all.
+    set.  The result may have no worlds at all.  Evaluation never builds
+    it; it is the reference that `[announced] phi` is defined by.
     """
     return model.restricted(extension(model, announced))
 

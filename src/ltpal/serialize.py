@@ -218,7 +218,7 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
         except IngestionError as exc:
             raise IngestionError(f"{where}.relations[{agent!r}]: {exc}") from None
     pairs = {agent: listed.get(agent, ()) for agent in agents}  # roster order
-    return PALModel.from_checked(tuple(worlds), agents, {}, pairs, by_id)
+    return PALModel.from_checked(tuple(worlds), agents, pairs, by_id)
 
 
 class FramesDocument(Record):

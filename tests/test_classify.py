@@ -266,10 +266,12 @@ def test_check_path_cap_takes_integers_of_at_least_one():
     assert check_path_cap(10**400) == 10**400
     assert check_path_cap(" 7 ", "LTPAL_PATH_CAP") == 7
     assert check_path_cap(None) == DEFAULT_PATH_CAP
-    for bad, message in [(0, "at least 1"), (-1, "at least 1"), ("0", "at least 1"),
+    for bad, message in [(0, "at least 1"), (-1, "at least 1"), ("0", "at least 1"), ("-3", "at least 1"),
                          ("1.5", "an integer, got '1.5'"), ([], "an integer, got []"),
                          (2.7, "an integer, got 2.7"), (2.0, "an integer, got 2.0"),
-                         (True, "an integer, got True"), (False, "an integer, got False")]:
+                         (True, "an integer, got True"), (False, "an integer, got False"),
+                         ("1_000", "an integer, got '1_000'"), ("\u0663", "an integer, got '\u0663'"),
+                         ("\uff11", "an integer, got '\uff11'")]:
         with pytest.raises(ValueError) as info:
             check_path_cap(bad, "--cap")
         assert str(info.value) == f"--cap must be {message}"

@@ -332,7 +332,8 @@ def test_check_mppe_only(ts_file, capsys):
     (["--cap", "0"], None, "error: --cap must be at least 1\n"),
     ([], "x", "error: LTPAL_PATH_CAP must be an integer, got 'x'\n"),
     ([], "0", "error: LTPAL_PATH_CAP must be at least 1\n"),
-], ids=["flag-0", "env-x", "env-0"])
+    ([], "1_000", "error: LTPAL_PATH_CAP must be an integer, got '1_000'\n"),
+], ids=["flag-0", "env-x", "env-0", "env-underscore"])
 def test_a_one_path_check_rejects_an_invalid_cap(ts_file, capsys, monkeypatch, branch, flag, env,
                                                   message):
     """The cap is checked as on the all-paths branch, though one path never

@@ -170,6 +170,28 @@ def test_random_formulas_match_oracle():
         )
 
 
+def test_an_announcement_holds_where_its_operand_holds_in_the_announced_submodel():
+    """[psi] phi holds at w iff psi fails at w or phi holds at w in M|psi.
+    `announce_update` builds M|psi and is the reference: the engine never
+    builds it.  The operands nest announcements, K and D, and every fourth
+    announcement holds nowhere."""
+    rng = random.Random(4096)
+    nowhere = 0
+    for k in range(400):
+        model, _ = random_model_with_pairs(rng)
+        agents = list(model.agents)
+        announced = random_pal_formula(rng, agents, depth=3)
+        if k % 4 == 0:
+            announced = PAnd(announced, PNot(announced))
+        operand = random_pal_formula(rng, agents, depth=4)
+        submodel = announce_update(model, announced)
+        nowhere += submodel.is_empty
+        for w in model.worlds:
+            expected = not pal_sat(model, w.id, announced) or pal_sat(submodel, w.id, operand)
+            assert pal_sat(model, w.id, Announce(announced, operand)) == expected
+    assert nowhere >= 100
+
+
 def _systems_with_relations(seeds):
     """Random systems three ways: relations closed (as built), as loaded
     pairs, and loaded with some layers' partitions already read."""
