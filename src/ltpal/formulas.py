@@ -181,24 +181,13 @@ TAUT_ATOM = Atom("_true_", "_true_")
 
 
 def bottom() -> PalFormula:
+    """The PAL contradiction; interned, so it is recognised by identity."""
     return PAnd(Prop(TAUT_ATOM), PNot(Prop(TAUT_ATOM)))
 
 
 def top() -> PalFormula:
+    """The PAL tautology, `!bottom()`; likewise recognised by identity."""
     return PNot(bottom())
-
-
-def is_bottom(f: PalFormula) -> bool:
-    return (
-        isinstance(f, PAnd)
-        and isinstance(f.left, Prop)
-        and f.left.atom == TAUT_ATOM
-        and f.right == PNot(f.left)
-    )
-
-
-def is_top(f: PalFormula) -> bool:
-    return isinstance(f, PNot) and is_bottom(f.operand)
 
 
 def p_or(a: PalFormula, b: PalFormula) -> PalFormula:
@@ -342,8 +331,7 @@ class Template(Record):
     __slots__ = _fields = ("skeleton", "arity")
 
     def __init__(self, skeleton: Formula, arity: int):
-        if not isinstance(skeleton, TemporalFormula):
-            skeleton = lift(skeleton)
+        skeleton = lift(skeleton)
         object.__setattr__(self, "skeleton", skeleton)
         object.__setattr__(self, "arity", arity)
         present = placeholder_indices(skeleton)

@@ -23,14 +23,19 @@ must be parenthesised: ``(f U g)``.  Temporal operators of any kind are
 rejected inside K{...}, D{...} and announcement brackets; that violation is
 reported as `EpistemicScopeError`, a distinct subclass of `ParseError`.
 
+The lexer is one regular expression, an alternative per token shape; only
+a newline starts a line, and every other character takes one column.
+
 Neither the parser nor `pretty` recurses: both keep explicit stacks, so
 formulas may nest to any depth.
 
-`pretty` emits a canonical minimal-parenthesis rendering.  Parsing a
-pretty-printed formula yields a structurally identical AST, provided the
-AST was produced by the parser or by the canonical constructors in
-`formulas` (ad-hoc trees such as a temporal conjunction of two plain PAL
-leaves print as their canonical equivalent instead).
+`pretty` emits a canonical minimal-parenthesis rendering.  It reads each
+shape once for both levels: a PAL leaf prints as its formula, and negation
+and conjunction read alike at either level.  Parsing a pretty-printed
+formula yields a structurally identical AST, provided the AST was produced
+by the parser or by the canonical constructors in `formulas` (ad-hoc trees
+such as a temporal conjunction of two plain PAL leaves print as their
+canonical equivalent instead).
 """
 
 from __future__ import annotations
@@ -58,8 +63,6 @@ from .formulas import (
     bottom,
     future,
     globally,
-    is_bottom,
-    is_top,
     lift,
     release,
     top,
@@ -68,9 +71,11 @@ from .formulas import (
 from .model import Atom
 
 _KEYWORDS = {"K", "D", "X", "F", "G", "U", "R", "W", "true", "false"}
-_IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
-_DIGITS_RE = re.compile(r"[0-9]+")
-_PUNCT = {"(", ")", "[", "]", "{", "}", ",", ":", "!", "&", "|"}
+
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|[^\S\n]+|(?P<punct>->|[()\[\]{},:!&|])"
+    r"|\?(?P<digits>[0-9]*)|(?P<word>[A-Za-z0-9_]+)|(?P<other>.)"
+)
 
 
 class _Token:
@@ -85,50 +90,25 @@ class _Token:
 
 def _tokenize(text: str) -> list:
     tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            column = 1
-            continue
-        if ch.isspace():
-            i += 1
-            column += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, column))
-            i += 1
-            column += 1
-            continue
-        if ch == "-":
-            if text[i + 1 : i + 2] == ">":
-                tokens.append(_Token("->", "->", line, column))
-                i += 2
-                column += 2
-                continue
-            raise ParseError("unexpected character '-'", line, column)
-        if ch == "?":
-            match = _DIGITS_RE.match(text, i + 1)
-            if not match:
+    line, line_start = 1, 0  # line_start: the offset where `line` begins
+    for match in _TOKEN_RE.finditer(text):
+        shape, value = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if shape == "newline":
+            line, line_start = line + 1, match.end()
+        elif shape == "punct":
+            tokens.append(_Token(value, value, line, column))
+        elif shape == "word":
+            kind = value if value in _KEYWORDS else "identifier"
+            tokens.append(_Token(kind, value, line, column))
+        elif shape == "digits":
+            digits = match.group("digits")
+            if not digits:
                 raise ParseError("expected digits after '?'", line, column)
-            tokens.append(_Token("placeholder", int(match.group()), line, column))
-            width = 1 + len(match.group())
-            i += width
-            column += width
-            continue
-        match = _IDENT_RE.match(text, i)
-        if match:
-            word = match.group()
-            kind = word if word in _KEYWORDS else "identifier"
-            tokens.append(_Token(kind, word, line, column))
-            i += len(word)
-            column += len(word)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("end", None, line, column))
+            tokens.append(_Token("placeholder", int(digits), line, column))
+        elif shape == "other":
+            raise ParseError(f"unexpected character {value!r}", line, column)
+    tokens.append(_Token("end", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -366,76 +346,58 @@ def parse_template(text: str) -> Template:
 # Pretty-printing levels, loosest to tightest.
 _IMPLIES, _OR, _AND, _UNARY, _ATOM = 1, 2, 3, 4, 5
 
-_PAL_TOP = Pal(top())
-
-
-def _unwrap_not(f: TemporalFormula):
-    """Invert the canonical temporal negation, or return None."""
-    if isinstance(f, TNot):
-        return f.operand
-    if isinstance(f, Pal) and isinstance(f.formula, PNot):
-        return Pal(f.formula.operand)
-    return None
-
-
-def _match_or_t(f: TemporalFormula):
-    """Recognise a canonical temporal disjunction, collapsed or not."""
-    if isinstance(f, Pal):
-        inner = _match_or_p(f.formula)
-        if inner is not None:
-            return Pal(inner[0]), Pal(inner[1])
-        return None
-    if isinstance(f, TNot) and isinstance(f.operand, TAnd):
-        a = _unwrap_not(f.operand.left)
-        b = _unwrap_not(f.operand.right)
-        if a is not None and b is not None:
-            return a, b
-    return None
-
-
-def _match_or_p(f: PalFormula):
-    if (
-        isinstance(f, PNot)
-        and isinstance(f.operand, PAnd)
-        and isinstance(f.operand.left, PNot)
-        and isinstance(f.operand.right, PNot)
-    ):
-        return f.operand.left.operand, f.operand.right.operand
-    return None
+# Interned, so a constant is recognised by identity.
+_TRUE, _FALSE = top(), bottom()
+_PAL_TOP = Pal(_TRUE)
 
 
 def pretty(formula: Formula) -> str:
     """Canonical text for a formula; see the module docstring for caveats.
 
-    One stack holds text pieces and (subformula, minimum level, PAL?)
-    entries, so nesting depth costs no Python frames.  A subformula whose
-    own level is looser than its minimum is parenthesised.
+    One stack holds text pieces and (subformula, minimum level) entries, so
+    nesting depth costs no Python frames.  A subformula whose own level is
+    looser than its minimum is parenthesised.
     """
-    if not isinstance(formula, (PalFormula, TemporalFormula)):
-        raise TypeError(f"not a formula: {formula!r}")
     out = []
-    stack = [(formula, _IMPLIES, isinstance(formula, PalFormula))]
+    stack = [(formula, _IMPLIES)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        f, minimum, pal = item
-        if not pal and isinstance(f, Pal):
-            stack.append((f.formula, minimum, True))
-            continue
-        level, parts = _pal_layout(f) if pal else _temporal_layout(f)
+        f, minimum = item
+        level, parts = _layout(f)
         if level < minimum:
             parts = ["(", *parts, ")"]
-        stack.extend(p if isinstance(p, str) else (*p, pal) for p in reversed(parts))
+        stack.extend(reversed(parts))
     return "".join(out)
 
 
-def _pal_layout(f: PalFormula):
+def _negated(f: Formula):
+    """The operand of a negation at either level, reading through a PAL
+    leaf, or None."""
+    if isinstance(f, Pal):
+        f = f.formula
+    return f.operand if isinstance(f, (PNot, TNot)) else None
+
+
+def _disjuncts(f: Formula):
+    """The operands a, b of a canonical disjunction !(!a & !b), or None."""
+    conjunction = _negated(f)
+    if isinstance(conjunction, (PAnd, TAnd)):
+        a, b = _negated(conjunction.left), _negated(conjunction.right)
+        if a is not None and b is not None:
+            return a, b
+    return None
+
+
+def _layout(f: Formula):
     """The level of `f` and its pieces: text and (operand, minimum level)."""
-    if is_top(f):
+    if isinstance(f, Pal):
+        f = f.formula
+    if f is _TRUE:
         return _ATOM, ["true"]
-    if is_bottom(f):
+    if f is _FALSE:
         return _ATOM, ["false"]
     if isinstance(f, Prop):
         atom = f.atom
@@ -443,14 +405,25 @@ def _pal_layout(f: PalFormula):
         return _ATOM, [text]
     if isinstance(f, Placeholder):
         return _ATOM, [f"?{f.index}"]
-    if isinstance(f, PNot):
-        disjuncts = _match_or_p(f)
-        if disjuncts is not None:
-            return _OR, [(disjuncts[0], _OR), " | ", (disjuncts[1], _AND)]
-        if isinstance(f.operand, PAnd) and isinstance(f.operand.right, PNot):
-            return _IMPLIES, [(f.operand.left, _OR), " -> ", (f.operand.right.operand, _IMPLIES)]
-        return _UNARY, ["!", (f.operand, _UNARY)]
-    if isinstance(f, PAnd):
+    if isinstance(f, (PNot, TNot)):
+        operand = f.operand
+        if isinstance(operand, Until):
+            held, body = _negated(operand.left), _negated(operand.right)
+            if operand.left is _PAL_TOP and body is not None:
+                return _UNARY, ["G ", (body, _UNARY)]
+            if held is not None and body is not None:
+                either = _disjuncts(body)
+                if either is not None and lift(either[1]) is lift(held):
+                    return _ATOM, ["(", (either[0], _IMPLIES), " W ", (held, _IMPLIES), ")"]
+                return _ATOM, ["(", (held, _IMPLIES), " R ", (body, _IMPLIES), ")"]
+        either = _disjuncts(f)
+        if either is not None:
+            return _OR, [(either[0], _OR), " | ", (either[1], _AND)]
+        consequent = _negated(operand.right) if isinstance(operand, (PAnd, TAnd)) else None
+        if consequent is not None:
+            return _IMPLIES, [(operand.left, _OR), " -> ", (consequent, _IMPLIES)]
+        return _UNARY, ["!", (operand, _UNARY)]
+    if isinstance(f, (PAnd, TAnd)):
         return _AND, [(f.left, _AND), " & ", (f.right, _UNARY)]
     if isinstance(f, Knows):
         return _UNARY, [f"K{{{f.agent}}} ", (f.operand, _UNARY)]
@@ -459,37 +432,10 @@ def _pal_layout(f: PalFormula):
         return _UNARY, [f"D{{{members}}} ", (f.operand, _UNARY)]
     if isinstance(f, Announce):
         return _UNARY, ["[", (f.announced, _IMPLIES), "] ", (f.operand, _UNARY)]
-    raise TypeError(f"not a PAL formula: {f!r}")
-
-
-def _temporal_layout(f: TemporalFormula):
-    """As `_pal_layout`, for a temporal node other than `Pal`."""
-    if isinstance(f, Until):
-        if f.left == _PAL_TOP:
-            return _UNARY, ["F ", (f.right, _UNARY)]
-        return _ATOM, ["(", (f.left, _IMPLIES), " U ", (f.right, _IMPLIES), ")"]
     if isinstance(f, Next):
         return _UNARY, ["X ", (f.operand, _UNARY)]
-    if isinstance(f, TAnd):
-        return _AND, [(f.left, _AND), " & ", (f.right, _UNARY)]
-    if isinstance(f, TNot):
-        if isinstance(f.operand, Until):
-            until = f.operand
-            body = _unwrap_not(until.right)
-            if until.left == _PAL_TOP and body is not None:
-                return _UNARY, ["G ", (body, _UNARY)]
-            held = _unwrap_not(until.left)
-            if held is not None and body is not None:
-                disjuncts = _match_or_t(body)
-                if disjuncts is not None and disjuncts[1] == held:
-                    return _ATOM, ["(", (disjuncts[0], _IMPLIES), " W ", (held, _IMPLIES), ")"]
-                return _ATOM, ["(", (held, _IMPLIES), " R ", (body, _IMPLIES), ")"]
-        if isinstance(f.operand, TAnd):
-            a = _unwrap_not(f.operand.left)
-            b = _unwrap_not(f.operand.right)
-            if a is not None and b is not None:
-                return _OR, [(a, _OR), " | ", (b, _AND)]
-            if b is not None:
-                return _IMPLIES, [(f.operand.left, _OR), " -> ", (b, _IMPLIES)]
-        return _UNARY, ["!", (f.operand, _UNARY)]
-    raise TypeError(f"not a temporal formula: {f!r}")
+    if isinstance(f, Until):
+        if f.left is _PAL_TOP:
+            return _UNARY, ["F ", (f.right, _UNARY)]
+        return _ATOM, ["(", (f.left, _IMPLIES), " U ", (f.right, _IMPLIES), ")"]
+    raise TypeError(f"not a formula: {f!r}")

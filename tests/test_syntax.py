@@ -176,6 +176,43 @@ def test_error_positions_and_expectations():
         parse_formula("")
 
 
+# Text -> its error as printed.  Only '\n' starts a line; any other
+# whitespace character takes one column, and the end of input sits one
+# column past the last character of its line.
+_END = "unexpected end of input (expected '!', '(', '[', 'false', 'true', identifier)"
+_POSITIONS = [
+    ("p &\t@", "1:5: unexpected character '@'"),
+    ("p &\r@", "1:5: unexpected character '@'"),
+    ("p &\u3000@", "1:5: unexpected character '@'"),
+    ("p &\x1c@", "1:5: unexpected character '@'"),
+    ("p\n&\nq @", "3:3: unexpected character '@'"),
+    ("p - q", "1:3: unexpected character '-'"),
+    ("p & ?", "1:5: expected digits after '?'"),
+    ("p &\n", "2:1: " + _END),
+    ("p &\n\n", "3:1: " + _END),
+    ("\xa0p &", "1:5: " + _END),
+]
+
+
+@pytest.mark.parametrize("text, message", _POSITIONS)
+def test_error_positions_count_whitespace_and_line_breaks(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text)
+    assert str(info.value) == message
+
+
+def test_every_unicode_space_but_newline_separates_two_identifiers():
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace() and c != 0x0A]
+    assert len(spaces) == 28
+    for space in spaces:
+        with pytest.raises(ParseError) as info:
+            parse_formula(f"p{space}q")
+        assert str(info.value) == "1:3: unexpected identifier 'q' after the formula (expected end)"
+    with pytest.raises(ParseError) as info:
+        parse_formula("p\u200bq")  # a zero-width space, which isspace() rejects
+    assert str(info.value) == "1:2: unexpected character '\\u200b'"
+
+
 def test_pretty_hand_renderings():
     cases = [
         "p",
@@ -215,6 +252,14 @@ def test_pretty_canonicalises_constant_spellings():
     # Implication from true collapses to the canonical or-form.
     assert pretty(parse_formula("true -> p")) == "false | p"
     assert parse_formula("false | p") == parse_formula("true -> p")
+
+
+def test_pretty_reads_weak_until_across_levels():
+    # The held operand is a temporal negation's operand, Pal(x); the body's
+    # disjuncts come out of one PAL leaf, as the PAL formulas a and x.
+    x = Prop(Atom("x", "x"))
+    formula = TNot(Until(TNot(Pal(x)), t_not(t_or(Pal(A), Pal(x)))))
+    assert pretty(formula) == "(a W x)"
 
 
 def test_roundtrip_on_random_canonical_formulas():
