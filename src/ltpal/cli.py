@@ -63,7 +63,20 @@ EXIT_UNDECIDED = 3
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload))
+    print(_unbounded(json.dumps, payload))
+
+
+def _unbounded(write, value) -> str:
+    """`write(value)`, lifting Python's cap (3.10.7 on) on the digits of an
+    int written as text: the cap guards input, and a path count may pass it."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is None:
+        return write(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return write(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def _note(message: str) -> None:
@@ -163,7 +176,7 @@ def _cmd_check(args) -> int:
             if path is None:
                 raise ConfigurationError(
                     f"--path-index {args.path_index} is out of range "
-                    f"(the system has {total_path_count(ts)} total paths)"
+                    f"(the system has {_unbounded(str, total_path_count(ts))} total paths)"
                 )
             mode, before, after = "path", {"path_index": args.path_index}, {}
         else:

@@ -223,23 +223,11 @@ def check_pair_ids(pairs, ids) -> None:
                 )
 
 
-def equivalence_closure(pairs, worlds) -> tuple:
-    """Finest partition of `worlds` whose blocks join every listed pair.
-
-    `pairs` is any iterable of (id, id) couples; reflexive and symmetric
-    completions are implicit.  Returns blocks as frozensets, ordered by their
-    smallest member so the result is deterministic.
-    """
-    pairs = tuple(pairs)
-    ids = set(worlds)
-    check_pair_ids(pairs, ids)
-    return _merge(pairs, ids)
-
-
 def _merge(groups, ids) -> tuple:
-    """`equivalence_closure` of `groups` (iterables of ids, of any size,
-    such as pairs or blocks) over the ids `ids` (any iterable of distinct
-    ids), once every id they name is known to be one of `ids`."""
+    """The finest partition of `ids` (any iterable of distinct ids) whose
+    blocks join the members of each of `groups` (iterables of ids, of any
+    size, such as pairs or blocks), once every id they name is known to be
+    one of `ids`.  Blocks are frozensets, ordered by their smallest member."""
     block_of: dict = {}  # id -> the set of its block, for ids some group names
     for group in groups:
         block = None
@@ -422,17 +410,6 @@ class PALModel:
             if world_id in block:
                 return block
         raise EvaluationError(f"unknown world id {world_id!r}")
-
-    def restricted(self, keep) -> "PALModel":
-        """Submodel over `keep`: worlds filtered, partitions intersected."""
-        keep = frozenset(keep)
-        unknown = keep - self.world_ids
-        if unknown:
-            raise EvaluationError(f"unknown world id {sorted(unknown)[0]!r}")
-        worlds = tuple(w for w in self._worlds if w.id in keep)
-        relations = {agent: [block & keep for block in self.partition(agent)]
-                     for agent in self._agents}
-        return PALModel.from_checked(worlds, self._agents, relations)
 
     def renamed(self, rename) -> "PALModel":
         """Copy of the model with every world id passed through `rename`,

@@ -156,7 +156,7 @@ def _run(code: list, contexts: int, model: PALModel) -> frozenset:
                                   if (cut := block & keep) <= inner))
         elif op == _DIST:
             inner = slots[a]
-            of = [_block_of(model, agent) for agent in b]
+            of = [{w: block for block in model.partition(agent) for w in block} for agent in b]
             value = frozenset(
                 w for w in keep
                 if frozenset.intersection(*(blocks[w] for blocks in of)) & keep <= inner
@@ -171,15 +171,13 @@ def _run(code: list, contexts: int, model: PALModel) -> frozenset:
 
 
 def announce_update(model: PALModel, announced: PalFormula) -> PALModel:
-    """M|announced: the submodel over the worlds where `announced` holds.
+    """M|announced, built here: the worlds of `model` where `announced`
+    holds, in order and with their atoms, each agent's blocks cut down to
+    them; it may have no worlds.  Evaluation never builds it: it is the
+    reference that `[announced] phi` is defined by."""
+    keep = extension(model, announced)
+    relations = {agent: [block & keep for block in model.partition(agent)]
+                 for agent in model.agents}
+    worlds = tuple(w for w in model.worlds if w.id in keep)
+    return PALModel.from_checked(worlds, model.agents, relations)
 
-    Atom sets are untouched and partitions are intersected with the survivor
-    set.  The result may have no worlds at all.  Evaluation never builds
-    it; it is the reference that `[announced] phi` is defined by.
-    """
-    return model.restricted(extension(model, announced))
-
-
-def _block_of(model: PALModel, agent: str) -> dict:
-    """World id -> the block of `agent`'s partition that holds it."""
-    return {wid: block for block in model.partition(agent) for wid in block}

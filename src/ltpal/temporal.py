@@ -12,6 +12,8 @@ position past the end is all false, whatever the connective.
 `decide` quantifies over every path through a sequence of columns (the
 layers of a system, or the single worlds of one path) at once:
 
+* `formulas._rebuild` walks the formula once and indexes its temporal
+  closure, each node's index its bit in a truth vector;
 * each PAL leaf is labelled once per distinct column model, with
   `pal.extensions`;
 * a backward pass over the columns collects the distinct truth vectors of
@@ -35,7 +37,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import EvaluationError
-from .formulas import Formula, Next, Pal, TAnd, TNot, Until, lift
+from .formulas import Formula, Next, Pal, TAnd, TNot, Until, _rebuild, lift
 from .model import path_model
 from .pal import extensions, pal_sat  # noqa: F401  (pal_sat kept importable for tools that wrap it)
 from .transition import ExecPath, TransitionSystem
@@ -130,8 +132,9 @@ def decide(columns: Sequence, formula: Formula, want: bool) -> list | None:
 
 
 def _closure(root) -> tuple:
-    """Index the distinct subformulas of `root` in post-order, without
-    recursion; a node's index is its bit in a truth vector.
+    """Index the temporal subformulas of `root` in post-order, walked once
+    by `formulas._rebuild` without recursion; a node's index is its bit in
+    a truth vector, and the PAL nodes inside a leaf get none.
 
     Returns (leaves, ops): `leaves` pairs each PAL leaf's bit mask with its
     PAL formula, `ops` lists (index, kind, a, b) for every other node,
@@ -141,34 +144,25 @@ def _closure(root) -> tuple:
     index: dict = {}  # id(node) -> bit
     leaves: list = []
     ops: list = []
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in index:
-            stack.pop()
-            continue
-        children = _operands(node)
-        pending = [c for c in children if id(c) not in index]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
-        i = index[id(node)] = len(index)
-        if children:
-            ops.append((i, _KINDS[type(node)], index[id(children[0])], index[id(children[-1])]))
+
+    def visit(node):
+        if isinstance(node, Pal):
+            leaves.append((1 << len(index), node.formula))
+        elif type(node) in _KINDS:
+            operands = [getattr(node, name) for name in node._fields]
+            bits = [index.get(id(f)) for f in operands]
+            if None in bits:
+                raise EvaluationError(f"not a temporal formula: {operands[bits.index(None)]!r}")
+            ops.append((len(index), _KINDS[type(node)], bits[0], bits[-1]))
         else:
-            leaves.append((1 << i, node.formula))
+            return node
+        index[id(node)] = len(index)
+        return node
+
+    _rebuild(root, visit)
+    if id(root) not in index:
+        raise EvaluationError(f"not a temporal formula: {root!r}")
     return leaves, ops
 
 
 _KINDS = {TNot: _NOT, TAnd: _AND, Next: _NEXT, Until: _UNTIL}
-
-
-def _operands(f) -> tuple:
-    if isinstance(f, Pal):
-        return ()
-    if isinstance(f, (TNot, Next)):
-        return (f.operand,)
-    if isinstance(f, (TAnd, Until)):
-        return (f.left, f.right)
-    raise EvaluationError(f"not a temporal formula: {f!r}")

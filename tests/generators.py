@@ -26,8 +26,10 @@ from ltpal.formulas import (
     top,
     weak_until,
 )
-from ltpal.model import Atom, PALModel, World, equivalence_closure
+from ltpal.model import Atom, PALModel, World
 from ltpal.transition import build_ts
+
+from oracles import bfs_partition
 
 DATA_IDS = ["x", "y", "z"]
 CLASS_IDS = ["Cat", "Dog", "Fox", "Warm"]
@@ -39,7 +41,7 @@ def model_from_pairs(worlds, agents, pairs_by_agent=None):
     worlds = tuple(worlds)
     ids = [w.id for w in worlds]
     partitions = {
-        agent: equivalence_closure(pairs, ids)
+        agent: bfs_partition(pairs, ids)
         for agent, pairs in dict(pairs_by_agent or {}).items()
     }
     return PALModel(worlds, agents, partitions)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ltpal import cli
+from ltpal import cli, mppe
 from ltpal.cli import _build_parser, main
 from ltpal.formulas import Next
 from ltpal.serialize import dump_ts, load_scores, load_ts, save_ts
@@ -707,6 +707,66 @@ def test_an_integer_too_long_to_read_makes_a_document_invalid_json(ts_file, tmp_
     _assert_invalid_json(capsys, _argv_reading(document, bad, ts_file, tmp_path), bad)
 
 
+def _digits_cap():
+    """Python's cap on the digits of an int written as text (0 for none)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _lifted(convert, value):
+    """`convert(value)` with the digits cap lifted, as the CLI's output needs."""
+    cap = _digits_cap()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
+def _run_long(capsys, argv):
+    """`_run` for output that may hold a count longer than the digits cap;
+    `main` runs under the cap and must leave it as it was."""
+    cap = _digits_cap()
+    code = main(argv)
+    assert _digits_cap() == cap
+    captured = capsys.readouterr()
+    payload = _lifted(json.loads, captured.out) if captured.out.strip() else None
+    return code, payload, captured.err
+
+
+@pytest.fixture(scope="module")
+def huge_frames(tmp_path_factory):
+    """A frames document of 4,400 frames of 10 worlds: 10**4400 total paths,
+    a count of 4,401 digits, above Python's default cap of 4,300."""
+    doc = {"agents": ["a"], "frames": [
+        {"worlds": [{"id": f"f{i}w{j}", "atoms": []} for j in range(10)]} for i in range(4400)]}
+    path = tmp_path_factory.mktemp("huge") / "frames.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_a_path_count_longer_than_the_digits_cap_is_printed(huge_frames, tmp_path, capsys):
+    """`build`, `paths` and the out-of-range message of `check --path-index`
+    print 10**4400 in full; reading input keeps the cap (see the test above)."""
+    ts = str(tmp_path / "ts.json")
+    code, payload, err = _run_long(capsys, ["build", "--frames", str(huge_frames), "--output", ts])
+    assert (code, err) == (0, "")
+    assert payload["total_paths"] == 10**4400
+    assert payload["frames"] == 4400
+
+    code, payload, err = _run_long(capsys, ["paths", "--ts", ts, "--max", "1"])
+    assert (code, err) == (0, "")
+    assert payload["count"] == 10**4400 and payload["truncated"] is True
+    assert payload["paths"] == [["w00", *(f"f{i}w0" for i in range(4400)), "w44010"]]
+
+    code, payload, err = _run_long(capsys, ["check", "--ts", ts, "--formula", "F v:Cat",
+                                            "--path-index", "-1"])
+    assert (code, payload) == (2, None)
+    count = _lifted(str, 10**4400)
+    assert err == f"error: --path-index -1 is out of range (the system has {count} total paths)\n"
+
+
 @pytest.mark.parametrize("document", ["frames", "rules", "system", "scores", "candidates"])
 def test_a_document_that_is_not_utf8_is_invalid_json(ts_file, tmp_path, capsys, document):
     bad = tmp_path / f"{document}.json"
@@ -873,6 +933,23 @@ def test_readme_python_quick_start_runs(monkeypatch, capsys):
     exec(compile(code, "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert "('w00', 'w10', 'w20', 'w30')" in out
+
+
+def test_a_lazy_name_is_bound_on_its_first_read():
+    """Reading a name of `_LAZY` from the module binds its module's names
+    there, as a tool that wraps one does; any other name is an
+    AttributeError."""
+    names = cli._LAZY["mppe"]
+    held = {name: vars(cli).pop(name) for name in names if name in vars(cli)}
+    try:
+        assert cli.__getattr__("score_edges") is mppe.score_edges
+        assert all(vars(cli)[name] is getattr(mppe, name) for name in names)
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            cli.__getattr__("nope")
+    finally:
+        for name in names:
+            vars(cli).pop(name, None)
+        vars(cli).update(held)
 
 
 def test_importing_the_cli_loads_no_scorer_or_dataclass_modules():

@@ -257,6 +257,15 @@ def test_score_table_rejects_what_is_not_an_edge():
             table[("w00", "w10", "w20")]
 
 
+def test_a_score_table_equals_only_a_score_table():
+    table = ScoreTable({("u", "v"): 0.5})
+    assert table == ScoreTable({("u", "v"): 0.5})
+    assert table != ScoreTable({("u", "v"): 0.25})
+    assert table.__eq__(object()) is NotImplemented
+    assert (table == object()) is False
+    assert table != {("u", "v"): 0.5}
+
+
 def test_score_table_missing_edge_lookup():
     table = ScoreTable({("u", "v"): 0.5})
     with pytest.raises(IngestionError, match="no score for edge"):
@@ -424,6 +433,15 @@ def test_external_scorer_error_modes():
     with pytest.raises(ConfigurationError, match="not a number"):
         non_number(frozenset(), frozenset())
     non_number.close()
+
+
+def test_writing_to_an_external_scorer_that_has_exited_is_a_pipe_failure():
+    with ExternalScorer([sys.executable, "-c", "pass"]) as scorer:
+        # Once the child has exited, nothing reads its stdin: a write fails
+        # with EPIPE, every time.
+        scorer._proc.wait()
+        with pytest.raises(ConfigurationError, match="^external scorer pipe failed: "):
+            scorer(frozenset({"Cat"}), frozenset({"Dog"}))
 
 
 def test_external_scorer_close_closes_the_reply_pipe():

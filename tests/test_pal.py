@@ -9,7 +9,9 @@ from ltpal.formulas import (
     Announce,
     Dist,
     Knows,
+    Next,
     PAnd,
+    Pal,
     Placeholder,
     PNot,
     Prop,
@@ -19,7 +21,7 @@ from ltpal.formulas import (
     top,
 )
 from ltpal.model import Atom, PALModel, World, path_model
-from ltpal.pal import announce_update, extension, pal_sat
+from ltpal.pal import announce_update, extension, extensions, pal_sat
 from ltpal.serialize import dump_ts, load_ts
 
 from generators import random_model_with_pairs, random_pal_formula, random_ts
@@ -117,6 +119,12 @@ def test_nested_announcements_compose():
     assert pal_sat(model, "w0", Announce(CAT, Announce(DOG, bottom())))
 
 
+def test_a_temporal_node_inside_a_pal_formula_is_refused():
+    with pytest.raises(EvaluationError) as info:
+        extensions(PNot(Next(Pal(CAT))), [_model()])
+    assert str(info.value) == f"not a PAL formula: {Next(Pal(CAT))!r}"
+
+
 def test_placeholder_cannot_be_evaluated():
     model = _model()
     with pytest.raises(EvaluationError, match="placeholder"):
@@ -173,12 +181,14 @@ def test_random_formulas_match_oracle():
 def test_an_announcement_holds_where_its_operand_holds_in_the_announced_submodel():
     """[psi] phi holds at w iff psi fails at w or phi holds at w in M|psi.
     `announce_update` builds M|psi and is the reference: the engine never
-    builds it.  The operands nest announcements, K and D, and every fourth
-    announcement holds nowhere."""
+    builds it.  The submodel is checked against the referee's: the worlds
+    where the oracle finds psi, in order and with their atoms, and the
+    oracle's blocks of each agent cut down to them.  The operands nest
+    announcements, K and D, and every fourth announcement holds nowhere."""
     rng = random.Random(4096)
     nowhere = 0
     for k in range(400):
-        model, _ = random_model_with_pairs(rng)
+        model, pairs = random_model_with_pairs(rng)
         agents = list(model.agents)
         announced = random_pal_formula(rng, agents, depth=3)
         if k % 4 == 0:
@@ -186,6 +196,16 @@ def test_an_announcement_holds_where_its_operand_holds_in_the_announced_submodel
         operand = random_pal_formula(rng, agents, depth=4)
         submodel = announce_update(model, announced)
         nowhere += submodel.is_empty
+
+        ids = [w.id for w in model.worlds]
+        valuation = {w.id: {(a.data_id, a.class_id) for a in w.atoms} for w in model.worlds}
+        relations = {agent: pairs_to_relation(pairs[agent], ids) for agent in agents}
+        keep = {w for w in ids if oracle_pal_sat(valuation, relations, w, announced)}
+        assert submodel.worlds == tuple(w for w in model.worlds if w.id in keep)
+        assert submodel.agents == model.agents
+        for agent in agents:
+            expected = {block & keep for block in bfs_partition(pairs[agent], ids)} - {frozenset()}
+            assert set(submodel.partition(agent)) == expected
         for w in model.worlds:
             expected = not pal_sat(model, w.id, announced) or pal_sat(submodel, w.id, operand)
             assert pal_sat(model, w.id, Announce(announced, operand)) == expected

@@ -2,11 +2,16 @@
 
 import random
 
+import pytest
+
+from ltpal.errors import EvaluationError
 from ltpal.formulas import (
     Next,
     Pal,
     PNot,
     Prop,
+    TAnd,
+    TemporalFormula,
     TNot,
     Until,
     future,
@@ -134,6 +139,24 @@ def test_suffix_evaluation_shifts_positions():
         assert tems(ts, ts.path(full.worlds[k:]), P) == (
             k < len(full) and Atom("x", "Cat") in ts.label(full.worlds[k])
         )
+
+
+def test_a_temporal_node_over_an_operand_that_is_not_temporal_is_refused():
+    """The error names the operand; a bare `TemporalFormula()` root is
+    refused too.  The parser never builds such trees."""
+    ts, path = _trace(CAT, DOG)
+    cat, dog = P.formula, Q.formula
+    for formula, operand in [
+        (TAnd(cat, Q), cat),
+        (TAnd(Q, cat), cat),
+        (Next(TNot(dog)), dog),
+        (Until(P, "junk"), "junk"),
+        (Next(TemporalFormula()), TemporalFormula()),
+        (TemporalFormula(), TemporalFormula()),
+    ]:
+        with pytest.raises(EvaluationError) as info:
+            tems(ts, path, formula)
+        assert str(info.value) == f"not a temporal formula: {operand!r}"
 
 
 def test_shared_subformula_objects_memoise_safely():
