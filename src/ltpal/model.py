@@ -4,12 +4,12 @@ One frame of multi-classifier output becomes a small Kripke model: a set of
 possible worlds (candidate readings of the frame), a valuation assigning the
 detected (datum, class) atoms to each world, and one equivalence relation per
 classifier grouping the worlds that classifier cannot tell apart.  A model
-keeps each relation in one form, as groups of world ids (a file's checked
-pairs, a caller's validated blocks): the relation is their closure, which
-is computed into a partition the first time it is read and kept.  The block
-of one world is found by a scan of its agent's partition.  `path_model`
-gathers, for one world per layer, the submodel that world generates, into
-one model for a single-path check.
+keeps each relation in one form, as groups of world ids, from a file or a
+caller alike: the relation is their closure, which is computed into a
+partition the first time it is read and kept.  The block of one world is
+found by a scan of its agent's partition.  `path_model` gathers, for one
+world per layer, the submodel that world generates, into one model for a
+single-path check.
 """
 
 from __future__ import annotations
@@ -208,26 +208,31 @@ def rule_closure(atoms: Iterable[Atom], rules: RuleSet) -> frozenset:
     return frozenset(closed)
 
 
-def check_pair_ids(pairs, ids) -> None:
-    """Require every id that `pairs` names to be in `ids` (a set, or a
-    dict keyed by id).
+def check_relation(agent: str, groups, ids) -> None:
+    """Require each of `groups`, the relation of `agent` as groups of world
+    ids, to name at least one id and only ids in `ids` (a set, or a dict
+    keyed by id).
 
-    Raises IngestionError for the first pair naming an unknown id, at its
-    left id when both are unknown.
+    Raises IngestionError for the first group at fault, at its first
+    unknown id, located as `relations[agent][k]`; a loader puts the frame's
+    location in front.
     """
-    for a, b in pairs:
-        for w in (a, b):
+    for k, group in enumerate(groups):
+        if not group:
+            raise IngestionError(f"relations[{agent!r}][{k}] must name at least one world")
+        for w in group:
             if w not in ids:
                 raise IngestionError(
-                    f"relation pair ({a!r}, {b!r}) references unknown world id {w!r}"
+                    f"relations[{agent!r}][{k}] references unknown world id {w!r}"
                 )
 
 
 def _merge(groups, ids) -> tuple:
-    """The finest partition of `ids` (any iterable of distinct ids) whose
-    blocks join the members of each of `groups` (iterables of ids, of any
-    size, such as pairs or blocks), once every id they name is known to be
-    one of `ids`.  Blocks are frozensets, ordered by their smallest member."""
+    """The closure of `groups`, groups of ids that pass `check_relation`:
+    the finest partition of `ids` (any iterable of distinct ids) whose
+    blocks join the members of each group.  A group of one id joins
+    nothing, and an id no group names is a block of its own.  Blocks are
+    frozensets, ordered by their smallest member."""
     block_of: dict = {}  # id -> the set of its block, for ids some group names
     for group in groups:
         block = None
@@ -295,9 +300,11 @@ class PALModel:
 
     Worlds keep their construction order, which later fixes path enumeration
     order, and the model is immutable once built.  `relations` maps an agent
-    to a partition (an iterable of world-id blocks); agents without an entry
-    get the identity partition, i.e. they can tell every pair of worlds
-    apart.  The validated blocks are kept as the agent's groups.
+    to its relation as groups of world ids (iterables: pairs, blocks or
+    groups of one id) that pass `check_relation`; the relation is their
+    closure, so overlapping groups merge and a world no group names stands
+    alone.  An agent without an entry can tell every pair of worlds apart.
+    The groups are copied into tuples and closed when first read.
     """
 
     def __init__(self, worlds: Iterable[World], agents: Iterable[str],
@@ -307,45 +314,16 @@ class PALModel:
             if not isinstance(world, World):
                 raise ValueError(f"expected World, got {world!r}")
         by_id = index_worlds(worlds)
-
         agents = tuple(agents)
         check_roster(agents)
-
-        ids = frozenset(by_id)
-        relations = dict(relations or {})
+        relations = relations or {}
         check_relation_agents(relations, agents)
-
-        groups: dict[str, list] = {}
+        groups = {}
         for agent in agents:
-            supplied = relations.get(agent)
-            if supplied is None:
-                raw = [frozenset((wid,)) for wid in ids]
-            else:
-                raw = [frozenset(block) for block in supplied]
-                covered: set[str] = set()
-                for block in raw:
-                    if not block:
-                        raise IngestionError(f"empty relation block for agent {agent!r}")
-                    for wid in block:
-                        if wid not in ids:
-                            raise IngestionError(
-                                f"relation for agent {agent!r} references unknown world id {wid!r}"
-                            )
-                        if wid in covered:
-                            raise IngestionError(
-                                f"world id {wid!r} appears in two relation blocks for agent {agent!r}"
-                            )
-                        covered.add(wid)
-                if covered != ids:
-                    missing = ", ".join(repr(w) for w in sorted(ids - covered))
-                    raise IngestionError(
-                        f"relation for agent {agent!r} does not cover world(s) {missing}"
-                    )
-            groups[agent] = raw
-        self._worlds, self._by_id, self._agents = worlds, by_id, agents
-        self._relations = groups
-        # Validated blocks are their own closure, once ordered.
-        self._partitions = {agent: tuple(sorted(raw, key=min)) for agent, raw in groups.items()}
+            groups[agent] = [tuple(group) for group in relations.get(agent) or ()]
+            check_relation(agent, groups[agent], by_id)
+        # Take the fields of the model that the unchecked constructor builds.
+        self.__dict__ = PALModel.from_checked(worlds, agents, groups, by_id).__dict__
 
     @classmethod
     def from_checked(cls, worlds: tuple, agents: tuple, relations: dict,
@@ -354,10 +332,9 @@ class PALModel:
 
         For callers that have checked them: `worlds` a tuple of Worlds with
         distinct ids, `agents` passes `check_roster`, and `relations` maps
-        each agent of the roster to its groups, iterables of ids of
-        `worlds` (pairs that pass `check_pair_ids`, or blocks), whose
-        closure is the agent's relation.  `by_id` maps each id to its
-        world, and is built when not given.
+        each agent of the roster to its groups, which pass `check_relation`
+        and whose closure is the agent's relation.  `by_id` maps each id to
+        its world, and is built when not given.
         """
         model = object.__new__(cls)
         model._worlds = worlds

@@ -11,8 +11,8 @@ import json
 from pathlib import Path
 
 from .errors import IngestionError, ParseError
-from .model import (Atom, PALModel, Record, RuleSet, World, check_pair_ids, check_relation_agents,
-                    check_roster, index_worlds, rule_closure)
+from .model import (Atom, PALModel, Record, RuleSet, World, check_relation,
+                    check_relation_agents, check_roster, index_worlds, rule_closure)
 from .model import enrich_model  # noqa: F401  (kept importable for tools that wrap it)
 from .transition import TransitionSystem, build_ts, check_groups
 
@@ -102,22 +102,18 @@ def _atom_set(value, atom_sets: dict, where: str, close) -> frozenset:
     return atom_set
 
 
-def _pairs(value, where: str) -> tuple:
-    """The entries of `value`, each checked to be a pair of world-id
+def _groups(value, where: str) -> tuple:
+    """The entries of `value`, each checked to be an array of world-id
     strings, copied into a tuple of tuples."""
-    pairs = []
+    groups = []
     for k, entry in enumerate(_as_list(value, where)):
         if not isinstance(entry, list):
             raise _wrong_type(entry, "an array", f"{where}[{k}]")
-        if len(entry) != 2:
-            raise IngestionError(f"{where}[{k}] must be a [left, right] world-id pair")
-        a, b = entry
-        if not isinstance(a, str):
-            raise _wrong_type(a, "a string", f"{where}[{k}][0]")
-        if not isinstance(b, str):
-            raise _wrong_type(b, "a string", f"{where}[{k}][1]")
-        pairs.append((a, b))
-    return tuple(pairs)
+        for m, w in enumerate(entry):
+            if not isinstance(w, str):
+                raise _wrong_type(w, "a string", f"{where}[{k}][{m}]")
+        groups.append(tuple(entry))
+    return tuple(groups)
 
 
 def load_rules(source) -> RuleSet:
@@ -173,10 +169,12 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
 
     Each world is checked in full before the next, its atoms before its id
     (by `World(...)`, which keeps the frozenset it is given, so equal atom
-    lists share one set); then the ids are compared, then the relations
-    checked.  `indexed` is the list of checked sets of a system document's
-    "atom_sets", or None when it has none; only then may a world's "atoms"
-    be an index into it.  Locations are formatted only for failing checks.
+    lists share one set); then the ids are compared, then each agent's
+    relation: the shape of its groups, each copied into a tuple, then
+    `check_relation`, whose message gets `where` in front.  `indexed` is
+    the list of checked sets of a system document's "atom_sets", or None
+    when it has none; only then may a world's "atoms" be an index into it.
+    Locations are formatted only for failing checks.
     """
     worlds_value = _as_list(_get(entry, "worlds", where), f"{where}.worlds")
     if not worlds_value:
@@ -211,14 +209,14 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
     except IngestionError as exc:
         raise IngestionError(f"{where}.{exc}") from None
     listed = {}
-    for agent, pairs_value in relations_value.items():
-        listed[agent] = _pairs(pairs_value, f"{where}.relations[{agent!r}]")
+    for agent, groups_value in relations_value.items():
+        listed[agent] = _groups(groups_value, f"{where}.relations[{agent!r}]")
         try:
-            check_pair_ids(listed[agent], by_id)
+            check_relation(agent, listed[agent], by_id)
         except IngestionError as exc:
-            raise IngestionError(f"{where}.relations[{agent!r}]: {exc}") from None
-    pairs = {agent: listed.get(agent, ()) for agent in agents}  # roster order
-    return PALModel.from_checked(tuple(worlds), agents, pairs, by_id)
+            raise IngestionError(f"{where}.{exc}") from None
+    groups = {agent: listed.get(agent, ()) for agent in agents}  # roster order
+    return PALModel.from_checked(tuple(worlds), agents, groups, by_id)
 
 
 class FramesDocument(Record):
@@ -244,15 +242,17 @@ def ingest(frames_source, rules_source=None) -> FramesDocument:
 
     {"agents": [...], "groups": {name: [...]}, "frames": [frame, ...]}
     where each frame is {"worlds": [{"id": w, "atoms": [[d, c], ...]}, ...],
-    "relations": {agent: [[w, w'], ...], ...}}.
+    "relations": {agent: [[w, ...], ...], ...}}.
 
-    Missing agents in "relations" (or empty pair lists) mean the agent
-    distinguishes all worlds of that frame.  Each distinct atom list is
-    checked and closed under the rules once per document, and worlds with
-    equal atom lists share one atom set.  For that the rules are loaded
-    first, but an error in them is raised only after the frames document
-    has passed every check, as though the frames were loaded first.  A
-    frame closes an agent's relation when its partition is first read.
+    An agent's relation is the closure of its groups of world ids, pairs
+    or any other size, as in `PALModel`; an agent that "relations" leaves
+    out, or whose groups join no two worlds, distinguishes all worlds of
+    that frame.  Each distinct atom list is checked and closed under the
+    rules once per document, and worlds with equal atom lists share one
+    atom set.  For that the rules are loaded first, but an error in them is
+    raised only after the frames document has passed every check, as
+    though the frames were loaded first.  A frame closes an agent's
+    relation when its partition is first read.
     """
     close = error = None
     if rules_source is not None:
@@ -279,22 +279,14 @@ def ingest(frames_source, rules_source=None) -> FramesDocument:
     return FramesDocument(agents=agents, frames=frames, groups=groups)
 
 
-def _relation_pairs(model: PALModel, agent: str) -> list:
-    """Each block of two or more worlds as a chain of its sorted members."""
-    pairs = []
-    for block in model.partition(agent):
-        if len(block) > 1:
-            members = sorted(block)
-            pairs.extend([a, b] for a, b in zip(members, members[1:]))
-    return pairs
-
-
 def dump_ts(ts: TransitionSystem, scores: ScoreTable | None = None) -> dict:
     """Serialize a system (and optionally its edge scores) to a JSON dict.
 
     "atom_sets" lists each distinct atom set once, as a sorted
     [[data_id, class_id], ...] list, in order of first use, layer by layer
     and world by world; each world's "atoms" is the index of its set there.
+    Each agent's relation in a layer lists each block of two or more worlds
+    once, as its sorted ids, in the partition's order.
     The edges are listed, each with its score, only when `scores` is given;
     without scores there is no "edges" key, because the layers imply every
     edge.
@@ -309,7 +301,8 @@ def dump_ts(ts: TransitionSystem, scores: ScoreTable | None = None) -> dict:
             "worlds": [{"id": w.id, "atoms": index.setdefault(w.atoms, len(index))}
                        for w in model.worlds],
             "relations": {
-                agent: _relation_pairs(model, agent) for agent in ts.agents
+                agent: [sorted(block) for block in model.partition(agent) if len(block) > 1]
+                for agent in ts.agents
             },
         })
     doc["atom_sets"] = [[[a.data_id, a.class_id] for a in sorted(atoms)] for atoms in index]
@@ -403,10 +396,13 @@ def load_ts(source):
     it.  Each distinct atom list is checked once per document, and worlds
     with equal atom lists share one atom set.
 
-    Every relation is checked here, but a layer closes an agent's pairs
-    into its partition only when that partition is first read, so a command
-    that reads none (such as `mppe`) closes none.  The layers keep their
-    own copies of the pairs, so changing `source` later changes no layer.
+    A relation is a list of groups of world ids, as in `ingest`: the blocks
+    `dump_ts` writes, and the chains of pairs that older versions wrote,
+    load alike.  Every relation is checked here, but a layer closes an
+    agent's groups into its partition only when that partition is first
+    read, so a command that reads none (such as `mppe`) closes none.  The
+    layers keep their own copies of the groups, so changing `source` later
+    changes no layer.
     """
     doc = _as_dict(_load_json(source), "system document")
     agents, groups = _roster_and_groups(doc, "system document")

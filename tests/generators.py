@@ -51,6 +51,19 @@ def random_pairs(rng: random.Random, ids, count):
     return [(rng.choice(ids), rng.choice(ids)) for _ in range(count)]
 
 
+def random_groups(rng: random.Random, ids):
+    """A random relation as a list of groups of 1 to 5 ids, drawn with
+    repeats, so that groups overlap, an id may recur in one group or in
+    several, and some ids may be in none."""
+    return [[rng.choice(ids) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(0, 4))]
+
+
+def chain(group) -> list:
+    """The chain of consecutive pairs of the sorted members of `group`."""
+    members = sorted(group)
+    return [[a, b] for a, b in zip(members, members[1:])]
+
+
 def random_model_with_pairs(rng: random.Random, max_worlds=5, max_agents=3):
     """A random model plus the raw relation pairs it was built from."""
     n = rng.randint(1, max_worlds)
@@ -195,6 +208,18 @@ def listed_atoms(doc: dict) -> dict:
         for layer in doc["layers"]
     ]
     return json.loads(json.dumps(doc))
+
+
+def chained_relations(doc: dict) -> dict:
+    """A copy of the frames or system document `doc` in which each relation
+    group is replaced by the chain of its sorted members, the layout older
+    versions wrote.  Nothing in the copy is shared."""
+    doc = json.loads(json.dumps(doc))
+    for entry in doc["layers" if "layers" in doc else "frames"]:
+        relations = entry.get("relations", {})
+        for agent, groups in relations.items():
+            relations[agent] = [pair for group in groups for pair in chain(group)]
+    return doc
 
 
 def stream_frames_document(rng: random.Random, frames=1000, width=10):

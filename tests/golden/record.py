@@ -152,10 +152,21 @@ _SCORERS = {
 }
 
 
+# Relations of the demo's two frames as groups of one, two and three ids,
+# some of them overlapping.
+_GROUPS = [{"a": [["w11"], ["w12", "w10", "w11"]], "b": [["w12", "w11"], ["w11"]]},
+           {"a": [["w21"]], "b": [["w20", "w21"], ["w21", "w20"]]}]
+
+
 def _demo_session() -> dict:
     frames = _demo("demo_frames.json")
     utf8 = copy.deepcopy(frames)
     utf8["frames"][0]["worlds"][0]["atoms"] = [["v1", "Katze\u00e9"]]
+    grouped_frames = copy.deepcopy(frames)
+    grouped_system = _demo("demo_ts_listed_edges.json")
+    for frame, layer, relations in zip(grouped_frames["frames"], grouped_system["layers"][1:],
+                                       _GROUPS):
+        frame["relations"] = layer["relations"] = relations
     files = {
         "frames.json": _text(frames),
         "scores.json": _text(_demo("demo_scores.json")),
@@ -164,6 +175,8 @@ def _demo_session() -> dict:
                                        {"class": "Dog", "implies": ["Animal", "Pet"]}]}),
         "cands.json": _text({"candidates": ["v1:Cat", "K{a} v1:Cat", "!v2:Dog", "v2:Cat"]}),
         "utf8-frames.json": {"text": json.dumps(utf8, ensure_ascii=False)},
+        "groups-frames.json": _text(grouped_frames),
+        "groups-system.json": _text(grouped_system),
         "bom-frames.json": {"text": "\ufeff" + json.dumps(frames)},
         "utf16-frames.json": encode(b"\xff\xfe" + json.dumps(frames).encode()),
         "empty.json": {"text": ""},
@@ -176,6 +189,7 @@ def _demo_session() -> dict:
         ["build", "--frames", "frames.json", "--output", "ts.json"],
         ["build", "--frames", "frames.json", "--rules", "rules.json", "--output", "ts-rules.json"],
         ["build", "--frames", "utf8-frames.json", "--output", "ts-utf8.json"],
+        ["build", "--frames", "groups-frames.json", "--output", "ts-groups.json"],
         ["build", "--frames", "bom-frames.json", "--output", "x.json"],
         ["build", "--frames", "utf16-frames.json", "--output", "x.json"],
         ["build", "--frames", "empty.json", "--output", "x.json"],
@@ -231,6 +245,10 @@ def _demo_session() -> dict:
         ["check", "--ts", "missing.json", "--formula", "true"],
         ["check", "--ts", "listed.json", "--formula", "F v2:Cat"],
     ]
+    for system in ("ts-groups.json", "groups-system.json"):
+        for formula in ("X (v1:Cat -> K{b} v1:Cat)", "X D{a,b} !v1:Dog", "X X K{b} v2:Cat",
+                        "X X (v2:Cat -> K{a} v2:Cat)", "G (D{both} v1:Cat -> X v2:Cat)"):
+            commands.append(["check", "--ts", system, "--formula", formula])
     env_cases = [({"LTPAL_PATH_CAP": "2"}, "true"), ({"LTPAL_PATH_CAP": "100"}, "true"),
                  ({"LTPAL_PATH_CAP": "x"}, "true"), ({"LTPAL_PATH_CAP": "0"}, "true")]
     commands += [{"argv": ["check", "--ts", "ts.json", "--formula", formula], "env": env}
@@ -382,6 +400,7 @@ def _model_corruptions(key: str) -> dict:
         "relation-1-list-pair": _set([key, i, "relations", "a"], [["w10"]]),
         "relation-int-member": _set([key, i, "relations", "a"], [["w10", 5]]),
         "relation-not-list": _set([key, i, "relations", "b"], {"x": "w10"}),
+        "relation-empty-group": _set([key, i, "relations", "a"], [["w10", "w11"], []]),
         "duplicate-agent": lambda doc: doc["agents"].append("a"),
         "empty-agent": lambda doc: doc["agents"].append(""),
         "agent-int": _set(["agents", 0], 3),

@@ -219,8 +219,8 @@ def _renamed(doc, rename):
     for layer in doc["layers"]:
         for world in layer["worlds"]:
             world["id"] = rename(world["id"])
-        layer["relations"] = {agent: [[rename(a), rename(b)] for a, b in pairs]
-                              for agent, pairs in layer["relations"].items()}
+        layer["relations"] = {agent: [[rename(w) for w in group] for group in groups]
+                              for agent, groups in layer["relations"].items()}
     return doc
 
 

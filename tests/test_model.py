@@ -13,17 +13,17 @@ from ltpal.model import (
     PALModel,
     RuleSet,
     World,
-    check_pair_ids,
+    check_relation,
     check_relation_agents,
     enrich_model,
     index_worlds,
     rule_closure,
 )
 from ltpal.mppe import FrameChoice, ScoredPath
-from ltpal.serialize import FramesDocument
+from ltpal.serialize import FramesDocument, ingest, load_ts
 from ltpal.transition import ExecPath, build_ts
 
-from generators import random_model_with_pairs
+from generators import chain, random_groups, random_model_with_pairs
 from oracles import bfs_partition, closure_fixpoint
 
 
@@ -107,40 +107,69 @@ def _hard_pairs(rng, ids) -> list:
     return pairs
 
 
+def _one_frame(ids, groups) -> dict:
+    """A frame of worlds `ids`, with no atoms, whose agent a lists `groups`."""
+    return {"worlds": [{"id": w} for w in ids], "relations": {"a": [list(g) for g in groups]}}
+
+
 def test_equivalence_closure_matches_bfs_oracle():
+    """A relation given as pairs, or as groups of any size, closes to the
+    referee's blocks of the groups' chains of pairs: through
+    `PALModel.from_checked`, `PALModel(...)`, `ingest` and `load_ts`."""
     rng = random.Random(99)
-    for trial in range(600):
+    ends = [{"worlds": [{"id": "start"}]}, {"worlds": [{"id": "end"}]}]
+    for trial in range(900):
         ids = [f"w{k}" for k in range(rng.randint(1, 7 if trial < 200 else 30))]
         rng.shuffle(ids)  # string order ("w10" < "w9") differs from list order
-        if trial >= 200:
-            pairs = _hard_pairs(rng, ids)
+        if trial >= 600:  # groups of 1 to 5 ids that overlap and leave ids out
+            groups = random_groups(rng, ids)
+            pairs = [pair for group in groups for pair in chain(group)]
         else:
-            pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 8))]
-        groups = pairs
-        if trial % 3 == 0:  # a group of one id joins nothing
-            groups = pairs + [(w,) for w in rng.sample(ids, rng.randint(0, len(ids)))]
-        model = PALModel.from_checked(tuple(map(World, ids)), ("a",), {"a": groups})
-        blocks = model.partition("a")
+            if trial >= 200:
+                pairs = _hard_pairs(rng, ids)
+            else:
+                pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 8))]
+            groups = pairs
+            if trial % 3 == 0:  # a group of one id joins nothing
+                groups = pairs + [(w,) for w in rng.sample(ids, rng.randint(0, len(ids)))]
         # Blocks come ordered by their smallest member.
-        assert blocks == tuple(sorted(bfs_partition(pairs, ids), key=min))
-        assert [min(b) for b in blocks] == sorted(min(b) for b in blocks)
+        expected = tuple(sorted(bfs_partition(pairs, ids), key=min))
+        worlds = tuple(map(World, ids))
+        frame = _one_frame(ids, groups)
+        models = [
+            PALModel.from_checked(worlds, ("a",), {"a": groups}),
+            PALModel(worlds, ["a"], {"a": groups}),
+            ingest({"agents": ["a"], "frames": [frame]}).frames[0],
+            load_ts({"agents": ["a"], "layers": [ends[0], frame, ends[1]]})[0].layers[1],
+        ]
+        for model in models:
+            assert model.partition("a") == expected
 
 
 def test_equivalence_closure_rejects_unknown_worlds():
-    with pytest.raises(IngestionError, match="unknown world id"):
-        check_pair_ids([("w0", "nope")], {"w0"})
-    # The first pair naming an unknown id is reported, at `a` when both are unknown.
-    for pairs, message in [
+    """The first group at fault is reported, at its first unknown id, with
+    one message from the rule, the constructor and a loader, which puts the
+    frame's location in front."""
+    worlds = [World("w0"), World("w1")]
+    for groups, message in [
         ([("w0", "w1"), ("w1", "x"), ("y", "w0")],
-         "relation pair ('w1', 'x') references unknown world id 'x'"),
-        ([("w0", "w0"), ("y", "w1"), ("w1", "x")],
-         "relation pair ('y', 'w1') references unknown world id 'y'"),
-        ([("w0", "w1"), ("y", "x")],
-         "relation pair ('y', 'x') references unknown world id 'y'"),
+         "relations['a'][1] references unknown world id 'x'"),
+        ([("w0",), ("y", "w1"), ("w1", "x")],
+         "relations['a'][1] references unknown world id 'y'"),
+        ([("w0", "w1", "w0"), ("y", "x")],
+         "relations['a'][1] references unknown world id 'y'"),
+        ([("w0", "w1"), (), ("x",)],
+         "relations['a'][1] must name at least one world"),
     ]:
-        with pytest.raises(IngestionError) as info:
-            check_pair_ids(pairs, {"w0", "w1"})
-        assert str(info.value) == message
+        for check, where in [
+            (lambda: check_relation("a", groups, {"w0", "w1"}), ""),
+            (lambda: PALModel(worlds, ["a"], {"a": groups}), ""),
+            (lambda: ingest({"agents": ["a"], "frames": [_one_frame(["w0", "w1"], groups)]}),
+             "frames[0]."),
+        ]:
+            with pytest.raises(IngestionError) as info:
+                check()
+            assert str(info.value) == where + message
 
 
 def test_closing_a_relation_merges_the_smaller_block_into_the_larger():
@@ -227,14 +256,26 @@ def test_model_validation_errors():
         PALModel(worlds, ["a", "a"])
     with pytest.raises(IngestionError, match="unknown agent"):
         PALModel(worlds, ["a"], {"b": [{"w0", "w1"}]})
-    with pytest.raises(IngestionError, match="empty relation block"):
+    with pytest.raises(IngestionError, match=r"^relations\['a'\]\[0\] must name at least one world$"):
         PALModel(worlds, ["a"], {"a": [set(), {"w0", "w1"}]})
-    with pytest.raises(IngestionError, match="two relation blocks"):
-        PALModel(worlds, ["a"], {"a": [{"w0", "w1"}, {"w1"}]})
-    with pytest.raises(IngestionError, match="does not cover"):
-        PALModel(worlds, ["a"], {"a": [{"w0"}]})
-    with pytest.raises(IngestionError, match="unknown world id"):
+    with pytest.raises(IngestionError, match="unknown world id 'w9'"):
         PALModel(worlds, ["a"], {"a": [{"w0", "w1", "w9"}]})
+    # Overlapping groups merge, and a world that no group names stands alone.
+    three = worlds + [World("w2")]
+    ids = [w.id for w in three]
+    for groups in ([{"w0", "w1"}, {"w1"}], [{"w0"}], [{"w0", "w1"}, ("w2", "w1")],
+                   [["w2", "w0", "w2"]], [("w1",), ("w2",)]):
+        pairs = [pair for group in groups for pair in chain(group)]
+        blocks = tuple(sorted(bfs_partition(pairs, ids), key=min))
+        assert PALModel(three, ["a"], {"a": groups}).partition("a") == blocks
+    # The groups are copied when the model is built: one-shot iterators are
+    # read once, and a later change to the caller's lists changes no model.
+    model = PALModel(three, ["a"], {"a": iter([iter(("w0", "w1"))])})
+    assert model.partition("a") == (frozenset({"w0", "w1"}), frozenset({"w2"}))
+    groups = [["w0"]]
+    model = PALModel(three, ["a"], {"a": groups})
+    groups[0].append("w2")
+    assert model.partition("a") == (frozenset({"w0"}), frozenset({"w1"}), frozenset({"w2"}))
     with pytest.raises(ValueError, match="^expected World, got 'w'$"):
         PALModel(["w"], ["a"])
 

@@ -123,8 +123,9 @@ def _text(doc) -> str:
     return text
 
 
-def _run(directory: Path, argv: list) -> None:
-    """Run `argv` in `directory` and check the no-crash property."""
+def _run(directory: Path, argv: list) -> tuple:
+    """Run `argv` in `directory` and check the no-crash property; returns
+    the exit code and stderr."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
     err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
     cwd = os.getcwd()
@@ -148,6 +149,7 @@ def _run(directory: Path, argv: list) -> None:
     elif code in (0, 1):
         assert stdout.endswith("\n") and stdout.count("\n") == 1, (argv, stdout)
         assert isinstance(json.loads(stdout), dict), (argv, stdout)
+    return code, stderr
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +190,39 @@ def test_no_argv_crashes_the_cli(directory, data, argv):
         else:
             argv.insert(at, data.draw(st.one_of(ARG_TEXT, st.sampled_from(FLAGS))))
     _run(directory, argv)
+
+
+# A relation group of 0 to 4 members, each an id of its frame, an id of no
+# world of the frame, or a value that is not a string.
+MEMBERS = st.one_of(
+    st.sampled_from(["w10", "w11", "w12", "w20", "w21"]),
+    st.sampled_from(["", "nowhere", "w00", "W10", "w10 "]),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+              st.just(["w10"]), st.just({"w10": 0})),
+)
+
+
+@SETTINGS
+@given(data=st.data(), kind=st.sampled_from(["frames", "system"]),
+       group=st.lists(MEMBERS, max_size=4))
+def test_a_relation_group_of_any_size_or_member_gives_a_verdict_or_one_error(
+        directory, data, kind, group):
+    """A drawn group is put into one agent's relation in a frame of a frames
+    or system document.  A group that is empty or names anything but an id
+    of its frame ends the command with exit 2 and one `error:` line; any
+    other group is part of a valid document."""
+    doc = json.loads(json.dumps(DOCUMENTS[kind]))
+    frames = doc["frames" if kind == "frames" else "layers"]
+    i = data.draw(st.integers(0, len(frames) - 1))
+    agent = data.draw(st.sampled_from(doc["agents"]))
+    groups = frames[i].setdefault("relations", {}).setdefault(agent, [])
+    groups.insert(data.draw(st.integers(0, len(groups))), group)
+    (directory / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = data.draw(st.sampled_from(COMMANDS[kind]))
+    code, stderr = _run(directory, ["doc.json" if arg == "DOC" else arg for arg in argv])
+    ids = {w["id"] for w in frames[i]["worlds"]}
+    if not group or not all(isinstance(w, str) and w in ids for w in group):
+        assert code == 2, (group, code, stderr)
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, (group, stderr)
+        key = "frames" if kind == "frames" else "layers"
+        assert stderr.startswith(f"error: {key}[{i}].relations[{agent!r}]["), (group, stderr)

@@ -30,7 +30,8 @@ from ltpal.syntax import parse_formula, parse_template
 from ltpal.transition import TransitionSystem, build_ts, total_path_count
 
 from generators import (
-    listed_atoms, model_from_pairs, random_frames_document, random_ts, stream_frames_document,
+    chain, chained_relations, listed_atoms, model_from_pairs, random_frames_document, random_groups,
+    random_ts, stream_frames_document,
 )
 from oracles import bfs_partition
 
@@ -508,7 +509,7 @@ def test_empty_world_id_is_reported_at_its_node(loader, key):
 def test_two_faults_in_a_frame_are_reported_in_the_order_of_the_checks(loader, key, i):
     """A world's atoms come before its id, a frame's ids are compared once
     all its worlds are read, and every relation's agent is checked before
-    any relation's pairs."""
+    any relation's groups."""
     base = FRAMES_DOC if key == "frames" else dump_ts(build_ts(ingest(FRAMES_DOC).frames))
     faults = [
         (lambda w, r: w[0].update(id="", atoms="x"), f"{key}[{i}].worlds[0].atoms must be an array, got str"),
@@ -582,8 +583,8 @@ def _replace_world(value):
 
 
 def _unpaired(layer):
-    """The worlds of a layer that no relation pair names."""
-    named = {wid for pairs in layer.get("relations", {}).values() for pair in pairs for wid in pair}
+    """The worlds of a layer that no relation group names."""
+    named = {wid for groups in layer.get("relations", {}).values() for group in groups for wid in group}
     return [w for w in layer["worlds"] if w["id"] not in named]
 
 
@@ -644,6 +645,9 @@ _CORRUPTIONS = {
     "empty-agent": lambda doc, key, rng: doc["agents"].append(""),
     "empty-roster": lambda doc, key, rng: doc.__setitem__("agents", []),
     "group-unknown-member": lambda doc, key, rng: doc.__setitem__("groups", {"g": ["a", "zz"]}),
+    "relation-empty-group": _set_relation("a", lambda ids, rng: [ids[:2], []]),
+    "relation-3-group": _set_relation("b", lambda ids, rng: [ids[:3]]),
+    "relation-overlapping-groups": _set_relation("a", lambda ids, rng: [ids[:2], ids[1:], [ids[0]]]),
 }
 
 
@@ -719,11 +723,11 @@ _PINNED = {
     ("layers", "relation-unknown-agent"):
         "layers[4].relations names unknown agent 'zz'",
     ("layers", "relation-unknown-world"):
-        "layers[4].relations['a']: relation pair ('f3w1', 'nowhere') references unknown world id 'nowhere'",
+        "layers[4].relations['a'][0] references unknown world id 'nowhere'",
     ("layers", "relation-string-pair"):
         "layers[1].relations['b'][0] must be an array, got str",
     ("layers", "relation-1-list-pair"):
-        "layers[5].relations['a'][0] must be a [left, right] world-id pair",
+        "ok",
     ("layers", "relation-int-member"):
         "layers[5].relations['a'][0][1] must be a string, got int",
     ("layers", "relation-not-list"):
@@ -736,6 +740,12 @@ _PINNED = {
         "agents must not be empty",
     ("layers", "group-unknown-member"):
         "groups: group 'g' lists unknown agent 'zz'",
+    ("layers", "relation-empty-group"):
+        "layers[3].relations['a'][1] must name at least one world",
+    ("layers", "relation-3-group"):
+        "ok",
+    ("layers", "relation-overlapping-groups"):
+        "ok",
     ("frames", "world-int"):
         "frames[2].worlds[0] must be an object, got int",
     ("frames", "world-string"):
@@ -791,11 +801,11 @@ _PINNED = {
     ("frames", "relation-unknown-agent"):
         "frames[3].relations names unknown agent 'zz'",
     ("frames", "relation-unknown-world"):
-        "frames[3].relations['a']: relation pair ('f3w1', 'nowhere') references unknown world id 'nowhere'",
+        "frames[3].relations['a'][0] references unknown world id 'nowhere'",
     ("frames", "relation-string-pair"):
         "frames[1].relations['b'][0] must be an array, got str",
     ("frames", "relation-1-list-pair"):
-        "frames[1].relations['a'][0] must be a [left, right] world-id pair",
+        "ok",
     ("frames", "relation-int-member"):
         "frames[2].relations['a'][0][1] must be a string, got int",
     ("frames", "relation-not-list"):
@@ -808,6 +818,12 @@ _PINNED = {
         "agents must not be empty",
     ("frames", "group-unknown-member"):
         "groups: group 'g' lists unknown agent 'zz'",
+    ("frames", "relation-empty-group"):
+        "frames[3].relations['a'][1] must name at least one world",
+    ("frames", "relation-3-group"):
+        "ok",
+    ("frames", "relation-overlapping-groups"):
+        "ok",
 }
 
 
@@ -934,7 +950,9 @@ def _public_model(entry, agents, close=frozenset):
     """The model of a frame or layer entry, built through the checking constructors."""
     worlds = [World(w["id"], close([Atom(*pair) for pair in w.get("atoms", [])]))
               for w in entry["worlds"]]
-    return model_from_pairs(worlds, agents, entry.get("relations", {}))
+    pairs = {agent: [pair for group in groups for pair in chain(group)]
+             for agent, groups in entry.get("relations", {}).items()}
+    return model_from_pairs(worlds, agents, pairs)
 
 
 def _atom_sets_by_list(worlds_by_entry, doc_entries):
@@ -980,11 +998,7 @@ def _reference_dump(ts, scores=None):
     for model in ts.layers:
         relations = {}
         for agent in ts.agents:
-            pairs = []
-            for block in model.partition(agent):
-                members = sorted(block)
-                pairs.extend([a, b] for a, b in zip(members, members[1:]))
-            relations[agent] = pairs
+            relations[agent] = [sorted(block) for block in model.partition(agent) if len(block) > 1]
         worlds = []
         for w in model.worlds:
             atoms = [[a.data_id, a.class_id] for a in sorted(w.atoms)]
@@ -1081,11 +1095,22 @@ def _closed_relations(monkeypatch) -> list:
     return closed
 
 
+def _grouped_frames_document(rng):
+    """A random frames document whose relations are groups of 1 to 5 ids."""
+    doc = random_frames_document(rng, max_frames=4, max_worlds=6)
+    for frame in doc["frames"]:
+        ids = [w["id"] for w in frame["worlds"]]
+        frame["relations"] = {agent: random_groups(rng, ids) for agent in doc["agents"]
+                              if rng.random() < 0.8}
+    return doc
+
+
 def _deferral_cases():
     for seed in range(40):
         rng = random.Random(seed)
         yield f"random_ts-{seed}", json.loads(json.dumps(dump_ts(random_ts(rng, max_frames=4, max_worlds=5))))
         yield f"frames-{seed}", _system_of(random_frames_document(rng, max_frames=4, max_worlds=5))
+        yield f"groups-{seed}", _system_of(_grouped_frames_document(rng))
     yield "stream-1000x10", _system_of(stream_frames_document(random.Random(101)))
 
 
@@ -1095,15 +1120,20 @@ _DEFERRAL_CASES = list(_deferral_cases())
 @pytest.mark.parametrize("doc", [doc for _, doc in _DEFERRAL_CASES],
                          ids=[name for name, _ in _DEFERRAL_CASES])
 def test_a_loaded_system_reads_as_the_closure_of_its_pairs(doc):
+    """Each relation, read by `load_ts` and by `ingest`, closes to the
+    referee's blocks of its groups' chains of pairs."""
     agents = tuple(doc["agents"])
+    entries = listed_atoms(doc)["layers"] if "atom_sets" in doc else doc["layers"]
+    frames = ingest({"agents": doc["agents"], "frames": entries}).frames
     closed_layers = []
-    for model, entry in zip(load_ts(doc)[0].layers, doc["layers"]):
+    for model, frame, entry in zip(load_ts(doc)[0].layers, frames, entries):
         ids = [w["id"] for w in entry["worlds"]]
         relations = entry.get("relations", {})
-        partitions = {agent: tuple(sorted(bfs_partition(relations.get(agent, []), ids), key=min))
-                      for agent in agents}
+        partitions = {agent: tuple(sorted(bfs_partition(
+            [pair for group in relations.get(agent, []) for pair in chain(group)], ids), key=min))
+            for agent in agents}
         for agent in agents:
-            assert model.partition(agent) == partitions[agent]
+            assert model.partition(agent) == frame.partition(agent) == partitions[agent]
         closed_layers.append(PALModel(model.worlds, agents, partitions))
     closed = TransitionSystem(closed_layers, groups=doc.get("groups"))
 
@@ -1123,6 +1153,23 @@ def test_a_loaded_system_reads_as_the_closure_of_its_pairs(doc):
     assert [m.renamed(rename) for m in load_ts(doc)[0].layers] == [m.renamed(rename) for m in closed_layers]
 
 
+def test_a_system_in_the_chain_layout_loads_equal_to_the_block_layout():
+    """Older versions wrote each block of a relation as the chain of its
+    sorted members; such a file, and a frames document of chains, loads to
+    the same system as the groups it chains."""
+    for name, doc in _DEFERRAL_CASES:
+        chained = chained_relations(doc)
+        assert all(len(pair) == 2 for layer in chained["layers"]
+                   for groups in layer.get("relations", {}).values() for pair in groups)
+        loaded = load_ts(chained)
+        assert loaded == load_ts(doc), name
+        if "atom_sets" in doc:  # as `dump_ts` writes it
+            assert dump_ts(loaded[0]) == doc, name
+    for seed in range(40):
+        frames = _grouped_frames_document(random.Random(seed))
+        assert ingest(chained_relations(frames)) == ingest(frames)
+
+
 def test_load_ts_closes_each_relation_once_when_it_is_first_read(tmp_path, monkeypatch):
     frames = stream_frames_document(random.Random(7), frames=50, width=6)
     closed = _closed_relations(monkeypatch)
@@ -1134,15 +1181,16 @@ def test_load_ts_closes_each_relation_once_when_it_is_first_read(tmp_path, monke
     assert layer.partition("b") is first
     assert any(layer.block("b", "w7_3") is block for block in first)
     assert closed == ["w7_0"]
-    # Neither does `ingest` close a relation; `build` writes every one, and
-    # closes each exactly once.
+    # Neither does `ingest` close a relation; `build` writes every one, the
+    # endpoint layers' too, and closes each exactly once.
     closed.clear()
     ingest(frames)
     assert closed == []
     source, target = tmp_path / "frames.json", tmp_path / "ts.json"
     source.write_text(json.dumps(frames))
     assert main(["build", "--frames", str(source), "--output", str(target)]) == 0
-    assert sorted(closed) == sorted(f"w{i}_0" for i in range(1, 51) for _ in "ab")
+    smallest = ["w00", *(f"w{i}_0" for i in range(1, 51)), "w510"]
+    assert sorted(closed) == sorted(w for w in smallest for _ in "ab")
 
 
 def test_mppe_closes_no_relation_and_a_universal_check_only_the_announced_layers(
