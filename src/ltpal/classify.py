@@ -183,17 +183,16 @@ def verdict(
     `candidates` the verdict is a missing-information check: the base query
     must fail, and the report lists the candidates whose announcement,
     wrapped around each slot, makes the query pass with the same
-    quantifier.
+    quantifier.  The candidates follow the rule of the atoms, checked up
+    front whether or not they are tried: PAL formulas without placeholders,
+    an Atom read as its `Prop`.
     """
     if (group is None) == (agent is None):
         raise ValueError("exactly one of group or agent must be given")
     if candidates is not None:
-        candidates = list(candidates)
+        candidates = _pal_arguments(candidates, "candidate")
         if not candidates:
             raise ValueError("missing-information checks need a non-empty candidate list")
-        for pos, candidate in enumerate(candidates, 1):
-            if not isinstance(candidate, PalFormula):
-                raise ValueError(f"candidate {pos} is not a PAL formula: {candidate!r}")
     if group is not None:
         group = tuple(group)
         if not group:

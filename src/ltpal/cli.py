@@ -83,7 +83,8 @@ def _note(message: str) -> None:
     print(f"note: {message}", file=sys.stderr)
 
 
-def _resolve_cap(flag) -> int:
+def _resolve_cap(flag: str | None) -> int:
+    """The path cap of `--cap`'s text or, without the flag, LTPAL_PATH_CAP's."""
     source = "--cap" if flag is not None else "LTPAL_PATH_CAP"
     try:
         return check_path_cap(flag if flag is not None else os.environ.get(source), source)
@@ -311,7 +312,7 @@ def _check_options(check) -> None:
     check.add_argument("--mppe-only", action="store_true",
                        help="evaluate on the most probable path only")
     check.add_argument("--scores", help="edge scores JSON (with --mppe-only)")
-    check.add_argument("--cap", type=int, help="path enumeration cap")
+    check.add_argument("--cap", help="path enumeration cap")
     check.add_argument("--skip-dummies", action="store_true",
                        help="evaluate from the first real frame")
     check.set_defaults(func=_cmd_check)
@@ -328,7 +329,7 @@ def _classify_options(classify) -> None:
     who.add_argument("--group", help="agent group (comma-separated ids or a group alias)")
     who.add_argument("--agent", help="single agent id")
     classify.add_argument("--candidates", help="candidate announcements JSON (missing-* modes)")
-    classify.add_argument("--cap", type=int, help="path enumeration cap")
+    classify.add_argument("--cap", help="path enumeration cap")
     classify.add_argument("--skip-dummies", action="store_true",
                           help="evaluate from the first real frame")
     classify.add_argument("--mppe-only", action="store_true",

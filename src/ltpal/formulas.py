@@ -355,8 +355,9 @@ class Template(Record):
         return cls(skeleton, arity)
 
 
-def _pal_arguments(args: Iterable) -> list:
-    """Template arguments as PAL formulas, an Atom read as its `Prop`.
+def _pal_arguments(args: Iterable, noun: str = "argument") -> list:
+    """Template arguments, or other operands named by `noun`, as PAL
+    formulas, an Atom read as its `Prop`.
 
     Each must be a PAL formula without placeholders; the error names the
     1-based position of the first that is not.
@@ -366,9 +367,9 @@ def _pal_arguments(args: Iterable) -> list:
         if isinstance(arg, Atom):
             arg = Prop(arg)
         if not isinstance(arg, PalFormula):
-            raise ValueError(f"argument {pos} is not a PAL formula: {arg!r}")
+            raise ValueError(f"{noun} {pos} is not a PAL formula: {arg!r}")
         if placeholder_indices(arg):
-            raise ValueError(f"argument {pos} still contains placeholders")
+            raise ValueError(f"{noun} {pos} still contains placeholders")
         checked.append(arg)
     return checked
 

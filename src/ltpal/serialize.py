@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import IngestionError, ParseError
+from .errors import IngestionError, LtpalError
 from .model import (Atom, PALModel, Record, RuleSet, World, check_relation,
                     check_relation_agents, check_roster, index_worlds, rule_closure)
 from .model import enrich_model  # noqa: F401  (kept importable for tools that wrap it)
@@ -64,16 +64,22 @@ def _get(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _at(where: str, sep: str, check, *args, **kwargs):
+    """`check(*args, **kwargs)`, its error, if any, re-raised as an
+    IngestionError with `where` and `sep` in front of its message."""
+    try:
+        return check(*args, **kwargs)
+    except (LtpalError, ValueError) as exc:
+        raise IngestionError(f"{where}{sep}{exc}") from None
+
+
 def _atom(value, where: str) -> Atom:
     pair = _as_list(value, where)
     if len(pair) != 2:
         raise IngestionError(f"{where} must be a [data_id, class_id] pair")
     data_id = _as_str(pair[0], f"{where}[0]")
     class_id = _as_str(pair[1], f"{where}[1]")
-    try:
-        return Atom(data_id, class_id)
-    except ValueError as exc:
-        raise IngestionError(f"{where}: {exc}") from None
+    return _at(where, ": ", Atom, data_id, class_id)
 
 
 def _seen(value, atom_sets: dict):
@@ -130,10 +136,7 @@ def load_rules(source) -> RuleSet:
             for j, v in enumerate(_as_list(_get(entry, "implies", where), f"{where}.implies"))
         ]
         table.setdefault(class_id, []).extend(implied)
-    try:
-        return RuleSet(table)
-    except ValueError as exc:
-        raise IngestionError(f"rules document: {exc}") from None
+    return _at("rules document", ": ", RuleSet, table)
 
 
 def _roster_and_groups(doc: dict, where: str) -> tuple:
@@ -146,19 +149,13 @@ def _roster_and_groups(doc: dict, where: str) -> tuple:
     if not agents_value:
         raise IngestionError("agents must not be empty")
     agents = tuple(_as_str(a, f"agents[{i}]") for i, a in enumerate(agents_value))
-    try:
-        check_roster(agents)
-    except IngestionError as exc:
-        raise IngestionError(f"agents: {exc}") from None
+    _at("agents", ": ", check_roster, agents)
     groups = {
         name: tuple(_as_str(m, f"groups[{name!r}][{i}]")
                     for i, m in enumerate(_as_list(members, f"groups[{name!r}]")))
         for name, members in _as_dict(doc.get("groups", {}), "groups").items()
     }
-    try:
-        check_groups(groups, agents)
-    except IngestionError as exc:
-        raise IngestionError(f"groups: {exc}") from None
+    _at("groups", ": ", check_groups, groups, agents)
     return agents, groups
 
 
@@ -199,22 +196,13 @@ def _load_model(entry: dict, agents: tuple, where: str, atom_sets: dict, close=N
             worlds.append(World(value["id"], atom_set))
         except ValueError as exc:
             raise IngestionError(f"{where}.worlds[{j}]: {exc}") from None
-    try:
-        by_id = index_worlds(worlds)
-    except IngestionError as exc:
-        raise IngestionError(f"{where}: {exc}") from None
+    by_id = _at(where, ": ", index_worlds, worlds)
     relations_value = _as_dict(entry.get("relations", {}), f"{where}.relations")
-    try:
-        check_relation_agents(relations_value, agents)
-    except IngestionError as exc:
-        raise IngestionError(f"{where}.{exc}") from None
+    _at(where, ".", check_relation_agents, relations_value, agents)
     listed = {}
     for agent, groups_value in relations_value.items():
         listed[agent] = _groups(groups_value, f"{where}.relations[{agent!r}]")
-        try:
-            check_relation(agent, listed[agent], by_id)
-        except IngestionError as exc:
-            raise IngestionError(f"{where}.{exc}") from None
+        _at(where, ".", check_relation, agent, listed[agent], by_id)
     groups = {agent: listed.get(agent, ()) for agent in agents}  # roster order
     return PALModel.from_checked(tuple(worlds), agents, groups, by_id)
 
@@ -368,10 +356,7 @@ def _edge_rows(entries: list, ts: TransitionSystem) -> tuple:
                 continue
             from .mppe import check_score
 
-            try:
-                score = check_score(score, u, v)
-            except IngestionError as exc:
-                raise IngestionError(f"edges[{i}]: {exc}") from None
+            score = _at(f"edges[{i}]", ": ", check_score, score, u, v)
         row[v] = score
     # Every entry is a distinct edge, so the entries cover the system when
     # there are as many as it has edges.
@@ -419,10 +404,7 @@ def load_ts(source):
                     indexed=indexed)
         for i, entry in enumerate(layers_value)
     ]
-    try:
-        ts = TransitionSystem(layers, groups=groups or None)
-    except IngestionError as exc:
-        raise IngestionError(f"system document: {exc}") from None
+    ts = _at("system document", ": ", TransitionSystem, layers, groups=groups or None)
 
     if "edges" not in doc:
         return ts, None
@@ -461,11 +443,8 @@ def load_candidates(source) -> list:
     parse = __getattr__("parse_pal_formula")
     candidates = []
     for i, text in enumerate(entries):
-        text = _as_str(text, f"candidates[{i}]")
-        try:
-            candidates.append(parse(text))
-        except ParseError as exc:
-            raise IngestionError(f"candidates[{i}]: {exc}") from None
+        where = f"candidates[{i}]"
+        candidates.append(_at(where, ": ", parse, _as_str(text, where)))
     return candidates
 
 

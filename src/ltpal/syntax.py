@@ -26,6 +26,10 @@ reported as `EpistemicScopeError`, a distinct subclass of `ParseError`.
 The lexer is one regular expression, an alternative per token shape; only
 a newline starts a line, and every other character takes one column.
 
+The parser builds every node with the constructors of `formulas`
+(`t_not`, `t_and`, `t_or`, `t_implies`, `future`, `release`, ...), so
+its output has their canonical shape.
+
 Neither the parser nor `pretty` recurses: both keep explicit stacks, so
 formulas may nest to any depth.
 
@@ -65,10 +69,18 @@ from .formulas import (
     globally,
     lift,
     release,
+    t_and,
+    t_implies,
+    t_not,
+    t_or,
     top,
     weak_until,
 )
 from .model import Atom
+
+# Interned, so a constant is recognised by identity.
+_TRUE, _FALSE = top(), bottom()
+_PAL_TOP, _PAL_BOTTOM = Pal(_TRUE), Pal(_FALSE)
 
 _KEYWORDS = {"K", "D", "X", "F", "G", "U", "R", "W", "true", "false"}
 
@@ -112,32 +124,24 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
-def _not(a: Formula) -> Formula:
-    return PNot(a) if isinstance(a, PalFormula) else TNot(a)
-
-
-def _and(a: Formula, b: Formula) -> Formula:
-    if isinstance(a, PalFormula) and isinstance(b, PalFormula):
-        return PAnd(a, b)
-    return TAnd(lift(a), lift(b))
-
-
 # Operator-stack entry kind -> how it combines its payload (the announced
-# formula, the agent or agents, or the left operand) with the operand after it.
+# formula, the agent or agents, or the left operand) with the operand after
+# it.  Operands are lifted; an epistemic or announcement scope admits no
+# temporal operator, so the operands there are PAL leaves.
 _BUILD = {
-    "!": lambda _, a: _not(a),
-    "X": lambda _, a: Next(lift(a)),
-    "F": lambda _, a: future(lift(a)),
-    "G": lambda _, a: globally(lift(a)),
-    "K": Knows,
-    "D": Dist,
-    "[]": Announce,
-    "&": _and,
-    "|": lambda a, b: _not(_and(_not(a), _not(b))),
-    "->": lambda a, b: _not(_and(a, _not(b))),
-    "U": lambda a, b: Until(lift(a), lift(b)),
-    "R": lambda a, b: release(lift(a), lift(b)),
-    "W": lambda a, b: weak_until(lift(a), lift(b)),
+    "!": lambda _, a: t_not(a),
+    "X": lambda _, a: Next(a),
+    "F": lambda _, a: future(a),
+    "G": lambda _, a: globally(a),
+    "K": lambda agent, a: Pal(Knows(agent, a.formula)),
+    "D": lambda agents, a: Pal(Dist(agents, a.formula)),
+    "[]": lambda announced, a: Pal(Announce(announced.formula, a.formula)),
+    "&": t_and,
+    "|": t_or,
+    "->": t_implies,
+    "U": Until,
+    "R": release,
+    "W": weak_until,
 }
 
 # Binding strength of the stack entries an operand completes: the
@@ -164,9 +168,10 @@ class _Parser:
     brackets.  Each entry also carries the scope that applies to the tokens
     after it: None while temporal operators are allowed, and inside an
     epistemic or announcement scope a description of that scope for error
-    messages.  Boolean connectives keep pure PAL operands inside the PAL
-    layer, so a formula without temporal operators parses to a single PAL
-    tree (lifted once at the very end).
+    messages.  Every operand is a lifted formula, and each operator is
+    built by its constructor in `formulas`, whose boolean connectives keep
+    pure PAL operands inside the PAL layer: a formula without temporal
+    operators parses to a single `Pal` leaf.
     """
 
     def __init__(self, text: str, *, allow_placeholders: bool):
@@ -203,7 +208,7 @@ class _Parser:
             return f"placeholder ?{token.value}"
         return f"'{token.value}'"
 
-    def parse(self, pal_scope: str | None) -> Formula:
+    def parse(self, pal_scope: str | None) -> TemporalFormula:
         stack = []  # (kind, payload, scope of the tokens after the entry)
         operand = self._operand(stack, pal_scope)
         while True:
@@ -237,7 +242,7 @@ class _Parser:
                 continue
             operand = self._operand(stack, pal_scope)
 
-    def _operand(self, stack: list, pal_scope: str | None) -> Formula:
+    def _operand(self, stack: list, pal_scope: str | None) -> TemporalFormula:
         """Push the prefix operators and opening brackets that start an
         operand, each with the scope after it, and return the primary
         formula that ends them."""
@@ -266,7 +271,7 @@ class _Parser:
                 return self._primary(token)
             stack.append((kind, payload, scope))
 
-    def _finish(self, formula: Formula) -> Formula:
+    def _finish(self, formula: TemporalFormula) -> TemporalFormula:
         tail = self._peek()
         if tail.kind in ("U", "R", "W"):
             raise _bare_temporal(tail)
@@ -279,18 +284,18 @@ class _Parser:
             )
         return formula
 
-    def _primary(self, token: _Token) -> Formula:
-        """The atom, constant or placeholder `token` starts."""
+    def _primary(self, token: _Token) -> Pal:
+        """The PAL leaf of the atom, constant or placeholder `token` starts."""
         if token.kind == "true":
-            return top()
+            return _PAL_TOP
         if token.kind == "false":
-            return bottom()
+            return _PAL_BOTTOM
         if token.kind == "identifier":
             if self._peek().kind == ":":
                 self._advance()
                 class_id = self._expect("identifier").value
-                return Prop(Atom(token.value, class_id))
-            return Prop(Atom(token.value, token.value))
+                return Pal(Prop(Atom(token.value, class_id)))
+            return Pal(Prop(Atom(token.value, token.value)))
         if token.kind == "placeholder":
             if not self._allow_placeholders:
                 raise ParseError(
@@ -302,7 +307,7 @@ class _Parser:
                 raise ParseError(
                     "placeholder indices start at 1", token.line, token.column
                 )
-            return Placeholder(token.value)
+            return Pal(Placeholder(token.value))
         if token.kind in ("U", "R", "W"):
             raise _bare_temporal(token)
         raise ParseError(
@@ -324,31 +329,25 @@ class _Parser:
 
 def parse_formula(text: str) -> TemporalFormula:
     """Parse a path formula; pure PAL text comes back as a single PAL leaf."""
-    return lift(_Parser(text, allow_placeholders=False).parse(None))
+    return _Parser(text, allow_placeholders=False).parse(None)
 
 
 def parse_pal_formula(text: str) -> PalFormula:
     """Parse a formula in which temporal operators are rejected outright."""
-    formula = _Parser(text, allow_placeholders=False).parse("a PAL formula")
-    assert isinstance(formula, PalFormula)
-    return formula
+    return _Parser(text, allow_placeholders=False).parse("a PAL formula").formula
 
 
 def parse_template(text: str) -> Template:
     """Parse a formula with ?k slots; arity is the highest index present."""
     formula = _Parser(text, allow_placeholders=True).parse(None)
     try:
-        return Template.from_skeleton(lift(formula))
+        return Template.from_skeleton(formula)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
 # Pretty-printing levels, loosest to tightest.
 _IMPLIES, _OR, _AND, _UNARY, _ATOM = 1, 2, 3, 4, 5
-
-# Interned, so a constant is recognised by identity.
-_TRUE, _FALSE = top(), bottom()
-_PAL_TOP = Pal(_TRUE)
 
 
 def pretty(formula: Formula) -> str:

@@ -235,6 +235,7 @@ def _demo_session() -> dict:
         ["check", "--ts", "ts.json", "--formula", "true", "--cap", "1"],
         ["check", "--ts", "ts.json", "--formula", "true", "--cap", "6"],
         ["check", "--ts", "ts.json", "--formula", "true", "--cap", "0"],
+        ["check", "--ts", "ts.json", "--formula", "true", "--cap", "x"],
         ["check", "--ts", "ts.json", "--formula", "F v2:Cat", "--cap", "2"],
         ["check", "--ts", "ts.json", "--formula", "K{a} X v1:Cat"],
         ["check", "--ts", "ts.json", "--formula", "K{zz} v1:Cat"],
@@ -292,6 +293,7 @@ def _demo_session() -> dict:
         [*classify, "--mode", "verified", "--atoms", "v1:Cat", "--group", "both",
          "--scores", "scores.json"],
         [*classify, "--mode", "verified", "--atoms", "v1:Cat", "--group", "both", "--cap", "0"],
+        [*classify, "--mode", "verified", "--atoms", "v1:Cat", "--group", "both", "--cap", "1_000"],
         ["classify", "--ts", "ts.json", "--template", "F", "--mode", "verified", "--atoms",
          "v1:Cat", "--group", "both"],
         ["classify", "--ts", "ts.json", "--template", "F ?2", "--mode", "verified", "--atoms",

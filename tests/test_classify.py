@@ -174,7 +174,7 @@ def test_missing_verified_candidates():
     ts = _two_world_ts()
     template = parse_template("X ?1")
     xcat = Prop(Atom("x", "Cat"))
-    candidates = [top(), bottom(), xcat, Prop(Atom("x", "Dog"))]
+    candidates = [top(), bottom(), xcat, Atom("x", "Dog")]  # an Atom reads as its Prop
     report = verdict(ts, template, [xcat], candidates=candidates, group=("a",))
     assert report.result is True
     assert report.qualifying == (bottom(), xcat, Prop(Atom("x", "Dog")))
@@ -243,6 +243,10 @@ def test_argument_validation():
         verdict(ts, template, [V1CAT], group=())
     with pytest.raises(EvaluationError, match="unknown agent"):
         verdict(ts, template, [V1CAT], agent="zz")
+    # Also a template without slots, whose query names no agent, checks them.
+    for who in ({"group": ("zz",)}, {"agent": "zz"}):
+        with pytest.raises(EvaluationError, match="^unknown agent 'zz'$"):
+            verdict(ts, parse_template("X true"), [], **who)
     # An agent is checked before evaluation, also where no evaluation
     # would read it: v1:Fox holds nowhere.
     vacuous = parse_formula("X [v1:Fox] K{zz} true")
@@ -291,6 +295,13 @@ def test_verdict_and_substitute_name_the_bad_argument_alike(bad, message):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value).startswith(message)
+    # A candidate follows the same rule, named as a candidate, and is checked
+    # before any query runs: also when the base query passes (with true) and
+    # no candidate is tried.
+    for atom in (top(), bottom()):
+        with pytest.raises(ValueError) as info:
+            verdict(ts, parse_template("X ?1"), [atom], group=("a",), candidates=[V1CAT, bad])
+        assert str(info.value).startswith(message.replace("argument", "candidate"))
 
 
 def test_restricted_path_set():
@@ -326,6 +337,8 @@ def test_report_json_shape():
         "paths_checked": 3,
         "capped": False,
     }
+    # Any iterable names the group; the report keeps it as a tuple.
+    assert verdict(ts, parse_template("X (F ?1)"), [V1CAT], group=iter(["a", "b"])) == report
 
 
 def test_singleton_group_equals_robust_agent():

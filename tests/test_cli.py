@@ -330,10 +330,14 @@ def test_check_mppe_only(ts_file, capsys):
                          ids=["path-index", "mppe-only"])
 @pytest.mark.parametrize("flag, env, message", [
     (["--cap", "0"], None, "error: --cap must be at least 1\n"),
+    (["--cap", "x"], None, "error: --cap must be an integer, got 'x'\n"),
+    (["--cap", "1_000"], None, "error: --cap must be an integer, got '1_000'\n"),
+    (["--cap", "\u0663"], None, "error: --cap must be an integer, got '\u0663'\n"),
     ([], "x", "error: LTPAL_PATH_CAP must be an integer, got 'x'\n"),
     ([], "0", "error: LTPAL_PATH_CAP must be at least 1\n"),
     ([], "1_000", "error: LTPAL_PATH_CAP must be an integer, got '1_000'\n"),
-], ids=["flag-0", "env-x", "env-0", "env-underscore"])
+], ids=["flag-0", "flag-x", "flag-underscore", "flag-arabic-indic", "env-x", "env-0",
+        "env-underscore"])
 def test_a_one_path_check_rejects_an_invalid_cap(ts_file, capsys, monkeypatch, branch, flag, env,
                                                   message):
     """The cap is checked as on the all-paths branch, though one path never
@@ -566,7 +570,7 @@ def test_classify_usage_errors(ts_file, tmp_path, capsys):
         "classify", "--ts", ts_file, "--mode", "verified",
         "--template", "X ?1", "--atoms", "v1:Cat, ", "--group", "both",
     ])
-    assert code == 2
+    assert (code, err) == (2, "error: --atoms must be a comma-separated list of PAL formulas\n")
     with pytest.raises(SystemExit) as exit_info:
         main(["classify", "--ts", ts_file, "--mode", "verified",
               "--template", "X ?1", "--atoms", "p",

@@ -98,13 +98,27 @@ def test_exit_handlers_registered_before_the_module_runs_still_run(ts_file, caps
     wrapper = (
         "import atexit, runpy, sys\n"
         "atexit.register(print, 'exit handler ran')\n"
+        "atexit.register(sys.stderr.write, 'no newline')\n"  # stderr flushes only at a newline
         f"sys.argv = ['ltpal', *{argv!r}]\n"
         "runpy.run_module('ltpal.cli', run_name='__main__')\n"
     )
     assert main(argv) == 1
     expected = capsys.readouterr().out
     done = _python("-c", wrapper)
-    assert (done.returncode, done.stdout, done.stderr) == (1, expected + "exit handler ran\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (1, expected + "exit handler ran\n",
+                                                           "no newline")
+
+
+def test_a_missing_stderr_keeps_the_exit_code(ts_file):
+    """Its flush fails, so `run` returns the code for the ordinary exit."""
+    script = (
+        "import sys\n"
+        "sys.stderr = None\n"
+        "from ltpal.cli import run\n"
+        f"sys.exit(run(['check', '--ts', {ts_file!r}, '--formula', 'F v2:Cat']))\n"
+    )
+    done = _python("-c", script)
+    assert (done.returncode, json.loads(done.stdout)["result"]) == (1, False)
 
 
 def test_a_trace_function_keeps_the_ordinary_exit(ts_file):
