@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Sequence
 
-from .errors import EvaluationError
+from .errors import ConfigurationError, EvaluationError
 from .formulas import (
     Announce,
     Dist,
@@ -54,6 +54,7 @@ from .transition import (  # noqa: F401  (enumerate_total_paths kept importable 
     TransitionSystem,
     enumerate_total_paths,
     path_rank,
+    read_integer,
     total_path_count,
 )
 
@@ -61,25 +62,13 @@ DEFAULT_PATH_CAP = 1_000_000
 
 
 def check_path_cap(value, source: str = "path cap") -> int:
-    """`value`, an integer or its decimal text, as a path cap of at least 1
-    (None gives DEFAULT_PATH_CAP), or ValueError naming the cap by `source`;
-    a bool, a float or any other type is not a cap.  The text is ASCII
-    digits with an optional sign and surrounding whitespace: no `_`
-    separators and no other script's digits."""
+    """`value` by `read_integer`, as a path cap of at least 1 (None gives
+    DEFAULT_PATH_CAP), or ConfigurationError naming the cap by `source`."""
     if value is None:
         return DEFAULT_PATH_CAP
-    try:
-        if isinstance(value, str):
-            digits = value.strip().lstrip("+-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError
-        elif isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError
-        cap = int(value)
-    except ValueError:
-        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+    cap = read_integer(value, source)
     if cap < 1:
-        raise ValueError(f"{source} must be at least 1")
+        raise ConfigurationError(f"{source} must be at least 1")
     return cap
 
 

@@ -21,7 +21,7 @@ from itertools import islice
 
 from .errors import ConfigurationError, IngestionError, LtpalError
 from .serialize import ingest, load_candidates, load_scores, load_ts, save_ts
-from .transition import build_ts, enumerate_total_paths, path_at, total_path_count
+from .transition import build_ts, enumerate_total_paths, path_at, read_integer, total_path_count
 
 # Names each command binds here on first use (`_bind`), so that a command
 # compiles only the modules it runs: `build`, `paths` and `mppe` never
@@ -86,10 +86,7 @@ def _note(message: str) -> None:
 def _resolve_cap(flag: str | None) -> int:
     """The path cap of `--cap`'s text or, without the flag, LTPAL_PATH_CAP's."""
     source = "--cap" if flag is not None else "LTPAL_PATH_CAP"
-    try:
-        return check_path_cap(flag if flag is not None else os.environ.get(source), source)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
+    return check_path_cap(flag if flag is not None else os.environ.get(source), source)
 
 
 def _split_atoms(text: str) -> list:
@@ -149,19 +146,20 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    if args.max is not None and args.max < 0:
+    limit = read_integer(args.max, "--max") if args.max is not None else 10_000
+    if limit < 0:
         raise ConfigurationError("--max must not be negative")
     ts, _ = load_ts(args.ts)
     total = total_path_count(ts)
     # islice takes no stop above sys.maxsize, and no system lists that many.
-    limit = min(args.max, sys.maxsize) if args.max is not None else 10_000
-    paths = [list(p.worlds) for p in islice(enumerate_total_paths(ts), limit)]
+    paths = [list(p.worlds) for p in islice(enumerate_total_paths(ts), min(limit, sys.maxsize))]
     _emit({"count": total, "paths": paths, "truncated": total > len(paths)})
     return EXIT_TRUE
 
 
 def _cmd_check(args) -> int:
     _bind(*_FORMULAS)
+    index = read_integer(args.path_index, "--path-index") if args.path_index is not None else None
     ts, embedded = load_ts(args.ts)
     formula = expand_groups(parse_formula(args.formula), ts.groups)
     if args.scores is not None and not args.mppe_only:
@@ -171,15 +169,15 @@ def _cmd_check(args) -> int:
     # path begins.
     query = Next(formula) if args.skip_dummies else formula
 
-    if args.path_index is not None or args.mppe_only:  # one path; --path-index first
-        if args.path_index is not None:
-            path = path_at(ts, args.path_index)
+    if index is not None or args.mppe_only:  # one path; --path-index first
+        if index is not None:
+            path = path_at(ts, index)
             if path is None:
                 raise ConfigurationError(
-                    f"--path-index {args.path_index} is out of range "
+                    f"--path-index {index} is out of range "
                     f"(the system has {_unbounded(str, total_path_count(ts))} total paths)"
                 )
-            mode, before, after = "path", {"path_index": args.path_index}, {}
+            mode, before, after = "path", {"path_index": index}, {}
         else:
             _bind("mppe")
             scored = most_probable_path(ts, _mppe_table(ts, embedded, args.scores))
@@ -262,7 +260,11 @@ def _cmd_mppe(args) -> int:
     if args.scorer_cmd is not None:
         import shlex  # only --scorer-cmd needs it
 
-        with ExternalScorer(shlex.split(args.scorer_cmd)) as scorer:
+        try:
+            command = shlex.split(args.scorer_cmd)
+        except ValueError as exc:
+            raise ConfigurationError(f"--scorer-cmd: {exc}") from None
+        with ExternalScorer(command) as scorer:
             table = score_edges(ts, scorer)
     elif args.scorer is not None:
         table = score_edges(ts)
@@ -300,14 +302,14 @@ def _build_options(build) -> None:
 
 def _paths_options(paths) -> None:
     paths.add_argument("--ts", required=True, help="system JSON file")
-    paths.add_argument("--max", type=int, help="cap on listed paths (default 10000)")
+    paths.add_argument("--max", help="cap on listed paths (default 10000)")
     paths.set_defaults(func=_cmd_paths)
 
 
 def _check_options(check) -> None:
     check.add_argument("--ts", required=True, help="system JSON file")
     check.add_argument("--formula", required=True, help="temporal formula text")
-    check.add_argument("--path-index", type=int,
+    check.add_argument("--path-index",
                        help="evaluate on the n-th total path (0-based) instead of all")
     check.add_argument("--mppe-only", action="store_true",
                        help="evaluate on the most probable path only")

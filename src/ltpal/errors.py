@@ -13,8 +13,8 @@ class EvaluationError(LtpalError):
     """A formula mentions agents or worlds the model does not know."""
 
 
-class ConfigurationError(LtpalError):
-    """A pluggable component (such as an edge scorer) misbehaved."""
+class ConfigurationError(LtpalError, ValueError):
+    """A setting is invalid, or a pluggable component (such as an edge scorer) misbehaved."""
 
 
 class ArityError(LtpalError, ValueError):

@@ -41,9 +41,11 @@ def overlap_score(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(union)
 
 
-def float_score(value) -> float:
-    """`float(value)`, except that an integer beyond the float range is an
-    infinity of its sign, like 1e400, rather than an OverflowError."""
+def score_number(value) -> float | None:
+    """`value` as a float if it is an int or a float, not a bool, else None;
+    an int beyond the float range is an infinity of its sign, like 1e400."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
     try:
         return float(value)
     except OverflowError:
@@ -51,10 +53,10 @@ def float_score(value) -> float:
 
 
 def check_score(value, u, v) -> float:
-    """The score `value` of edge u -> v as a float: a number, not a bool, in (0, 1]."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """The score `value` of edge u -> v as a float: a score number in (0, 1]."""
+    score = score_number(value)
+    if score is None:
         raise IngestionError(f"score for edge {u!r} -> {v!r} must be a number, got {value!r}")
-    score = float_score(value)
     if not 0.0 < score <= 1.0:  # also true for NaN
         raise IngestionError(f"score for edge {u!r} -> {v!r} must be in (0, 1], got {score!r}")
     return score
@@ -120,19 +122,18 @@ class ScoreTable:
 
 def _checked_score(raw, u: str, v: str) -> float:
     """A scorer result clamped into [SCORE_FLOOR, 1.0]; the error names edge u -> v."""
-    try:
-        raw = float_score(raw)
-    except (TypeError, ValueError):
+    score = score_number(raw)
+    if score is None:
         raise ConfigurationError(
             f"scorer returned a non-number for edge {u!r} -> {v!r}: {raw!r}"
-        ) from None
-    if math.isnan(raw):
-        raise ConfigurationError(f"scorer returned NaN for edge {u!r} -> {v!r}")
-    if raw < 0:
-        raise ConfigurationError(
-            f"scorer returned a negative score for edge {u!r} -> {v!r}: {raw!r}"
         )
-    return min(1.0, max(SCORE_FLOOR, raw))
+    if math.isnan(score):
+        raise ConfigurationError(f"scorer returned NaN for edge {u!r} -> {v!r}")
+    if score < 0:
+        raise ConfigurationError(
+            f"scorer returned a negative score for edge {u!r} -> {v!r}: {score!r}"
+        )
+    return min(1.0, max(SCORE_FLOOR, score))
 
 
 def score_edges(ts: TransitionSystem, scorer: Scorer = overlap_score) -> ScoreTable:
@@ -143,9 +144,9 @@ def score_edges(ts: TransitionSystem, scorer: Scorer = overlap_score) -> ScoreTa
     order that has it, and that result is reused for every later edge with
     the same pair.  Edges touching the synthetic first or last layer always
     score 1.0 so the endpoints never perturb the product, and never reach the
-    scorer.  Scorer results are clamped into [SCORE_FLOOR, 1.0]; NaN,
-    negative or non-numeric results are configuration errors naming that
-    first edge.
+    scorer.  A result must be a number by `score_number`, as in a ScoreTable;
+    it is clamped into [SCORE_FLOOR, 1.0], and any other value, NaN or a
+    negative number is a configuration error naming that first edge.
     """
     layers = ts.layers
     rows = {ts.s0: dict.fromkeys([v.id for v in layers[1].worlds], 1.0)}
@@ -241,9 +242,11 @@ class ExternalScorer:
     For each call (`score_edges` makes one per distinct pair of class-label
     sets) the scorer writes one JSON object per line to the child's stdin,
     `{"a": [...], "b": [...]}` with sorted class-id lists, and reads one
-    JSON reply per line, `{"score": x}`.  A reply that does not arrive within
-    SCORER_REPLY_TIMEOUT_S seconds (on POSIX systems; elsewhere the wait has
-    no limit), and any other protocol violation, raises ConfigurationError.
+    JSON reply per line, `{"score": x}`, returning x for `score_edges` to
+    check.  A reply that does not arrive within SCORER_REPLY_TIMEOUT_S
+    seconds (on POSIX systems; elsewhere the wait has no limit), and any
+    other protocol violation, raises ConfigurationError.  `close` kills a
+    child still running SCORER_REPLY_TIMEOUT_S seconds after SIGTERM.
     """
 
     def __init__(self, command):
@@ -293,7 +296,7 @@ class ExternalScorer:
         line, _, self._pending = self._pending.partition(b"\n")
         return line + b"\n"
 
-    def __call__(self, a: frozenset, b: frozenset) -> int | float:
+    def __call__(self, a: frozenset, b: frozenset):
         request = json.dumps({"a": sorted(a), "b": sorted(b)})
         try:
             self._send((request + "\n").encode())
@@ -312,12 +315,7 @@ class ExternalScorer:
             raise ConfigurationError(
                 f"external scorer reply is missing a 'score' field: {line.strip()!r}"
             )
-        value = reply["score"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigurationError(
-                f"external scorer score is not a number: {value!r}"
-            )
-        return value
+        return reply["score"]
 
     def close(self) -> None:
         if self._proc.stdin:
@@ -326,7 +324,13 @@ class ExternalScorer:
             except OSError:
                 pass
         self._proc.terminate()
-        self._proc.wait()
+        import subprocess
+
+        try:
+            self._proc.wait(SCORER_REPLY_TIMEOUT_S)
+        except subprocess.TimeoutExpired:  # the child ignores SIGTERM
+            self._proc.kill()
+            self._proc.wait()
         self._proc.stdout.close()
 
     def __enter__(self):

@@ -15,8 +15,24 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EvaluationError, IngestionError
+from .errors import ConfigurationError, EvaluationError, IngestionError
 from .model import PALModel, Record, World
+
+
+def read_integer(value, source: str) -> int:
+    """`value`, an int (not a bool) or its decimal text, as an int, or
+    ConfigurationError naming it by `source`.  The text is ASCII digits with
+    an optional sign and surrounding whitespace, without `_` separators."""
+    try:
+        if isinstance(value, str):
+            digits = value.strip().lstrip("+-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError
+        return int(value)
+    except ValueError:
+        raise ConfigurationError(f"{source} must be an integer, got {value!r}") from None
 
 
 def check_groups(groups: Mapping[str, tuple], roster: tuple) -> None:

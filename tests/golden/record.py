@@ -202,6 +202,7 @@ def _demo_session() -> dict:
         ["paths", "--ts", "ts.json", "--max", "0"],
         ["paths", "--ts", "ts.json", "--max", "2"],
         ["paths", "--ts", "ts.json", "--max", "-1"],
+        ["paths", "--ts", "ts.json", "--max", "1_0"],
         ["paths", "--ts", "listed.json", "--max", "3"],
         ["paths", "--ts", "ts-rules.json"],
         ["paths", "--ts", "ts-utf8.json"],
@@ -217,7 +218,7 @@ def _demo_session() -> dict:
         commands.append(["check", "--ts", "ts.json", "--formula", formula])
         commands.append(["check", "--ts", "ts.json", "--formula", formula, "--skip-dummies"])
     commands.append(["check", "--ts", "ts-rules.json", "--formula", "F v1:Animal"])
-    for index in ["0", "1", "2", "3", "4", "5", "6", "-1", "99999999999999999999"]:
+    for index in ["0", "1", "2", "3", "4", "5", "6", "-1", "99999999999999999999", "\u0663"]:
         commands.append(["check", "--ts", "ts.json", "--formula", "F v2:Cat", "--path-index", index])
     commands += [
         ["check", "--ts", "ts.json", "--formula", "X v1:Cat", "--path-index", "3", "--skip-dummies"],
@@ -315,6 +316,7 @@ def _demo_session() -> dict:
         ["mppe", "--ts", "listed.json"],
         ["mppe", "--ts", "ts.json", "--scorer-cmd", ""],
         ["mppe", "--ts", "ts.json", "--scorer-cmd", "no-such-ltpal-scorer"],
+        ["mppe", "--ts", "ts.json", "--scorer-cmd", f"{PYTHON} 'x"],
     ]
     for name in _SCORERS:
         commands.append(["mppe", "--ts", "ts.json", "--scorer-cmd", f"{PYTHON} scorer-{name}.py"])

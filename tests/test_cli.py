@@ -134,6 +134,22 @@ def test_paths_max_zero_and_negative(ts_file, capsys):
         assert len(payload["paths"]) == 6 and payload["truncated"] is False
 
 
+@pytest.mark.parametrize("command", [["paths"], ["check", "--formula", "true"]],
+                         ids=["max", "path-index"])
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "x"], ids=["underscore", "arabic-indic", "letter"])
+def test_max_and_path_index_read_integers_by_the_cap_rule(ts_file, capsys, command, text):
+    """--max and --path-index read their text as --cap does, before the system is loaded."""
+    flag = "--max" if command == ["paths"] else "--path-index"
+    message = f"error: {flag} must be an integer, got {text!r}\n"
+    for ts in (ts_file, "no-such-system.json"):
+        assert _run(capsys, [*command, "--ts", ts, flag, text]) == (2, None, message)
+    code, payload, _ = _run(capsys, [*command, "--ts", ts_file, flag, " +1 "])
+    if flag == "--max":
+        assert (code, len(payload["paths"])) == (0, 1)
+    else:
+        assert (code, payload["path_index"]) == (0, 1)
+
+
 def test_check_all_paths_exit_codes(ts_file, capsys):
     code, payload, _ = _run(capsys, [
         "check", "--ts", ts_file, "--formula", "F (v2:Cat | v2:Dog)",

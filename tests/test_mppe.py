@@ -2,8 +2,11 @@
 
 import math
 import random
+import signal
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -186,6 +189,9 @@ def test_score_edges_shares_one_row_per_label_set():
     (float("nan"), "scorer returned NaN for edge 'b1' -> 'c1'"),
     (-1.0, "scorer returned a negative score for edge 'b1' -> 'c1': -1.0"),
     (None, "scorer returned a non-number for edge 'b1' -> 'c1': None"),
+    pytest.param("0.5", "scorer returned a non-number for edge 'b1' -> 'c1': '0.5'", id="str"),
+    pytest.param(b"0.5", "scorer returned a non-number for edge 'b1' -> 'c1': b'0.5'", id="bytes"),
+    pytest.param(True, "scorer returned a non-number for edge 'b1' -> 'c1': True", id="bool"),
     pytest.param(-10 ** 400, "scorer returned a negative score for edge 'b1' -> 'c1': -inf",
                  id="negative-integer-beyond-the-float-range"),
 ])
@@ -212,6 +218,33 @@ def test_score_table_refuses_a_score_that_is_not_a_number(value, shown):
     with pytest.raises(IngestionError) as info:
         load_scores({"edges": entries}, ts)
     assert str(info.value) == f"edges[3]: score for edge 'w10' -> 'w20' must be a number, got {shown}"
+
+
+class _Half(float):
+    pass
+
+
+def test_score_table_and_scorers_take_the_same_numbers():
+    """A value is a score number for a scorer exactly when `ScoreTable` takes
+    it as a number; each then applies its own range rule."""
+    values = [0.5, 1, 1.0, _Half(0.5), 10 ** 400, 0.0, -2, float("nan"), True, False,
+              "0.5", b"0.5", None, Fraction(1, 2), Decimal("0.5"), [0.5], 1j]
+    ts = _demo_ts()
+    taken = []
+    for value in values:
+        try:
+            ScoreTable({("u", "v"): value})
+            table_takes = True
+        except IngestionError as exc:
+            table_takes = "must be a number" not in str(exc)
+        try:
+            score_edges(ts, lambda a, b: value)
+            scorer_takes = True
+        except ConfigurationError as exc:
+            scorer_takes = "non-number" not in str(exc)
+        assert table_takes == scorer_takes, value
+        taken.append(table_takes)
+    assert taken == [True] * 8 + [False] * 9
 
 
 def test_score_table_refuses_an_edge_between_ids_that_are_not_strings():
@@ -430,8 +463,8 @@ def test_external_scorer_error_modes():
         [sys.executable, "-c",
          "import sys, json; sys.stdin.readline(); print(json.dumps({'score': 'hi'}))"]
     )
-    with pytest.raises(ConfigurationError, match="not a number"):
-        non_number(frozenset(), frozenset())
+    # The reply's score comes back as parsed; `score_edges` checks it.
+    assert non_number(frozenset(), frozenset()) == "hi"
     non_number.close()
 
 
@@ -459,6 +492,30 @@ def test_external_scorer_reply_timeout(monkeypatch):
         with pytest.raises(ConfigurationError, match=r"^external scorer did not reply within 0.2 s$"):
             scorer(frozenset({"Cat"}), frozenset({"Dog"}))
         assert time.monotonic() - start < 10
+
+
+# Sets SIGTERM's handler, answers one request and then sleeps past any test's bound.
+OUTLIVING_SCORER = (
+    "import signal, sys, time\n"
+    "signal.signal(signal.SIGTERM, signal.{handler})\n"
+    "sys.stdin.readline()\n"
+    "print('{{\"score\": 1}}', flush=True)\n"
+    "time.sleep(60)\n"
+)
+
+
+@pytest.mark.parametrize("handler, limit, status", [
+    ("SIG_DFL", 60, -signal.SIGTERM), ("SIG_IGN", 0.2, -signal.SIGKILL),
+], ids=["ends-on-sigterm", "ignores-sigterm"])
+def test_close_ends_a_scorer_that_outlives_its_input(monkeypatch, handler, limit, status):
+    """SIGTERM ends the first at once; the second is killed once the limit passes."""
+    scorer = ExternalScorer([sys.executable, "-c", OUTLIVING_SCORER.format(handler=handler)])
+    assert scorer(frozenset(), frozenset()) == 1  # the handler is set from here on
+    monkeypatch.setattr(mppe, "SCORER_REPLY_TIMEOUT_S", limit)
+    start = time.monotonic()
+    scorer.close()
+    assert time.monotonic() - start < 10
+    assert scorer._proc.returncode == status and scorer._proc.stdout.closed
 
 
 SPLIT_AND_BATCHED_REPLIES = (

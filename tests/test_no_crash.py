@@ -40,6 +40,8 @@ COMMANDS = {
     "rules": [["build", "--frames", FRAMES, "--rules", "DOC", "--output", "out.json"]],
     "system": [
         ["paths", "--ts", "DOC"],
+        ["paths", "--ts", "DOC", "--max", "4"],
+        ["check", "--ts", "DOC", "--formula", "F v2:Cat", "--path-index", "2"],
         ["check", "--ts", "DOC", "--formula", "G (D{both} v1:Cat -> X v2:Cat)"],
         ["check", "--ts", "DOC", "--formula", "F v2:Cat", "--mppe-only"],
         ["classify", "--ts", "DOC", "--mode", "verified", "--template", "F ?1",
@@ -47,6 +49,8 @@ COMMANDS = {
         ["classify", "--ts", "DOC", "--mode", "robust", "--template", "X ?1",
          "--atoms", "K{a} v1:Cat", "--agent", "a", "--skip-dummies"],
         ["mppe", "--ts", "DOC", "--emit-corrected", "out.json"],
+        # Malformed shell text: the command is never started.
+        ["mppe", "--ts", "DOC", "--scorer-cmd", "python3 'x"],
     ],
     "scores": [
         ["mppe", "--ts", TS, "--scores", "DOC"],
@@ -57,8 +61,10 @@ COMMANDS = {
          "--atoms", "v2:Cat", "--agent", "b", "--candidates", "DOC"],
     ],
 }
-ARGVS = [argv for commands in COMMANDS.values() for argv in commands]
-# Every option but `--help` and `--scorer-cmd`, which would start a drawn command.
+# Every argv and option but `--help` and `--scorer-cmd`, whose mutations could
+# start a drawn command.
+ARGVS = [argv for commands in COMMANDS.values() for argv in commands
+         if "--scorer-cmd" not in argv]
 FLAGS = ["--frames", "--rules", "--output", "--ts", "--max", "--formula", "--path-index",
          "--mppe-only", "--scores", "--cap", "--skip-dummies", "--mode", "--template",
          "--atoms", "--group", "--agent", "--candidates", "--scorer", "--emit-corrected"]
